@@ -192,7 +192,7 @@ def homotopy_profile(spectrum: SpectrumId, truncation: int) -> HomotopyProfile:
         return HomotopyProfile(spectrum, free)
     if tag == "BPbar":
         bp = homotopy_profile(BP, truncation)
-        return HomotopyProfile(spectrum, bp.free_ranks * geometric(8, truncation))
+        return HomotopyProfile(spectrum, bp.free_ranks.times_binomial(8, -1, -1))
     if tag == "BPn":
         degrees = [2 * (2 ** n - 1) for n in range(1, spectrum.level + 1)]
         free = product_over(

@@ -51,12 +51,14 @@ __all__ = ["build_parser", "main", "CHECK_NAMES"]
 class _CheckSpec:
     """One named check: `scale` is its size knob (a degree bound for
     most, a level or index bound for the combinatorial ones), pinned to
-    the value the standard battery uses."""
+    the value the standard battery uses.  A check with a `scale_cap`
+    runs at most at that scale, whatever -N asks for."""
 
     name: str
     pinned_scale: int
     run: Callable[[int, bool], VerificationReport]
     supports_fault: bool = False
+    scale_cap: Optional[int] = None
 
 
 def _registry() -> Dict[str, _CheckSpec]:
@@ -96,9 +98,12 @@ def _registry() -> Dict[str, _CheckSpec]:
         _CheckSpec("epsilon-partition", 64,
                    lambda n, f: _conjecture.verify_epsilon_partition(
                        n_max=n)),
+        # The stable-limit identity itself stops holding past degree 64
+        # (height 16 first breaks at degree 127), so -N is capped there.
         _CheckSpec("conjecture-limit", 64,
                    lambda n, f: _conjecture.verify_stable_limit(
-                       limit_degree=min(n, 64))),
+                       limit_degree=n),
+                   scale_cap=64),
         _CheckSpec("first-appearance", 64,
                    lambda n, f: _conjecture.verify_first_appearance(
                        q_max=n)),
@@ -298,6 +303,19 @@ def _run_reports(reports: List[VerificationReport], args) -> int:
     return 0 if passed else 1
 
 
+def _single_scale(spec: _CheckSpec, args) -> int:
+    """Scale for a check run on its own: -N if given, else pinned,
+    clamped to the check's cap with a note."""
+    if not args.max_degree_given:
+        return spec.pinned_scale
+    scale = args.max_degree
+    if spec.scale_cap is not None and scale > spec.scale_cap:
+        _note(f"{spec.name} is capped at {spec.scale_cap}; checked through "
+              f"degree {spec.scale_cap}, not {scale}", args)
+        scale = spec.scale_cap
+    return scale
+
+
 def _cmd_verify(args) -> int:
     if args.check == "all":
         if args.inject_fault:
@@ -317,9 +335,7 @@ def _cmd_verify(args) -> int:
             f"check {spec.name!r} has no fault to inject; pick one of "
             + ", ".join(s.name for s in _REGISTRY.values()
                         if s.supports_fault))
-    scale = (args.max_degree if args.max_degree_given
-             else spec.pinned_scale)
-    report = spec.run(scale, args.inject_fault)
+    report = spec.run(_single_scale(spec, args), args.inject_fault)
     return _run_reports([report], args)
 
 
@@ -329,9 +345,8 @@ def _cmd_conjecture(args) -> int:
             raise InvalidParameter(
                 "give either a truncation height or --check, not both")
         spec = _REGISTRY[_CONJECTURE_CHECKS[args.check]]
-        scale = (args.max_degree if args.max_degree_given
-                 else spec.pinned_scale)
-        return _run_reports([spec.run(scale, False)], args)
+        return _run_reports([spec.run(_single_scale(spec, args), False)],
+                            args)
 
     if args.height is None:
         raise InvalidParameter("need a truncation height or --check")

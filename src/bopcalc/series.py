@@ -13,6 +13,11 @@ the shapes that Poincare series of free graded-commutative algebras are
 made of, and the family may be an infinite generator as long as its
 degrees never decrease: factors beyond the truncation degree are 1 up to
 truncation, so enumeration stops at the first degree above N.
+
+Every single factor (1 + x^d) or 1/(1 - x^d) is applied by one O(N)
+kernel, times_binomial, which multiplies or divides by (1 +- x^d) with a
+strided pass over the coefficients instead of inverting a dense
+polynomial and convolving with it; shift multiplies by x^k as a slice.
 """
 
 from __future__ import annotations
@@ -57,14 +62,7 @@ class TruncatedSeries:
     __slots__ = ("truncation", "coefficients")
 
     def __init__(self, coefficients: Iterable[int], truncation: int):
-        if truncation < 0:
-            raise TruncationError("truncation degree must be >= 0")
-        coeffs = tuple(int(c) for c in coefficients)
-        if len(coeffs) != truncation + 1:
-            raise TruncationError(
-                f"expected {truncation + 1} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "coefficients", coeffs)
+        _init(self, tuple(int(c) for c in coefficients), truncation)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -90,7 +88,7 @@ class TruncatedSeries:
         if truncation > self.truncation:
             raise TruncationError(
                 f"cannot extend truncation {self.truncation} to {truncation}")
-        return TruncatedSeries(self.coefficients[: truncation + 1], truncation)
+        return _from_ints(self.coefficients[: truncation + 1], truncation)
 
     # -- ring operations --------------------------------------------------
 
@@ -103,14 +101,14 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._match(other)
-        return TruncatedSeries(
-            (a + b for a, b in zip(self.coefficients, other.coefficients)),
+        return _from_ints(
+            [a + b for a, b in zip(self.coefficients, other.coefficients)],
             self.truncation)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._match(other)
-        return TruncatedSeries(
-            (a - b for a, b in zip(self.coefficients, other.coefficients)),
+        return _from_ints(
+            [a - b for a, b in zip(self.coefficients, other.coefficients)],
             self.truncation)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -120,7 +118,7 @@ class TruncatedSeries:
         a, b = self.coefficients, other.coefficients
         if _nnz(b) < _nnz(a):
             a, b = b, a
-        return TruncatedSeries(
+        return _from_ints(
             _mul_pairs(b, _pairs(a), self.truncation), self.truncation)
 
     def invert(self) -> "TruncatedSeries":
@@ -144,7 +142,45 @@ class TruncatedSeries:
                     break
                 s += a[k] * b[m - k]
             b[m] = -unit * s
-        return TruncatedSeries(b, n)
+        return _from_ints(b, n)
+
+    def times_binomial(self, degree: int, sign: int,
+                       power: int) -> "TruncatedSeries":
+        """Multiply by (1 + sign*x^degree)^power, power +1 or -1, in O(N).
+
+        A factor of degree above the truncation is 1 and leaves the
+        series unchanged.
+
+        >>> g = one(6).times_binomial(2, -1, -1)
+        >>> print(g)
+        1 + x^2 + x^4 + x^6
+        >>> print(g.times_binomial(3, 1, 1))
+        1 + x^2 + x^3 + x^4 + x^5 + x^6
+        >>> g.times_binomial(2, -1, 1) == one(6)
+        True
+        """
+        if degree <= 0:
+            raise ZeroDegreeFactor(f"factor degree {degree} must be positive")
+        if sign not in (1, -1) or power not in (1, -1):
+            raise ValueError(
+                f"sign {sign} and power {power} must each be +1 or -1")
+        if degree > self.truncation:
+            return self
+        coeffs = list(self.coefficients)
+        _binomial_pass(coeffs, degree, sign, power)
+        return _from_ints(coeffs, self.truncation)
+
+    def shift(self, amount: int) -> "TruncatedSeries":
+        """Multiply by x^amount, dropping degrees pushed past N.
+
+        >>> print(make_polynomial({0: 1, 1: 2, 3: 1}, 3).shift(2))
+        x^2 + 2*x^3
+        """
+        n = self.truncation
+        if not 0 <= amount <= n:
+            raise TruncationError(f"shift {amount} outside 0..{n}")
+        return _from_ints((0,) * amount + self.coefficients[: n + 1 - amount],
+                          n)
 
     # -- comparisons, hashing, display ------------------------------------
 
@@ -216,7 +252,7 @@ def make_polynomial(terms: Mapping[int, int], truncation: int) -> TruncatedSerie
             raise TruncationError(
                 f"term degree {d} outside 0..{truncation}")
         coeffs[d] += int(c)
-    return TruncatedSeries(coeffs, truncation)
+    return _from_ints(coeffs, truncation)
 
 
 def one(truncation: int) -> TruncatedSeries:
@@ -257,16 +293,56 @@ def product_over(factors: Iterable[Factor], truncation: int) -> TruncatedSeries:
         if count == 0:
             continue
         if form == INVERSE_ONE_MINUS:
-            pairs = _power_pairs(degree, count, -1, True, truncation)
+            sign, power = -1, -1
         elif form == ONE_PLUS:
-            pairs = _power_pairs(degree, count, 1, False, truncation)
+            sign, power = 1, 1
         else:
             raise ValueError(f"unknown factor form {form!r}")
-        acc = _mul_pairs(acc, pairs, truncation)
-    return TruncatedSeries(acc, truncation)
+        if count == 1:
+            _binomial_pass(acc, degree, sign, power)
+        else:
+            acc = _mul_pairs(
+                acc, _power_pairs(degree, count, sign, power < 0, truncation),
+                truncation)
+    return _from_ints(acc, truncation)
 
 
 # -- internal helpers --------------------------------------------------------
+
+def _init(series, coeffs: tuple, truncation: int) -> TruncatedSeries:
+    if truncation < 0:
+        raise TruncationError("truncation degree must be >= 0")
+    if len(coeffs) != truncation + 1:
+        raise TruncationError(
+            f"expected {truncation + 1} coefficients, got {len(coeffs)}")
+    object.__setattr__(series, "truncation", truncation)
+    object.__setattr__(series, "coefficients", coeffs)
+    return series
+
+
+def _from_ints(coeffs, truncation: int) -> TruncatedSeries:
+    """Build a result whose coefficients are already ints, skipping the
+    per-coefficient int() of the public constructor."""
+    return _init(object.__new__(TruncatedSeries), tuple(coeffs), truncation)
+
+
+def _binomial_pass(coeffs, degree, sign, power):
+    """Multiply the list coeffs in place by (1 + sign*x^degree)^power,
+    power +1 or -1, with degree <= N.
+
+    Multiplying adds sign*c[k - degree] to c[k]; walking downward reads
+    each c[k - degree] before it is overwritten.  Dividing solves
+    q[k] = c[k] - sign*q[k - degree]; walking upward makes each
+    q[k - degree] ready before it is read.
+    """
+    n = len(coeffs) - 1
+    if power == 1:
+        for k in range(n, degree - 1, -1):
+            coeffs[k] += sign * coeffs[k - degree]
+    else:
+        for k in range(degree, n + 1):
+            coeffs[k] -= sign * coeffs[k - degree]
+
 
 def _nnz(coeffs) -> int:
     return sum(1 for c in coeffs if c)

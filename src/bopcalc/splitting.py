@@ -98,18 +98,12 @@ def _check_level(s: int) -> None:
         raise InvalidParameter(f"series level {s} must be >= 2")
 
 
-def _one_minus(degree: int, truncation: int) -> TruncatedSeries:
-    if degree > truncation:
-        return one(truncation)
-    return make_polynomial({0: 1, degree: -1}, truncation)
-
-
 def _level_product(j_min: int, truncation: int) -> TruncatedSeries:
     """Product of (1 - x^(2(2^j - 1))) for j >= j_min, up to truncation."""
     acc = one(truncation)
     j = j_min
     while 2 * (2 ** j - 1) <= truncation:
-        acc = acc * _one_minus(2 * (2 ** j - 1), truncation)
+        acc = acc.times_binomial(2 * (2 ** j - 1), -1, 1)
         j += 1
     return acc
 
@@ -117,7 +111,7 @@ def _level_product(j_min: int, truncation: int) -> TruncatedSeries:
 def head_series(s: int, truncation: int) -> TruncatedSeries:
     """(1 - x^(2^(s+1))) * product of (1 - x^(2(2^j-1))) over j >= s."""
     _check_level(s)
-    return _one_minus(2 ** (s + 1), truncation) * _level_product(s, truncation)
+    return _level_product(s, truncation).times_binomial(2 ** (s + 1), -1, 1)
 
 
 def layer_series(s: int, truncation: int) -> TruncatedSeries:
@@ -130,11 +124,10 @@ def _layer(s: int, truncation: int, omit_even_factor: bool) -> TruncatedSeries:
     lead = 2 ** (s + 1) - 2
     if lead > truncation:
         return make_polynomial({}, truncation)
-    acc = make_polynomial({lead: 1}, truncation)
+    acc = _level_product(s + 1, truncation).times_binomial(2 ** (s + 1), -1, 1)
     if not omit_even_factor:
-        acc = acc * make_polynomial({0: 1, 2: 1}, truncation)
-    acc = acc * _one_minus(2 ** (s + 1), truncation)
-    return acc * _level_product(s + 1, truncation)
+        acc = acc.times_binomial(2, 1, 1)
+    return acc.shift(lead)
 
 
 def tail_series(s: int, truncation: int) -> TruncatedSeries:
@@ -209,10 +202,6 @@ def verify_rhs_one(truncation: int = 512,
     return run_check("rhs-one", params, body)
 
 
-def _shift(series: TruncatedSeries, amount: int) -> TruncatedSeries:
-    return make_polynomial({amount: 1}, series.truncation) * series
-
-
 def verify_rational_splitting(truncation: int = 256) -> VerificationReport:
     """Free ranks of BoP match bo plus the suspended BPn(k) regiment,
     and the torsion patterns agree outright."""
@@ -229,7 +218,7 @@ def verify_rational_splitting(truncation: int = 256) -> VerificationReport:
                 shift = 2 ** (k + 1) + 8 * u - 2
                 if shift > truncation:
                     break
-                rhs = rhs + _shift(level, shift)
+                rhs = rhs + level.shift(shift)
             k += 1
         bad = first_mismatch(bop.free_ranks, rhs)
         if bad is not None:
@@ -303,7 +292,7 @@ def verify_bpn_rank_recursion(j_min: int = 2, j_max: int = 6,
             whole = homotopy_profile(bpn(j), truncation).free_ranks
             below = homotopy_profile(bpn(j - 1), truncation).free_ranks
             step = 2 ** (j + 1) - 2
-            rhs = below + _shift(whole, step) if step <= truncation else below
+            rhs = below + whole.shift(step) if step <= truncation else below
             bad = first_mismatch(whole, rhs)
             if bad is not None:
                 return False, bad, {"level": j}

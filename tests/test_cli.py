@@ -7,7 +7,7 @@ import sys
 import jsonschema
 import pytest
 
-from bopcalc.cli import CHECK_NAMES
+from bopcalc.cli import CHECK_NAMES, main
 from bopcalc.series import TruncatedSeries
 
 SERIES_SCHEMA = {
@@ -170,6 +170,46 @@ def test_verify_all_capped():
     assert len(doc["reports"]) == len(CHECK_NAMES)
     for report in doc["reports"]:
         jsonschema.validate(report, REPORT_SCHEMA)
+
+
+@pytest.mark.parametrize("n", ["0", "1", "2"])
+def test_verify_all_tiny_scale_smoke(n):
+    proc = run_cli("verify", "all", "-N", n, "--format", "json")
+    assert proc.returncode in (0, 1)
+    doc = json.loads(proc.stdout)
+    assert [r["check"] for r in doc["reports"]] == list(CHECK_NAMES)
+
+
+def test_conjecture_series_tiny_scale():
+    proc = run_cli("conjecture", "3", "-N", "1", "--format", "csv")
+    assert proc.returncode == 0
+    assert proc.stdout == "degree,coefficient\n0,1\n1,0\n"
+
+
+def test_every_check_reports_at_every_small_scale(capsys):
+    # 21 is the largest level bound irreducibility accepts
+    for name in CHECK_NAMES:
+        for n in range(22):
+            status = main(["verify", name, "-N", str(n), "--format", "json"])
+            report = json.loads(capsys.readouterr().out)["report"]
+            assert (status, report["check"], report["pass"]) == \
+                (0, name, True), (name, n)
+
+
+def test_conjecture_limit_notes_its_cap():
+    capped = run_cli("verify", "conjecture-limit", "-N", "100",
+                     "--format", "json")
+    pinned = run_cli("verify", "conjecture-limit", "-N", "64",
+                     "--format", "json")
+    assert capped.returncode == pinned.returncode == 0
+    assert "checked through degree 64, not 100" in capped.stderr
+    assert pinned.stderr == ""
+    reports = [json.loads(p.stdout)["report"] for p in (capped, pinned)]
+    for report in reports:
+        report.pop("elapsed_ms")
+    assert reports[0] == reports[1]
+    quiet = run_cli("verify", "conjecture-limit", "-N", "100", "--quiet")
+    assert quiet.returncode == 0 and quiet.stderr == ""
 
 
 def test_verify_quiet_table_hides_passes():

@@ -213,3 +213,47 @@ def test_binomial_fast_path_matches_repeated_mul(degree, count, n):
     for _ in range(count):
         direct_plus = direct_plus * plus
     assert product_over([(degree, count, ONE_PLUS)], n) == direct_plus
+
+
+@given(coeff_dicts, st.integers(1, 14), st.sampled_from([1, -1]),
+       st.sampled_from([1, -1]))
+def test_times_binomial_matches_naive(a, degree, sign, power):
+    # degrees 13 and 14 lie above the truncation, where the factor is 1
+    binomial = {0: 1, degree: sign} if degree <= 12 else {0: 1}
+    factor = binomial if power == 1 else oracles.naive_invert(binomial, 12)
+    got = as_dict(from_dict(a).times_binomial(degree, sign, power))
+    assert got == oracles.naive_mul(
+        {k: v for k, v in a.items() if v}, factor, 12)
+
+
+def test_times_binomial_rejects_bad_factors():
+    with pytest.raises(ZeroDegreeFactor):
+        one(4).times_binomial(0, 1, 1)
+    with pytest.raises(ValueError):
+        one(4).times_binomial(2, 2, 1)
+    with pytest.raises(ValueError):
+        one(4).times_binomial(2, 1, 2)
+
+
+@given(coeff_dicts, st.integers(0, 12))
+def test_shift_matches_naive(a, amount):
+    got = as_dict(from_dict(a).shift(amount))
+    assert got == oracles.naive_mul(
+        {k: v for k, v in a.items() if v}, {amount: 1}, 12)
+
+
+def test_shift_rejects_out_of_range():
+    with pytest.raises(TruncationError):
+        one(4).shift(5)
+    with pytest.raises(TruncationError):
+        one(4).shift(-1)
+
+
+@given(st.lists(st.integers(1, 24), max_size=6))
+def test_product_over_count_one_matches_oracles(degrees):
+    n = 24
+    degrees = sorted(degrees)
+    got = product_over([(d, 1, INVERSE_ONE_MINUS) for d in degrees], n)
+    assert list(got.coefficients) == oracles.partition_counts(degrees, n)
+    got = product_over([(d, 1, ONE_PLUS) for d in degrees], n)
+    assert list(got.coefficients) == oracles.subset_sum_counts(degrees, n)
