@@ -41,7 +41,7 @@ from .series import (
     INVERSE_ONE_MINUS,
     ONE_PLUS,
     TruncatedSeries,
-    _scaled_binomial_mul,
+    _peel,
     product_over,
 )
 
@@ -202,10 +202,13 @@ def resolve_extensions(table: GeneratorTable, assert_polynomial: bool) -> Genera
 def extract_generators(series: TruncatedSeries, kind: str) -> GeneratorTable:
     """Recover generator counts from a series known to be free of a kind.
 
-    Peels ascending degrees: the residual coefficient at degree d is the
-    generator count there, and its factor is divided out before moving on.
-    A negative residual means the series is not free of this kind, reported
-    as NegativeDimension at the offending degree.
+    Peels ascending degrees in log-derivative space (series._peel): the
+    inverse Euler transform of the series, less what lower generators
+    contribute, is d times the generator count at degree d.  Integer
+    series factor uniquely, so this is the same table as dividing the
+    factors out one by one.  A negative count means the series is not
+    free of this kind, reported as NegativeDimension at the offending
+    degree.
 
     >>> from .series import geometric
     >>> t = extract_generators(geometric(2, 8), "polynomial")
@@ -217,22 +220,8 @@ def extract_generators(series: TruncatedSeries, kind: str) -> GeneratorTable:
     if series.coefficient(0) != 1:
         raise InvalidParameter(
             f"series has constant term {series.coefficient(0)}, expected 1")
-    n = series.truncation
-    cur = list(series.coefficients)
-    counts: Dict[int, int] = {}
-    exterior = kind == "exterior"
-    for d in range(1, n + 1):
-        c = cur[d]
-        if c < 0:
-            raise NegativeDimension(d)
-        if c == 0:
-            continue
-        counts[d] = c
-        if exterior:
-            cur = _scaled_binomial_mul(cur, d, c, 1, True, n)
-        else:
-            cur = _scaled_binomial_mul(cur, d, c, -1, False, n)
-    return GeneratorTable(kind, counts, 0, n)
+    counts = _peel(series.coefficients, 1 if kind == "exterior" else -1)
+    return GeneratorTable(kind, counts, 0, series.truncation)
 
 
 def tensor(left: GeneratorTable, right: GeneratorTable) -> GeneratorTable:

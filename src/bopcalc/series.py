@@ -18,15 +18,31 @@ Every single factor (1 + x^d) or 1/(1 - x^d) is applied by one O(N)
 kernel, times_binomial, which multiplies or divides by (1 +- x^d) with a
 strided pass over the coefficients instead of inverting a dense
 polynomial and convolving with it; shift multiplies by x^k as a slice.
+
+Factors of multiplicity two or more go through the Euler transform
+instead (Bernstein & Sloane, "Some canonical sequences of integers",
+1995).  The log-derivative b of a product P = sum p_n x^n, defined by
+x P'/P = sum b_k x^k, is additive over factors: 1/(1-x^d)^c adds d*c at
+every multiple of d and (1+x^d)^c adds (-1)^(j+1)*d*c at j*d.  The
+recurrence n*p_n = sum_k b_k*p_(n-k) (_euler) rebuilds P from b with
+exact divisions, and its inverse b_n = n*p_n - sum_(k<n) b_k*p_(n-k)
+(_log_derivative) recovers b from P; _peel then reads the generator
+counts off b degree by degree.  Either way a whole family costs one
+O(N^2) pass whose inner sums run in C, instead of one convolution per
+generator degree.
+
+Division by a series with unit constant term is a single support-
+restricted recurrence; invert is division of 1.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from .errors import (
+    NegativeDimension,
     NotInvertible,
     TruncationError,
     ZeroDegreeFactor,
@@ -121,28 +137,37 @@ class TruncatedSeries:
         return _from_ints(
             _mul_pairs(b, _pairs(a), self.truncation), self.truncation)
 
+    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Exact quotient by a series whose constant term is +1 or -1.
+
+        >>> a = make_polynomial({0: 1, 2: 1}, 4)
+        >>> print(a / make_polynomial({0: 1, 1: 1}, 4))
+        1 - x + 2*x^2 - 2*x^3 + 2*x^4
+        """
+        self._match(other)
+        a, s = self.coefficients, other.coefficients
+        unit = s[0]
+        if unit not in (1, -1):
+            raise NotInvertible(f"constant term {unit} is not a unit")
+        n = self.truncation
+        support = [(k, s[k]) for k in range(1, n + 1) if s[k]]
+        q = [0] * (n + 1)
+        for m in range(n + 1):
+            acc = a[m]
+            for k, c in support:
+                if k > m:
+                    break
+                acc -= c * q[m - k]
+            q[m] = unit * acc
+        return _from_ints(q, n)
+
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; constant term must be +1 or -1.
 
         >>> print(make_polynomial({0: 1, 1: 1}, 3).invert())
         1 - x + x^2 - x^3
         """
-        a = self.coefficients
-        if a[0] not in (1, -1):
-            raise NotInvertible(f"constant term {a[0]} is not a unit")
-        n = self.truncation
-        unit = a[0]
-        support = [k for k in range(1, n + 1) if a[k]]
-        b = [0] * (n + 1)
-        b[0] = unit
-        for m in range(1, n + 1):
-            s = 0
-            for k in support:
-                if k > m:
-                    break
-                s += a[k] * b[m - k]
-            b[m] = -unit * s
-        return _from_ints(b, n)
+        return one(self.truncation) / self
 
     def times_binomial(self, degree: int, sign: int,
                        power: int) -> "TruncatedSeries":
@@ -272,12 +297,19 @@ def product_over(factors: Iterable[Factor], truncation: int) -> TruncatedSeries:
     (1+x^d)^c.  The family may be infinite provided its degrees are
     non-decreasing; enumeration stops at the first degree beyond N.
 
+    A factor of count 1 is applied by the O(N) binomial pass.  Factors of
+    count 2 or more add their log-derivative terms to one sequence b, and
+    one Euler recurrence n*p_n = sum_k b_k*p_(n-k) turns b into the
+    product of all of them at once.
+
     >>> evens = ((d, 1, INVERSE_ONE_MINUS) for d in itertools.count(2, 2))
     >>> product_over(evens, 8).coefficient(8)
     5
+    >>> print(product_over([(1, 2, INVERSE_ONE_MINUS), (2, 1, ONE_PLUS)], 3))
+    1 + 2*x + 4*x^2 + 6*x^3
     """
-    acc = [0] * (truncation + 1)
-    acc[0] = 1
+    b = [0] * (truncation + 1)
+    singles = []
     last = 0
     for degree, count, form in factors:
         if degree <= 0:
@@ -299,11 +331,12 @@ def product_over(factors: Iterable[Factor], truncation: int) -> TruncatedSeries:
         else:
             raise ValueError(f"unknown factor form {form!r}")
         if count == 1:
-            _binomial_pass(acc, degree, sign, power)
+            singles.append((degree, sign, power))
         else:
-            acc = _mul_pairs(
-                acc, _power_pairs(degree, count, sign, power < 0, truncation),
-                truncation)
+            _add_log_derivative(b, degree, count, sign)
+    acc = _euler(b) if any(b) else [1] + [0] * truncation
+    for degree, sign, power in singles:
+        _binomial_pass(acc, degree, sign, power)
     return _from_ints(acc, truncation)
 
 
@@ -365,29 +398,52 @@ def _mul_pairs(coeffs, pairs, truncation):
     return out
 
 
-def _power_pairs(degree, count, sign, inverse, truncation):
-    """Sparse expansion of (1 + sign*x^degree)^(+-count).
+def _add_log_derivative(b, degree, count, sign):
+    """Add the log-derivative of 1/(1-x^d)^c (sign -1) or (1+x^d)^c
+    (sign +1) to b: d*c at every multiple j*d, times (-1)^(j+1) for +1."""
+    step = degree * count
+    if sign == -1:
+        for k in range(degree, len(b), degree):
+            b[k] += step
+    else:
+        for k in range(degree, len(b), degree):
+            b[k] += step
+            step = -step
 
-    Direct power:   sum_m C(count, m) sign^m x^(degree*m), m <= count.
-    Inverse power:  sum_m C(count-1+m, m) (-sign)^m x^(degree*m).
-    Exact binomials keep this correct for any multiplicity, which matters
-    because generator counts grow quickly in high degree.
+
+def _euler(b):
+    """Coefficients p with p_0 = 1 and log-derivative b (b_0 unused):
+    n*p_n = sum_(k=1..n) b_k*p_(n-k), each division exact when p is an
+    integer series."""
+    p = [1] + [0] * (len(b) - 1)
+    for m in range(1, len(b)):
+        p[m] = sum(map(mul, b[1:m + 1], p[m - 1::-1])) // m
+    return p
+
+
+def _log_derivative(p):
+    """Inverse of _euler: b_n = n*p_n - sum_(k=1..n-1) b_k*p_(n-k) for
+    coefficients p with p_0 = 1; b_0 is left 0."""
+    b = [0] * len(p)
+    for m in range(1, len(p)):
+        b[m] = m * p[m] - sum(map(mul, b[1:m], p[m - 1:0:-1]))
+    return b
+
+
+def _peel(coeffs, sign):
+    """Counts c_d with coeffs = prod_d 1/(1-x^d)^c_d (sign -1) or
+    prod_d (1+x^d)^c_d (sign +1), for coeffs with constant term 1.
+
+    In ascending d, what is left of b_d once lower degrees are taken off
+    is d*c_d; a negative c_d raises NegativeDimension(d).
     """
-    pairs = []
-    m = 0
-    while degree * m <= truncation:
-        if inverse:
-            c = comb(count - 1 + m, m) * ((-sign) ** m)
-        else:
-            if m > count:
-                break
-            c = comb(count, m) * (sign ** m)
-        pairs.append((degree * m, c))
-        m += 1
-    return pairs
-
-
-def _scaled_binomial_mul(coeffs, degree, count, sign, inverse, truncation):
-    """Multiply coeffs by (1 + sign*x^degree)^(+-count); used by peeling."""
-    return _mul_pairs(
-        coeffs, _power_pairs(degree, count, sign, inverse, truncation), truncation)
+    rest = _log_derivative(coeffs)
+    counts = {}
+    for d in range(1, len(rest)):
+        c = rest[d] // d
+        if c < 0:
+            raise NegativeDimension(d)
+        if c:
+            counts[d] = c
+            _add_log_derivative(rest, d, -c, sign)
+    return counts

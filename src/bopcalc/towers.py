@@ -189,7 +189,7 @@ def ses_quotient(middle: TruncatedSeries, sub: TruncatedSeries) -> TruncatedSeri
     coefficient in the quotient means the alleged sub does not embed,
     and is reported as NegativeDimension at the first bad degree.
     """
-    quotient = middle * sub.invert()
+    quotient = middle / sub
     bad = quotient.check_nonnegative()
     if bad is not None:
         raise NegativeDimension(bad)
@@ -274,13 +274,17 @@ def verify_negative_tower(i_from: int = -8, i_to: int = 5,
         if corrupt_f_degree is not None:
             bump = make_polynomial({corrupt_f_degree: 1}, depth)
             f_prof = HomotopyProfile(F, f_prof.free_ranks + bump)
+        # F_(i+2) is needed again as F_i two indices later: build each
+        # F series once, and drop it after its last use.
+        f_series: Dict[int, TruncatedSeries] = {}
         for i in range(i_from, i_to + 1):
+            for j in (i, i + 2):
+                if j not in f_series:
+                    f_series[j] = poincare_series(
+                        _rank_rule_table(F, j, truncation, f_prof))
             left = poincare_series(
                 _rank_rule_table(X, i, truncation, x_prof))
-            right = (poincare_series(_rank_rule_table(F, i, truncation, f_prof))
-                     * poincare_series(
-                         _rank_rule_table(F, i + 2, truncation, f_prof)))
-            bad = first_mismatch(left, right)
+            bad = first_mismatch(left, f_series.pop(i) * f_series[i + 2])
             if bad is not None:
                 return False, bad, {"index": i}
         return True, None, None

@@ -5,7 +5,8 @@ and direct enumeration, sharing no code with the package, so the two
 sides can disagree when the package is wrong.
 """
 
-from typing import Dict, Iterable, List, Sequence
+from math import comb
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 def naive_mul(a: Dict[int, int], b: Dict[int, int], n: int) -> Dict[int, int]:
@@ -31,6 +32,44 @@ def naive_invert(a: Dict[int, int], n: int) -> Dict[int, int]:
                 acc += c * out.get(d - k, 0)
         out[d] = -unit * acc
     return {d: c for d, c in out.items() if c}
+
+
+def naive_power(a: Dict[int, int], exponent: int, n: int) -> Dict[int, int]:
+    """a**exponent through degree n by repeated squaring, exponent >= 0."""
+    out = {0: 1}
+    while exponent:
+        if exponent & 1:
+            out = naive_mul(out, a, n)
+        a = naive_mul(a, a, n)
+        exponent >>= 1
+    return out
+
+
+def naive_peel(coeffs: Sequence[int],
+               exterior: bool) -> Tuple[Dict[int, int], Optional[int]]:
+    """Generator counts of a series with constant term 1, peeled one
+    degree at a time: the residual at degree d is the count there, and
+    (1-x^d)^c, or 1/(1+x^d)^c for exterior, divides it out before the
+    next degree.  Returns (counts, None), or (counts so far, d) at the
+    first negative residual."""
+    n = len(coeffs) - 1
+    cur = {d: c for d, c in enumerate(coeffs) if c}
+    counts: Dict[int, int] = {}
+    for d in range(1, n + 1):
+        c = cur.get(d, 0)
+        if c < 0:
+            return counts, d
+        if c == 0:
+            continue
+        counts[d] = c
+        if exterior:
+            factor = {d * m: comb(c - 1 + m, m) * (-1) ** m
+                      for m in range(n // d + 1)}
+        else:
+            factor = {d * m: comb(c, m) * (-1) ** m
+                      for m in range(min(c, n // d) + 1)}
+        cur = naive_mul(cur, factor, n)
+    return counts, None
 
 
 def geometric_dict(degree: int, n: int) -> Dict[int, int]:

@@ -181,3 +181,40 @@ def test_suspension_shifts_series_degreewise(counts):
     table = GeneratorTable("polynomial", counts, truncation=20)
     up = tor_suspend(table)
     assert up.counts == {d + 1: c for d, c in counts.items()}
+
+
+@st.composite
+def unit_series(draw):
+    """Coefficients 0..n of an integer series with constant term 1:
+    either arbitrary, or a free series with counts up to 10^6 whose
+    coefficient at one degree is then moved by -3..3."""
+    n = draw(st.integers(0, 14))
+    if draw(st.booleans()):
+        return [1] + draw(st.lists(st.integers(-4, 12), min_size=n,
+                                   max_size=n))
+    coeffs = {0: 1}
+    for d in range(1, n + 1):
+        base = draw(st.sampled_from([{0: 1, d: 1}, {0: 1, d: -1}]))
+        count = draw(st.integers(0, 10 ** 6))
+        if base[d] == -1:
+            base = oracles.naive_invert(base, n)
+        coeffs = oracles.naive_mul(coeffs, oracles.naive_power(base, count, n),
+                                   n)
+    out = [coeffs.get(d, 0) for d in range(n + 1)]
+    if n:
+        out[draw(st.integers(1, n))] += draw(st.integers(-3, 3))
+    return out
+
+
+@given(unit_series(), st.sampled_from(["polynomial", "exterior"]))
+def test_extract_matches_naive_peel(coeffs, kind):
+    # arbitrary integer series with constant term 1: the same counts as
+    # peeling factor by factor, or the same failing degree
+    series = make_polynomial(dict(enumerate(coeffs)), len(coeffs) - 1)
+    want, bad = oracles.naive_peel(coeffs, kind == "exterior")
+    if bad is None:
+        assert extract_generators(series, kind).counts == want
+    else:
+        with pytest.raises(NegativeDimension) as info:
+            extract_generators(series, kind)
+        assert info.value.degree == bad

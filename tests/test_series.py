@@ -257,3 +257,59 @@ def test_product_over_count_one_matches_oracles(degrees):
     assert list(got.coefficients) == oracles.partition_counts(degrees, n)
     got = product_over([(d, 1, ONE_PLUS) for d in degrees], n)
     assert list(got.coefficients) == oracles.subset_sum_counts(degrees, n)
+
+
+# One factor family for product_over: (degree, count, form) in degree
+# order, counts mixing 1 (the binomial pass) with 2..10^20 (the Euler
+# transform), degrees reaching past the truncation.
+factor_families = st.lists(
+    st.tuples(st.integers(1, 22),
+              st.one_of(st.just(1), st.integers(2, 6),
+                        st.integers(2, 10 ** 20)),
+              st.sampled_from([INVERSE_ONE_MINUS, ONE_PLUS])),
+    max_size=6).map(sorted)
+
+
+@given(factor_families)
+def test_product_over_matches_repeated_naive_mul(factors):
+    n = 20
+    want = {0: 1}
+    for degree, count, form in factors:
+        if degree > n:
+            break
+        if form == ONE_PLUS:
+            base = {0: 1, degree: 1}
+        else:
+            base = oracles.naive_invert({0: 1, degree: -1}, n)
+        want = oracles.naive_mul(want, oracles.naive_power(base, count, n), n)
+    assert as_dict(product_over(factors, n)) == want
+
+
+@given(st.lists(st.tuples(st.integers(1, 24), st.integers(1, 10)),
+                max_size=6).map(sorted))
+def test_product_over_counts_match_partition_oracles(family):
+    n = 24
+    parts = [p for d, c in family for p in oracles.repeated([d], c)]
+    got = product_over([(d, c, INVERSE_ONE_MINUS) for d, c in family], n)
+    assert list(got.coefficients) == oracles.partition_counts(parts, n)
+    got = product_over([(d, c, ONE_PLUS) for d, c in family], n)
+    assert list(got.coefficients) == oracles.subset_sum_counts(parts, n)
+
+
+@given(coeff_dicts, coeff_dicts, st.sampled_from([1, -1]))
+def test_division_matches_naive(a, b, unit):
+    b[0] = unit
+    b = {k: v for k, v in b.items() if v}
+    got = from_dict(a) / from_dict(b)
+    assert as_dict(got) == oracles.naive_mul(
+        {k: v for k, v in a.items() if v}, oracles.naive_invert(b, 12), 12)
+    assert got * from_dict(b) == from_dict(a)
+
+
+def test_division_rejects_non_units_and_mixed_truncations():
+    with pytest.raises(NotInvertible):
+        one(4) / make_polynomial({0: 2, 1: 1}, 4)
+    with pytest.raises(NotInvertible):
+        one(4) / make_polynomial({1: 1}, 4)
+    with pytest.raises(TruncationError):
+        one(4) / one(5)
