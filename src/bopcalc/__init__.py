@@ -15,8 +15,10 @@ from .algebra import (
     ParityReport,
     extract_generators,
     parity_check,
+    poincare_log_derivative,
     poincare_series,
     resolve_extensions,
+    table_from_log_derivative,
     tensor,
     tor_suspend,
 )
@@ -73,7 +75,9 @@ from .errors import (
 from .reports import VerificationReport, first_mismatch, run_check
 from .series import (
     TruncatedSeries,
+    from_log_derivative,
     geometric,
+    log_derivative,
     make_polynomial,
     one,
     product_over,

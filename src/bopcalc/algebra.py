@@ -23,6 +23,15 @@ generators give divided-power tables one degree up, and the spectral
 sequence collapses, so counts carry over verbatim.  Whether a
 divided-power answer is actually polynomial is a genuine extension
 question; resolve_extensions records the caller's explicit choice.
+
+A table also has a direct route to and from the log-derivative L(P) =
+x P'/P of its Poincare series P (series.log_derivative):
+poincare_log_derivative adds d*c at the multiples of each generator
+degree d, O(N log N) with no Euler pass, and table_from_log_derivative
+reads the counts back off.  The tower solver and the tower checks stay
+in that space, where a tensor product of tables is a sum and a short
+exact sequence a difference; series.py says why a comparison there
+names the same first failing degree as one of the series.
 """
 
 from __future__ import annotations
@@ -41,7 +50,9 @@ from .series import (
     INVERSE_ONE_MINUS,
     ONE_PLUS,
     TruncatedSeries,
+    _add_log_derivative,
     _peel,
+    log_derivative,
     product_over,
 )
 
@@ -50,9 +61,11 @@ __all__ = [
     "GeneratorTable",
     "ParityReport",
     "poincare_series",
+    "poincare_log_derivative",
     "tor_suspend",
     "resolve_extensions",
     "extract_generators",
+    "table_from_log_derivative",
     "tensor",
     "parity_check",
 ]
@@ -160,6 +173,24 @@ def poincare_series(table: GeneratorTable) -> TruncatedSeries:
     return product_over(factors, table.truncation)
 
 
+def poincare_log_derivative(table: GeneratorTable) -> TruncatedSeries:
+    """Log-derivative of the table's Poincare series, straight from the
+    counts; like poincare_series, it ignores the component rank.
+
+    >>> t = GeneratorTable("exterior", {3: 1, 5: 1}, component_rank=2,
+    ...                    truncation=8)
+    >>> print(poincare_log_derivative(t))
+    3*x^3 + 5*x^5 - 3*x^6
+    >>> poincare_log_derivative(t) == log_derivative(poincare_series(t))
+    True
+    """
+    sign = 1 if table.kind == "exterior" else -1
+    b = [0] * (table.truncation + 1)
+    for d, c in table.counts.items():
+        _add_log_derivative(b, d, c, sign)
+    return TruncatedSeries(b, table.truncation)
+
+
 def tor_suspend(table: GeneratorTable, next_component_rank: int = 0) -> GeneratorTable:
     """One bar-construction step: generators move up one degree.
 
@@ -202,26 +233,37 @@ def resolve_extensions(table: GeneratorTable, assert_polynomial: bool) -> Genera
 def extract_generators(series: TruncatedSeries, kind: str) -> GeneratorTable:
     """Recover generator counts from a series known to be free of a kind.
 
-    Peels ascending degrees in log-derivative space (series._peel): the
-    inverse Euler transform of the series, less what lower generators
-    contribute, is d times the generator count at degree d.  Integer
-    series factor uniquely, so this is the same table as dividing the
-    factors out one by one.  A negative count means the series is not
-    free of this kind, reported as NegativeDimension at the offending
-    degree.
+    The series must have constant term 1.  Its log-derivative is peeled
+    by table_from_log_derivative.
 
     >>> from .series import geometric
     >>> t = extract_generators(geometric(2, 8), "polynomial")
     >>> t.counts
     {2: 1}
     """
+    return table_from_log_derivative(log_derivative(series), kind)
+
+
+def table_from_log_derivative(log: TruncatedSeries,
+                              kind: str) -> GeneratorTable:
+    """The table of a kind whose Poincare series has log-derivative log.
+
+    Peels ascending degrees (series._peel): what is left of log at
+    degree d once lower generators are taken off is d times the count
+    there.  Integer series factor uniquely, so this is the same table as
+    dividing the factors out of the series one by one.  A negative count
+    means the series is not free of this kind, reported as
+    NegativeDimension at the offending degree.
+
+    >>> t = GeneratorTable("polynomial", {2: 1, 3: 4}, truncation=9)
+    >>> log = poincare_log_derivative(t)
+    >>> table_from_log_derivative(log, "polynomial") == t
+    True
+    """
     if kind not in KINDS:
         raise InvalidKind(f"unknown kind {kind!r}")
-    if series.coefficient(0) != 1:
-        raise InvalidParameter(
-            f"series has constant term {series.coefficient(0)}, expected 1")
-    counts = _peel(series.coefficients, 1 if kind == "exterior" else -1)
-    return GeneratorTable(kind, counts, 0, series.truncation)
+    counts = _peel(log.coefficients, 1 if kind == "exterior" else -1)
+    return GeneratorTable(kind, counts, 0, log.truncation)
 
 
 def tensor(left: GeneratorTable, right: GeneratorTable) -> GeneratorTable:

@@ -33,6 +33,18 @@ generator degree.
 
 Division by a series with unit constant term is a single support-
 restricted recurrence; invert is division of 1.
+
+log_derivative and from_log_derivative expose the pair as series: the
+log-derivative L(P) = x P'/P of a series with constant term 1 is a
+series with constant term 0, and L(P*Q) = L(P) + L(Q).  The solvers
+work in that space: a short exact sequence of free algebras divides
+series, which is a subtraction of log-derivatives, and a product
+identity P = Q*R is the sum L(P) = L(Q) + L(R), with no convolution.
+Comparing there names the same first failing degree as comparing the
+series: two series with constant term 1 agree through degree m-1
+exactly when their log-derivatives do, since n*p_n - b_n depends only
+on lower degrees; at degree m the log-derivatives then differ by
+m*(p_m - q_m).
 """
 
 from __future__ import annotations
@@ -42,6 +54,7 @@ from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from .errors import (
+    InvalidParameter,
     NegativeDimension,
     NotInvertible,
     TruncationError,
@@ -52,6 +65,8 @@ __all__ = [
     "TruncatedSeries",
     "make_polynomial",
     "product_over",
+    "log_derivative",
+    "from_log_derivative",
     "geometric",
     "one",
     "INVERSE_ONE_MINUS",
@@ -340,6 +355,37 @@ def product_over(factors: Iterable[Factor], truncation: int) -> TruncatedSeries:
     return _from_ints(acc, truncation)
 
 
+def log_derivative(series: TruncatedSeries) -> TruncatedSeries:
+    """x P'/P for a series P with constant term 1 (inverse Euler
+    transform); the result has constant term 0.
+
+    >>> p = geometric(2, 6)
+    >>> print(log_derivative(p))
+    2*x^2 + 2*x^4 + 2*x^6
+    >>> log_derivative(p * p) == log_derivative(p) + log_derivative(p)
+    True
+    """
+    if series.coefficients[0] != 1:
+        raise InvalidParameter(
+            f"series has constant term {series.coefficients[0]}, expected 1")
+    return _from_ints(_log_derivative(series.coefficients), series.truncation)
+
+
+def from_log_derivative(log: TruncatedSeries) -> TruncatedSeries:
+    """The series P with constant term 1 and x P'/P = log (Euler
+    transform).  log must be the log-derivative of an integer series:
+    constant term 0, and every division of the recurrence exact.
+
+    >>> from_log_derivative(log_derivative(geometric(3, 9))) == geometric(3, 9)
+    True
+    """
+    if log.coefficients[0]:
+        raise InvalidParameter(
+            f"log-derivative has constant term {log.coefficients[0]}, "
+            "expected 0")
+    return _from_ints(_euler(log.coefficients), log.truncation)
+
+
 # -- internal helpers --------------------------------------------------------
 
 def _init(series, coeffs: tuple, truncation: int) -> TruncatedSeries:
@@ -413,11 +459,14 @@ def _add_log_derivative(b, degree, count, sign):
 
 def _euler(b):
     """Coefficients p with p_0 = 1 and log-derivative b (b_0 unused):
-    n*p_n = sum_(k=1..n) b_k*p_(n-k), each division exact when p is an
-    integer series."""
+    n*p_n = sum_(k=1..n) b_k*p_(n-k).  Each division is exact when p is
+    an integer series; one that is not raises InvalidParameter."""
     p = [1] + [0] * (len(b) - 1)
     for m in range(1, len(b)):
-        p[m] = sum(map(mul, b[1:m + 1], p[m - 1::-1])) // m
+        p[m], rest = divmod(sum(map(mul, b[1:m + 1], p[m - 1::-1])), m)
+        if rest:
+            raise InvalidParameter(
+                f"not the log-derivative of an integer series at degree {m}")
     return p
 
 
@@ -430,17 +479,21 @@ def _log_derivative(p):
     return b
 
 
-def _peel(coeffs, sign):
-    """Counts c_d with coeffs = prod_d 1/(1-x^d)^c_d (sign -1) or
-    prod_d (1+x^d)^c_d (sign +1), for coeffs with constant term 1.
+def _peel(b, sign):
+    """Counts c_d of the product prod_d 1/(1-x^d)^c_d (sign -1) or
+    prod_d (1+x^d)^c_d (sign +1) whose log-derivative is b.
 
     In ascending d, what is left of b_d once lower degrees are taken off
-    is d*c_d; a negative c_d raises NegativeDimension(d).
+    is d*c_d; a negative c_d raises NegativeDimension(d), and a remainder
+    (b is not the log-derivative of an integer series) InvalidParameter.
     """
-    rest = _log_derivative(coeffs)
+    rest = list(b)
     counts = {}
     for d in range(1, len(rest)):
-        c = rest[d] // d
+        c, r = divmod(rest[d], d)
+        if r:
+            raise InvalidParameter(
+                f"not the log-derivative of an integer series at degree {d}")
         if c < 0:
             raise NegativeDimension(d)
         if c:

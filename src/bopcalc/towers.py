@@ -16,19 +16,30 @@ Three mechanisms produce the homology of a space in a connective tower:
 The BoP tower itself mixes all three: its bottom spaces are products of
 a catalogued bo space with a rank-rule fiber space, and each later space
 is the quotient of the matching BPbar space by the one two steps below.
+
+The tower is solved and checked in log-derivative space (L(P) = x P'/P,
+see series.py), where the quotient is a difference and a product is a
+sum.  bop_tower subtracts the sub's L from the middle's, turns the
+difference into the quotient series with one Euler pass and peels the
+generator table off the same L.  verify_negative_tower and the
+reconstruction stage of verify_bop_tower compare sums of L's instead of
+products of series.  Two series with constant term 1 first differ where
+their log-derivatives first differ, so every failure degree is the one
+the series comparison would name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (
     GeneratorTable,
-    extract_generators,
     parity_check,
+    poincare_log_derivative,
     poincare_series,
     resolve_extensions,
+    table_from_log_derivative,
     tensor,
     tor_suspend,
 )
@@ -54,7 +65,12 @@ from .errors import (
     RankRuleInapplicable,
 )
 from .reports import VerificationReport, first_mismatch, run_check
-from .series import TruncatedSeries, make_polynomial
+from .series import (
+    TruncatedSeries,
+    from_log_derivative,
+    log_derivative,
+    make_polynomial,
+)
 
 __all__ = [
     "TowerResult",
@@ -188,8 +204,14 @@ def ses_quotient(middle: TruncatedSeries, sub: TruncatedSeries) -> TruncatedSeri
     Exactness of the division is part of the claim: a negative
     coefficient in the quotient means the alleged sub does not embed,
     and is reported as NegativeDimension at the first bad degree.
+    bop_tower divides the same way in log-derivative space.
     """
-    quotient = middle / sub
+    return _nonnegative(middle / sub)
+
+
+def _nonnegative(quotient: TruncatedSeries) -> TruncatedSeries:
+    """The quotient of an SES, or NegativeDimension at its first
+    negative coefficient."""
     bad = quotient.check_nonnegative()
     if bad is not None:
         raise NegativeDimension(bad)
@@ -201,30 +223,33 @@ def bop_tower(i_max: int, truncation: int) -> List[TowerResult]:
 
     Spaces 2 and 3 are products of a rank-rule fiber space with the
     matching bo space.  From there each space is the SES quotient of
-    the BPbar space two indices down by the BoP space two indices down,
-    with generator counts read back off the quotient series.
+    the BPbar space two indices down by the BoP space two indices down:
+    its log-derivative is theirs subtracted, one Euler pass gives the
+    series, and the generator counts are peeled off the same
+    log-derivative.
     """
     if i_max < 2:
         raise InvalidParameter("the solved BoP tower starts at space 2")
     results: List[TowerResult] = []
-    by_index: Dict[int, TowerResult] = {}
+    # Log-derivative of each solved space, dropped once space i + 2,
+    # its only other use, is solved.
+    logs: Dict[int, TruncatedSeries] = {}
     for i in range(2, min(3, i_max) + 1):
         fiber = rank_rule_homology(SpaceRef(F, i), truncation)
         base = bo_space_homology(i, truncation)
         table = tensor(fiber, base)
-        res = TowerResult(SpaceRef(BOP, i), poincare_series(table), table,
-                          "product")
-        results.append(res)
-        by_index[i] = res
+        results.append(TowerResult(SpaceRef(BOP, i), poincare_series(table),
+                                   table, "product"))
+        logs[i] = poincare_log_derivative(table)
     for i in range(4, i_max + 1):
-        mid = poincare_series(
-            rank_rule_homology(SpaceRef(BPBAR, i - 2), truncation))
-        quotient = ses_quotient(mid, by_index[i - 2].series)
+        mid = rank_rule_homology(SpaceRef(BPBAR, i - 2), truncation)
+        log = poincare_log_derivative(mid) - logs.pop(i - 2)
+        quotient = _nonnegative(from_log_derivative(log))
         kind = "polynomial" if i % 2 == 0 else "exterior"
-        table = extract_generators(quotient, kind)
-        res = TowerResult(SpaceRef(BOP, i), quotient, table, "ses_solved")
-        results.append(res)
-        by_index[i] = res
+        table = table_from_log_derivative(log, kind)
+        results.append(TowerResult(SpaceRef(BOP, i), quotient, table,
+                                   "ses_solved"))
+        logs[i] = log
     return results
 
 
@@ -249,6 +274,22 @@ def bop_space(index: int, truncation: int) -> TowerResult:
 
 # -- verifiers ---------------------------------------------------------------
 
+def _pair_sums(indices: Sequence[int],
+               log_of: Callable[[int], TruncatedSeries],
+               ) -> Iterator[Tuple[int, TruncatedSeries]]:
+    """(i, log_of(i) + log_of(i + 2)) for each i in ascending order.
+
+    Index i + 2 comes back as the first term two steps later, so each
+    log_of(j) runs once and is dropped after its last use.
+    """
+    logs: Dict[int, TruncatedSeries] = {}
+    for i in indices:
+        for j in (i, i + 2):
+            if j not in logs:
+                logs[j] = log_of(j)
+        yield i, logs.pop(i) + logs[i + 2]
+
+
 def verify_negative_tower(i_from: int = -8, i_to: int = 5,
                           truncation: int = 64,
                           corrupt_f_degree: Optional[int] = None,
@@ -256,8 +297,9 @@ def verify_negative_tower(i_from: int = -8, i_to: int = 5,
     """series(X_i) = series(F_i) * series(F_(i+2)) across an index sweep.
 
     The fibration behind it splits in homotopy, so the identity is exact
-    at every degree.  corrupt_f_degree plants an extra free rank in the
-    F profile to demonstrate the check has teeth.
+    at every degree.  It is checked as L(X_i) = L(F_i) + L(F_(i+2)) on
+    log-derivatives built from the tables.  corrupt_f_degree plants an
+    extra free rank in the F profile to demonstrate the check has teeth.
     """
     if i_to + 2 > 8:
         raise InvalidParameter("the fiber tower is only labeled through index 8")
@@ -274,17 +316,15 @@ def verify_negative_tower(i_from: int = -8, i_to: int = 5,
         if corrupt_f_degree is not None:
             bump = make_polynomial({corrupt_f_degree: 1}, depth)
             f_prof = HomotopyProfile(F, f_prof.free_ranks + bump)
-        # F_(i+2) is needed again as F_i two indices later: build each
-        # F series once, and drop it after its last use.
-        f_series: Dict[int, TruncatedSeries] = {}
-        for i in range(i_from, i_to + 1):
-            for j in (i, i + 2):
-                if j not in f_series:
-                    f_series[j] = poincare_series(
-                        _rank_rule_table(F, j, truncation, f_prof))
-            left = poincare_series(
+
+        def f_log(j):
+            return poincare_log_derivative(
+                _rank_rule_table(F, j, truncation, f_prof))
+
+        for i, right in _pair_sums(range(i_from, i_to + 1), f_log):
+            left = poincare_log_derivative(
                 _rank_rule_table(X, i, truncation, x_prof))
-            bad = first_mismatch(left, f_series.pop(i) * f_series[i + 2])
+            bad = first_mismatch(left, right)
             if bad is not None:
                 return False, bad, {"index": i}
         return True, None, None
@@ -300,6 +340,10 @@ def verify_bop_tower(i_max: int = 12, truncation: int = 60,
     multiplying the series of spaces i and i+2 reconstructs the BPbar
     series, the solved space 4 agrees with its product description, and
     H_2 of space 2 is one-dimensional (probed only when N >= 2).
+
+    The reconstruction compares L(BPbar_i), from its table, with the
+    sum of the log-derivatives of the two series bop_tower returned,
+    each recomputed from that series rather than taken from the solver.
     """
     params = {"i_max": i_max, "max_degree": truncation}
 
@@ -314,10 +358,14 @@ def verify_bop_tower(i_max: int = 12, truncation: int = 60,
             if not (rep.all_even if i % 2 == 0 else rep.all_odd):
                 return False, rep.offending[0], {"stage": "parity", "index": i}
         by_index = {res.space.index: res for res in tower}
-        for i in range(2, i_max - 1):
-            mid = poincare_series(
+
+        def space_log(j):
+            return log_derivative(by_index[j].series)
+
+        for i, right in _pair_sums(range(2, i_max - 1), space_log):
+            mid = poincare_log_derivative(
                 rank_rule_homology(SpaceRef(BPBAR, i), truncation))
-            bad = first_mismatch(mid, by_index[i].series * by_index[i + 2].series)
+            bad = first_mismatch(mid, right)
             if bad is not None:
                 return False, bad, {"stage": "reconstruction", "index": i}
         product4 = tensor(rank_rule_homology(SpaceRef(F, 4), truncation),
@@ -332,12 +380,17 @@ def verify_bop_tower(i_max: int = 12, truncation: int = 60,
     return run_check("bop-tower", params, body)
 
 
-def _first_table_mismatch(got: GeneratorTable, want: GeneratorTable) -> int:
-    """Smallest degree where generator counts differ; 0 when they agree
-    and the tables differ some other way (kind, component rank)."""
+def _first_table_mismatch(got: GeneratorTable,
+                          want: GeneratorTable) -> Tuple[int, str]:
+    """Where two unequal tables differ: the smallest degree whose
+    generator counts differ, with field "counts"; else degree 0 and the
+    first other field that differs (kind, component_rank, truncation)."""
     diffs = [d for d in set(got.counts) | set(want.counts)
              if got.count(d) != want.count(d)]
-    return min(diffs) if diffs else 0
+    if diffs:
+        return min(diffs), "counts"
+    return 0, next(field for field in ("kind", "component_rank", "truncation")
+                   if getattr(got, field) != getattr(want, field))
 
 
 def verify_rank_rule_bss(i_from: int = -6, i_to: int = 6,
@@ -362,9 +415,10 @@ def verify_rank_rule_bss(i_from: int = -6, i_to: int = 6,
             for res in walked:
                 expected = rank_rule_homology(res.space, truncation)
                 if res.table != expected:
-                    bad = _first_table_mismatch(res.table, expected)
+                    bad, field = _first_table_mismatch(res.table, expected)
                     return False, bad, {"spectrum": str(spectrum),
-                                        "index": res.space.index}
+                                        "index": res.space.index,
+                                        "field": field}
         return True, None, None
 
     return run_check("rank-rule-bss", params, body)
@@ -396,8 +450,9 @@ def verify_bo_deloopings(truncation: int = 64) -> VerificationReport:
             stepped = tor_suspend(source, next_components)
             if i in _BO_STEPS_EXACT:
                 if stepped != target:
-                    bad = _first_table_mismatch(stepped, target)
-                    return False, bad, {"step": f"{i}->{i + 1}", "mode": "exact"}
+                    bad, field = _first_table_mismatch(stepped, target)
+                    return False, bad, {"step": f"{i}->{i + 1}",
+                                        "mode": "exact", "field": field}
             else:
                 bad = first_mismatch(poincare_series(stepped),
                                      poincare_series(target))

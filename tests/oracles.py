@@ -45,6 +45,24 @@ def naive_power(a: Dict[int, int], exponent: int, n: int) -> Dict[int, int]:
     return out
 
 
+def naive_log_derivative(a: Dict[int, int], n: int) -> Dict[int, int]:
+    """x a'/a through degree n, as x a' times the inverse of a; the
+    constant term of a must be 1."""
+    assert a.get(0, 0) == 1
+    return naive_mul({d: d * c for d, c in a.items() if d}, naive_invert(a, n),
+                     n)
+
+
+def table_series(degrees_counts: Dict[int, int], exterior: bool,
+                 n: int) -> List[int]:
+    """Poincare series through degree n of a free algebra with the given
+    generator counts: subsets of the generators for exterior, multisets
+    otherwise."""
+    parts = [d for d in sorted(degrees_counts) if d <= n
+             for _ in range(degrees_counts[d])]
+    return (subset_sum_counts if exterior else partition_counts)(parts, n)
+
+
 def naive_peel(coeffs: Sequence[int],
                exterior: bool) -> Tuple[Dict[int, int], Optional[int]]:
     """Generator counts of a series with constant term 1, peeled one

@@ -11,8 +11,10 @@ from bopcalc.algebra import (
     GeneratorTable,
     extract_generators,
     parity_check,
+    poincare_log_derivative,
     poincare_series,
     resolve_extensions,
+    table_from_log_derivative,
     tensor,
     tor_suspend,
 )
@@ -23,7 +25,7 @@ from bopcalc.errors import (
     TruncationError,
     UnresolvedExtension,
 )
-from bopcalc.series import make_polynomial, one
+from bopcalc.series import log_derivative, make_polynomial, one
 
 count_dicts = st.dictionaries(st.integers(1, 10), st.integers(1, 4),
                               max_size=5)
@@ -218,3 +220,31 @@ def test_extract_matches_naive_peel(coeffs, kind):
         with pytest.raises(NegativeDimension) as info:
             extract_generators(series, kind)
         assert info.value.degree == bad
+
+
+@given(st.dictionaries(st.integers(1, 16), st.integers(1, 10 ** 12),
+                       max_size=6),
+       st.sampled_from(KINDS), st.integers(0, 3), st.integers(0, 16))
+def test_poincare_log_derivative_matches_series(counts, kind, rank, n):
+    # every kind, with and without components; the rank changes nothing
+    table = GeneratorTable(kind, {d: c for d, c in counts.items() if d <= n},
+                           rank, n)
+    got = poincare_log_derivative(table)
+    assert got == log_derivative(poincare_series(table))
+    series = dict(enumerate(poincare_series(table).coefficients))
+    assert {d: c for d, c in enumerate(got.coefficients) if c} == \
+        oracles.naive_log_derivative({d: c for d, c in series.items() if c}, n)
+    if kind in ("polynomial", "exterior"):
+        back = table_from_log_derivative(got, kind)
+        assert back == GeneratorTable(kind, table.counts, 0, n)
+
+
+def test_table_from_log_derivative_rejects_bad_input():
+    with pytest.raises(InvalidKind):
+        table_from_log_derivative(make_polynomial({1: 1}, 4), "bogus")
+    with pytest.raises(NegativeDimension) as info:
+        table_from_log_derivative(make_polynomial({2: -2}, 4), "polynomial")
+    assert info.value.degree == 2
+    # 3*c_3 = 1 has no integer solution
+    with pytest.raises(InvalidParameter):
+        table_from_log_derivative(make_polynomial({3: 1}, 4), "exterior")

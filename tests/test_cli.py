@@ -7,6 +7,7 @@ import sys
 import jsonschema
 import pytest
 
+from bopcalc import towers as towers_mod
 from bopcalc.cli import CHECK_NAMES, main
 from bopcalc.series import TruncatedSeries
 
@@ -178,6 +179,23 @@ def test_verify_all_tiny_scale_smoke(n):
     assert proc.returncode in (0, 1)
     doc = json.loads(proc.stdout)
     assert [r["check"] for r in doc["reports"]] == list(CHECK_NAMES)
+
+
+def test_verify_all_survives_a_raising_check(monkeypatch, capsys):
+    def broken(i_max, truncation):
+        raise RuntimeError("solver exploded")
+
+    monkeypatch.setattr(towers_mod, "bop_tower", broken)
+    status = main(["verify", "all", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert status == 1
+    assert [r["check"] for r in doc["reports"]] == list(CHECK_NAMES)
+    for report in doc["reports"]:
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["pass"] == (report["check"] != "bop-tower")
+    failed = doc["reports"][CHECK_NAMES.index("bop-tower")]
+    assert failed["first_failure_degree"] == 0
+    assert failed["detail"] == {"error": "RuntimeError: solver exploded"}
 
 
 def test_conjecture_series_tiny_scale():

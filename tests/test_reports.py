@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bopcalc.errors import NegativeDimension
 from bopcalc.reports import VerificationReport, first_mismatch, run_check
 from bopcalc.series import geometric, make_polynomial, one
 
@@ -45,6 +46,29 @@ def test_run_check_times_and_passes_through():
     assert not report.passed
     assert report.first_failure_degree == 9
     assert report.detail == {"why": "x"}
+
+
+def _raiser(exc):
+    def body():
+        raise exc
+    return body
+
+
+def test_run_check_turns_an_exception_into_a_failing_report():
+    report = run_check("demo", {"k": 1}, _raiser(ValueError("boom")))
+    assert not report.passed
+    assert report.first_failure_degree == 0
+    assert report.detail == {"error": "ValueError: boom"}
+    assert report.parameters == {"k": 1} and report.elapsed_ms >= 0.0
+    # an error that carries a degree locates the failure there
+    report = run_check("demo", {}, _raiser(NegativeDimension(7)))
+    assert report.first_failure_degree == 7
+    assert report.detail == {
+        "error": "NegativeDimension: negative count at degree 7"}
+    # a degree that is no valid locator falls back to 0
+    report = run_check("demo", {}, _raiser(NegativeDimension(None)))
+    assert report.first_failure_degree == 0
+    json.dumps(report.to_json())
 
 
 def test_first_mismatch():

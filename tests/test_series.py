@@ -7,12 +7,20 @@ from hypothesis import strategies as st
 
 import oracles
 from bopcalc import series as series_mod
-from bopcalc.errors import NotInvertible, TruncationError, ZeroDegreeFactor
+from bopcalc.errors import (
+    InvalidParameter,
+    NotInvertible,
+    TruncationError,
+    ZeroDegreeFactor,
+)
+from bopcalc.reports import first_mismatch
 from bopcalc.series import (
     INVERSE_ONE_MINUS,
     ONE_PLUS,
     TruncatedSeries,
+    from_log_derivative,
     geometric,
+    log_derivative,
     make_polynomial,
     one,
     product_over,
@@ -313,3 +321,49 @@ def test_division_rejects_non_units_and_mixed_truncations():
         one(4) / make_polynomial({1: 1}, 4)
     with pytest.raises(TruncationError):
         one(4) / one(5)
+
+
+# Integer series with constant term 1, as degree -> coefficient dicts.
+unit_dicts = coeff_dicts.map(lambda d: {**d, 0: 1})
+
+
+@given(unit_dicts)
+def test_log_derivative_matches_naive(a):
+    assert as_dict(log_derivative(from_dict(a))) == \
+        oracles.naive_log_derivative(a, 12)
+    assert from_log_derivative(log_derivative(from_dict(a))) == from_dict(a)
+
+
+@given(unit_dicts, unit_dicts)
+def test_log_derivative_is_additive_over_products(a, b):
+    product = from_dict(oracles.naive_mul(a, b, 12))
+    assert log_derivative(product) == \
+        log_derivative(from_dict(a)) + log_derivative(from_dict(b))
+
+
+@given(unit_dicts, st.integers(1, 12), st.integers(-3, 3), unit_dicts)
+def test_first_mismatch_is_the_same_in_log_derivative_space(a, m, delta, tail):
+    # b agrees with a below degree m, is moved by delta at m and is
+    # arbitrary above it; the two series and their log-derivatives then
+    # first differ at the same degree, by m*delta there
+    b = {d: c for d, c in a.items() if d < m}
+    b.update({d: c for d, c in tail.items() if d > m})
+    b[m] = a.get(m, 0) + delta
+    la, lb = log_derivative(from_dict(a)), log_derivative(from_dict(b))
+    got = first_mismatch(la, lb)
+    assert got == first_mismatch(from_dict(a), from_dict(b))
+    if delta:
+        assert got == m
+        assert (lb - la).coefficient(m) == m * delta
+
+
+def test_log_derivative_domain():
+    with pytest.raises(InvalidParameter):
+        log_derivative(make_polynomial({0: 2, 1: 1}, 4))
+    with pytest.raises(InvalidParameter):
+        log_derivative(make_polynomial({1: 1}, 4))
+    with pytest.raises(InvalidParameter):  # nonzero constant term
+        from_log_derivative(one(4))
+    with pytest.raises(InvalidParameter) as info:  # 2*p_2 = 1
+        from_log_derivative(make_polynomial({2: 1}, 4))
+    assert "degree 2" in str(info.value)

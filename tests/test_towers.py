@@ -1,6 +1,8 @@
 import doctest
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bopcalc import towers as towers_mod
@@ -9,6 +11,7 @@ from bopcalc.catalog import (
     BO,
     BOP,
     BP,
+    BPBAR,
     BU,
     F,
     X,
@@ -198,3 +201,193 @@ def test_report_parameter_echo():
     report = verify_rank_rule_bss(-2, 2, 12)
     assert report.parameters == {"from": -2, "to": 2, "max_degree": 12}
     assert report.check == "rank-rule-bss"
+
+
+def _nonzero(coeffs):
+    return {d: c for d, c in enumerate(coeffs) if c}
+
+
+def _oracle_bop_tower(n, middle_table):
+    """bop_tower(12, n) in series space: index -> (series coefficients,
+    generator counts), or the degree of the first NegativeDimension.
+    Quotients are naive_mul by naive_invert, tables are naive_peel."""
+    out = {}
+    for i in (2, 3):
+        table = tensor(rank_rule_homology(SpaceRef(F, i), n),
+                       bo_space_homology(i, n))
+        out[i] = (oracles.table_series(table.counts, i % 2 == 1, n),
+                  table.counts)
+    for i in range(4, 13):
+        mid = middle_table(SpaceRef(BPBAR, i - 2), n)
+        q = oracles.naive_mul(
+            _nonzero(oracles.table_series(mid.counts, i % 2 == 1, n)),
+            oracles.naive_invert(_nonzero(out[i - 2][0]), n), n)
+        coeffs = [q.get(d, 0) for d in range(n + 1)]
+        negative = [d for d, c in enumerate(coeffs) if c < 0]
+        if negative:
+            return negative[0]
+        counts, bad = oracles.naive_peel(coeffs, i % 2 == 1)
+        if bad is not None:
+            return bad
+        out[i] = (coeffs, counts)
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 23, 40])
+def test_bop_tower_matches_series_space_oracle(n):
+    want = _oracle_bop_tower(n, rank_rule_homology)
+    got = bop_tower(12, n)
+    assert [r.space.index for r in got] == list(range(2, 13))
+    for res in got:
+        coeffs, counts = want[res.space.index]
+        assert list(res.series.coefficients) == coeffs
+        assert res.table.counts == counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10),
+       st.dictionaries(st.integers(1, 30), st.integers(-2, 2), min_size=1,
+                       max_size=4))
+# Space 4 then starts (1-x^6)(1-x^8)/(1-x^2) = 1 + x^2 + x^4 - x^8 ...:
+# its counts first go negative at degree 6, its series at 8, and the
+# series is checked first.
+@example(index=2, changes={2: 1, 4: -1, 6: -1, 8: -2})
+def test_perturbed_middle_fails_where_the_oracle_does(index, changes):
+    # one BPbar middle gains or loses generators: the solver and the
+    # series-space oracle agree on the tower, or fail at the same degree
+    n = 30
+
+    def middle_table(space, truncation):
+        table = rank_rule_homology(space, truncation)
+        if space != SpaceRef(BPBAR, index):
+            return table
+        counts = dict(table.counts)
+        for degree, delta in changes.items():
+            counts[degree] = max(counts.get(degree, 0) + delta, 0)
+        return GeneratorTable(table.kind, counts, table.component_rank,
+                              truncation)
+
+    want = _oracle_bop_tower(n, middle_table)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(towers_mod, "rank_rule_homology", middle_table)
+        if isinstance(want, int):
+            with pytest.raises(NegativeDimension) as info:
+                bop_tower(12, n)
+            assert info.value.degree == want
+        else:
+            got = bop_tower(12, n)
+            assert {r.space.index: (list(r.series.coefficients),
+                                    r.table.counts) for r in got} == want
+
+
+def _oracle_negative_tower(n, bump, i_from=-8, i_to=5):
+    """(first failure degree, index) of verify_negative_tower with the F
+    rank at degree bump raised by one, from naive_mul of series; None
+    when every index passes."""
+    depth = max(n, n - i_from, -i_from)
+    f_prof = homotopy_profile(F, depth)
+    x_prof = homotopy_profile(X, depth)
+
+    def series(rank, j):
+        counts = {d: rank(d - j) for d in range(1, n + 1) if rank(d - j)}
+        return oracles.table_series(counts, j % 2 == 1, n)
+
+    def f_rank(k):
+        return f_prof.free_rank(k) + (k == bump)
+
+    for i in range(i_from, i_to + 1):
+        left = series(x_prof.free_rank, i)
+        right = oracles.naive_mul(_nonzero(series(f_rank, i)),
+                                  _nonzero(series(f_rank, i + 2)), n)
+        diffs = [d for d in range(n + 1) if left[d] != right.get(d, 0)]
+        if diffs:
+            return diffs[0], i
+    return None
+
+
+@pytest.mark.parametrize("n", [0, 5, 20])
+def test_negative_tower_fault_sweep_matches_oracle(n):
+    for bump in range(max(n, n + 8, 8) + 1):
+        report = verify_negative_tower(truncation=n, corrupt_f_degree=bump)
+        want = _oracle_negative_tower(n, bump)
+        if want is None:
+            assert report.passed, bump
+        else:
+            assert (report.first_failure_degree,
+                    report.detail["index"]) == want, bump
+
+
+@pytest.mark.parametrize("index", range(2, 13))
+def test_bop_tower_reconstruction_reads_the_returned_series(monkeypatch,
+                                                            index):
+    # one returned series is corrupted at degree 10 while every table,
+    # and so the solver's own log-derivative, stays right: the
+    # reconstruction must see it at the first pair holding that space
+    real = towers_mod.bop_tower
+
+    def corrupted(i_max, truncation):
+        bump = make_polynomial({10: 1}, truncation)
+        return [TowerResult(r.space, r.series + bump, r.table, r.provenance)
+                if r.space.index == index else r
+                for r in real(i_max, truncation)]
+
+    monkeypatch.setattr(towers_mod, "bop_tower", corrupted)
+    report = verify_bop_tower(12, 32)
+    assert not report.passed
+    assert report.first_failure_degree == 10
+    assert report.detail == {"stage": "reconstruction",
+                             "index": index - 2 if index >= 4 else index}
+
+
+def test_first_table_mismatch_names_the_field():
+    base = GeneratorTable("polynomial", {2: 1, 4: 3}, 1, 8)
+    cases = [
+        (GeneratorTable("polynomial", {2: 1, 4: 2}, 1, 8), (4, "counts")),
+        (GeneratorTable("polynomial", {2: 1, 4: 3, 6: 1}, 0, 8),
+         (6, "counts")),
+        (GeneratorTable("even_unresolved", {2: 1, 4: 3}, 1, 8),
+         (0, "kind")),
+        (GeneratorTable("polynomial", {2: 1, 4: 3}, 2, 8),
+         (0, "component_rank")),
+        (GeneratorTable("polynomial", {2: 1, 4: 3}, 1, 9),
+         (0, "truncation")),
+    ]
+    for other, want in cases:
+        assert towers_mod._first_table_mismatch(other, base) == want
+
+
+def _bump_rank(table):
+    return GeneratorTable(table.kind, table.counts, table.component_rank + 1,
+                          table.truncation)
+
+
+def test_bo_deloopings_reports_the_differing_field(monkeypatch):
+    real_suspend = towers_mod.tor_suspend
+    monkeypatch.setattr(towers_mod, "tor_suspend",
+                        lambda t, r=0: _bump_rank(real_suspend(t, r)))
+    report = verify_bo_deloopings(32)
+    assert not report.passed
+    assert report.first_failure_degree == 0
+    assert report.detail == {"step": "2->3", "mode": "exact",
+                             "field": "component_rank"}
+
+
+def test_rank_rule_bss_reports_the_differing_field(monkeypatch):
+    real_iterate = towers_mod.bss_iterate
+
+    def kind_changed(*args, **kwargs):
+        return [TowerResult(r.space, r.series,
+                            GeneratorTable("even_unresolved"
+                                           if r.table.kind == "polynomial"
+                                           else r.table.kind,
+                                           r.table.counts,
+                                           r.table.component_rank,
+                                           r.table.truncation),
+                            r.provenance)
+                for r in real_iterate(*args, **kwargs)]
+
+    monkeypatch.setattr(towers_mod, "bss_iterate", kind_changed)
+    report = verify_rank_rule_bss(-2, 2, 12)
+    assert not report.passed
+    assert report.first_failure_degree == 0
+    assert report.detail == {"spectrum": "BP", "index": 0, "field": "kind"}
