@@ -160,17 +160,17 @@ class ParityReport:
     offending: Tuple[int, ...]
 
 
-def poincare_series(table: GeneratorTable) -> TruncatedSeries:
-    """Poincare series of the free algebra a table presents.
+def poincare_series(*tables: GeneratorTable) -> TruncatedSeries:
+    """Poincare series of the free algebra the tables present, tensored.
 
     >>> from .series import make_polynomial
     >>> t = GeneratorTable("exterior", {3: 1, 5: 1}, truncation=8)
     >>> poincare_series(t) == make_polynomial({0: 1, 3: 1, 5: 1, 8: 1}, 8)
     True
     """
-    form = ONE_PLUS if table.kind == "exterior" else INVERSE_ONE_MINUS
-    factors = ((d, table.counts[d], form) for d in sorted(table.counts))
-    return product_over(factors, table.truncation)
+    return product_over(sorted(
+        (d, c, ONE_PLUS if t.kind == "exterior" else INVERSE_ONE_MINUS)
+        for t in tables for d, c in t.counts.items()), tables[0].truncation)
 
 
 def poincare_log_derivative(table: GeneratorTable) -> TruncatedSeries:

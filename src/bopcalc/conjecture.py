@@ -10,13 +10,13 @@ the lead terms escape any fixed degree range, and the sums stabilize to
 the known cohomology of BoP itself; the verifiers pin down that shape,
 the stabilization, the first-appearance bookkeeping for each summand,
 and the Sq^2-annihilated monomial decompositions feeding the whole
-computation.
+computation.  One chain of quotients per truncation serves every index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import ConjectureShapeError, InvalidParameter, NotApplicable
 from .reports import VerificationReport, first_mismatch, run_check
@@ -55,12 +55,39 @@ def steenrod_series(truncation: int) -> TruncatedSeries:
     >>> [steenrod_series(8).coefficient(d) for d in range(5)]
     [1, 1, 1, 2, 2]
     """
-    acc = one(truncation)
-    i = 1
-    while 2 ** i - 1 <= truncation:
-        acc = acc.times_binomial(2 ** i - 1, -1, -1)
-        i += 1
+    acc, degree = one(truncation), 1
+    while degree <= truncation:
+        acc = acc.times_binomial(degree, -1, -1)
+        degree = 2 * degree + 1
     return acc
+
+
+def _quotient_chain(truncation: int) -> List[TruncatedSeries]:
+    """Sq^2 quotients n = 0, 1, ... through the stable one.  Milnor
+    quotient n, quotient n-1 with one more factor divided out, is entry
+    n times (1 + x^2), so a nonnegative entry has a nonnegative one."""
+    chain: List[TruncatedSeries] = []
+    acc, degree = steenrod_series(truncation), 1
+    while not chain or degree <= truncation:
+        acc = acc.times_binomial(degree, 1, -1)
+        chain.append(acc.times_binomial(2, 1, -1))
+        degree = 2 * degree + 1
+    return chain
+
+
+def _entry(chain: List[TruncatedSeries], n: Optional[int]) -> TruncatedSeries:
+    """Entry n; None, or an index past the range, reads the stable one."""
+    if n is not None and n < 0:
+        raise InvalidParameter(f"subalgebra index {n} must be >= 0")
+    return chain[-1 if n is None else min(n, len(chain) - 1)]
+
+
+def _nonnegative(quotient: TruncatedSeries) -> TruncatedSeries:
+    bad = quotient.check_nonnegative()
+    if bad is not None:
+        raise ConjectureShapeError(
+            f"quotient series negative at degree {bad}")
+    return quotient
 
 
 def milnor_quotient_series(n: Optional[int],
@@ -73,18 +100,8 @@ def milnor_quotient_series(n: Optional[int],
     >>> [milnor_quotient_series(1, 8).coefficient(d) for d in range(9)]
     [1, 0, 1, 0, 1, 0, 2, 1, 2]
     """
-    if n is not None and n < 0:
-        raise InvalidParameter(f"subalgebra index {n} must be >= 0")
-    acc = steenrod_series(truncation)
-    i = 0
-    while (n is None or i <= n) and 2 ** (i + 1) - 1 <= truncation:
-        acc = acc.times_binomial(2 ** (i + 1) - 1, 1, -1)
-        i += 1
-    bad = acc.check_nonnegative()
-    if bad is not None:
-        raise ConjectureShapeError(
-            f"quotient series negative at degree {bad}")
-    return acc
+    sq2 = _entry(_quotient_chain(truncation), n)
+    return _nonnegative(sq2.times_binomial(2, 1, 1))
 
 
 def milnor_sq2_quotient_series(k: Optional[int],
@@ -95,12 +112,7 @@ def milnor_sq2_quotient_series(k: Optional[int],
     >>> [milnor_sq2_quotient_series(1, 8).coefficient(d) for d in range(9)]
     [1, 0, 0, 0, 1, 0, 1, 1, 1]
     """
-    acc = milnor_quotient_series(k, truncation).times_binomial(2, 1, -1)
-    bad = acc.check_nonnegative()
-    if bad is not None:
-        raise ConjectureShapeError(
-            f"quotient series negative at degree {bad}")
-    return acc
+    return _nonnegative(_entry(_quotient_chain(truncation), k))
 
 
 # -- the epsilon bands -------------------------------------------------------
@@ -171,12 +183,17 @@ def conjectured_bopn_cohomology(n: int, truncation: int) -> TruncatedSeries:
     suspended by 2^(level + 3 + eps) - 8s, for each summand."""
     if n <= 2:
         raise InvalidParameter(f"truncation height {n} must exceed 2")
+    return _conjectured(n, truncation, _quotient_chain(truncation))
+
+
+def _conjectured(n: int, truncation: int,
+                 chain: List[TruncatedSeries]) -> TruncatedSeries:
     quotients: Dict[int, TruncatedSeries] = {}
     acc = make_polynomial({}, truncation)
     for s, level, eps, suspension in summand_suspensions(n, truncation):
         index = level + 2 + eps
         if index not in quotients:
-            quotients[index] = milnor_sq2_quotient_series(index, truncation)
+            quotients[index] = _nonnegative(_entry(chain, index))
         acc = acc + quotients[index].shift(suspension)
     return acc
 
@@ -184,28 +201,14 @@ def conjectured_bopn_cohomology(n: int, truncation: int) -> TruncatedSeries:
 def conjectured_coarse_companion(n: int, truncation: int) -> TruncatedSeries:
     """Same indexed sum built from the singly-quotiented series; equals
     the conjectured answer times (1 + x^2) term by term."""
-    if n <= 2:
-        raise InvalidParameter(f"truncation height {n} must exceed 2")
-    quotients: Dict[int, TruncatedSeries] = {}
-    acc = make_polynomial({}, truncation)
-    for s, level, eps, suspension in summand_suspensions(n, truncation):
-        index = level + 2 + eps
-        if index not in quotients:
-            quotients[index] = milnor_quotient_series(index, truncation)
-        acc = acc + quotients[index].shift(suspension)
-    return acc
+    return conjectured_bopn_cohomology(n, truncation).times_binomial(2, 1, 1)
 
 
 def bop_cohomology_series(truncation: int) -> TruncatedSeries:
-    """Graded dimensions of the cohomology of BoP itself: one stable
-    quotient copy suspended by each nonnegative multiple of 8."""
+    """Graded dimensions of the cohomology of BoP itself: the stable
+    quotient suspended by each multiple of 8, i.e. over (1 - x^8)."""
     stable = milnor_sq2_quotient_series(None, truncation)
-    acc = make_polynomial({}, truncation)
-    shift = 0
-    while shift <= truncation:
-        acc = acc + stable.shift(shift)
-        shift += 8
-    return acc
+    return stable.times_binomial(8, -1, -1)
 
 
 def first_appearance(q: int) -> int:
@@ -361,9 +364,9 @@ def verify_square_decompositions(bound: int = 4096) -> VerificationReport:
                 except NotApplicable:
                     continue
                 return False, j, {"stage": "indecomposable"}
-            if not square_degree_check(j):
-                return False, j, {"stage": "degree"}
             mono = square_monomial(j)
+            if mono.total_degree != 2 * mono.source_degree:
+                return False, j, {"stage": "degree"}
             if any(m < 0 or count <= 0 for m, count in mono.factors):
                 return False, j, {"stage": "factors"}
         return True, None, None
@@ -378,9 +381,10 @@ def verify_conjecture_shape(n_max: int = 16,
     params = {"n_max": n_max, "max_degree": truncation}
 
     def body():
+        chain = _quotient_chain(truncation)
         for n in range(3, n_max + 1):
             try:
-                series = conjectured_bopn_cohomology(n, truncation)
+                series = _conjectured(n, truncation, chain)
             except ConjectureShapeError as exc:
                 return False, n, {"height": n, "error": str(exc)}
             bad = series.check_nonnegative()

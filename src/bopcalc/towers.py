@@ -19,13 +19,13 @@ is the quotient of the matching BPbar space by the one two steps below.
 
 The tower is solved and checked in log-derivative space (L(P) = x P'/P,
 see series.py), where the quotient is a difference and a product is a
-sum.  bop_tower subtracts the sub's L from the middle's, turns the
-difference into the quotient series with one Euler pass and peels the
-generator table off the same L.  verify_negative_tower and the
-reconstruction stage of verify_bop_tower compare sums of L's instead of
-products of series.  Two series with constant term 1 first differ where
-their log-derivatives first differ, so every failure degree is the one
-the series comparison would name.
+sum.  The solver subtracts the sub's L from the middle's and peels the
+table off it; a series costs one Euler pass, run only when read.  A
+successful peel implies a nonnegative series (free on nonnegative
+counts); when the peel raises NegativeDimension, the series is built
+and the error names its first negative degree, else the peel's.  The
+tower checks compare sums of L's: two series with constant term 1 first
+differ where their L's do, so failure degrees match the series ones.
 """
 
 from __future__ import annotations
@@ -122,13 +122,8 @@ class TowerResult:
     def csv_rows(self) -> Iterator[Tuple[int, int, int]]:
         """Rows (space index, degree, generator count); falls back to
         (space index, degree, coefficient) when no table exists."""
-        i = self.space.index
-        if self.table is not None:
-            for d, c in self.table.csv_rows():
-                yield (i, d, c)
-        else:
-            for d, c in self.series.csv_rows():
-                yield (i, d, c)
+        rows = (self.series if self.table is None else self.table).csv_rows()
+        return ((self.space.index, d, c) for d, c in rows)
 
 
 def _rank_rule_table(spectrum: SpectrumId, index: int, truncation: int,
@@ -206,16 +201,34 @@ def ses_quotient(middle: TruncatedSeries, sub: TruncatedSeries) -> TruncatedSeri
     and is reported as NegativeDimension at the first bad degree.
     bop_tower divides the same way in log-derivative space.
     """
-    return _nonnegative(middle / sub)
-
-
-def _nonnegative(quotient: TruncatedSeries) -> TruncatedSeries:
-    """The quotient of an SES, or NegativeDimension at its first
-    negative coefficient."""
+    quotient = middle / sub
     bad = quotient.check_nonnegative()
     if bad is not None:
         raise NegativeDimension(bad)
     return quotient
+
+
+def _solve_tower(i_max: int, truncation: int) -> Iterator[
+        Tuple[SpaceRef, GeneratorTable, str, TruncatedSeries]]:
+    """Rows (space, table, provenance, L) of BoP spaces 2..i_max."""
+    logs: Dict[int, TruncatedSeries] = {}
+    for i in range(2, i_max + 1):
+        if i <= 3:
+            table = tensor(rank_rule_homology(SpaceRef(F, i), truncation),
+                           bo_space_homology(i, truncation))
+            log = poincare_log_derivative(table)
+        else:
+            mid = rank_rule_homology(SpaceRef(BPBAR, i - 2), truncation)
+            log = poincare_log_derivative(mid) - logs.pop(i - 2)
+            try:
+                table = table_from_log_derivative(
+                    log, "polynomial" if i % 2 == 0 else "exterior")
+            except NegativeDimension as peel:
+                bad = from_log_derivative(log).check_nonnegative()
+                raise peel if bad is None else NegativeDimension(bad)
+        yield (SpaceRef(BOP, i), table,
+               "product" if i <= 3 else "ses_solved", log)
+        logs[i] = log
 
 
 def bop_tower(i_max: int, truncation: int) -> List[TowerResult]:
@@ -224,47 +237,31 @@ def bop_tower(i_max: int, truncation: int) -> List[TowerResult]:
     Spaces 2 and 3 are products of a rank-rule fiber space with the
     matching bo space.  From there each space is the SES quotient of
     the BPbar space two indices down by the BoP space two indices down:
-    its log-derivative is theirs subtracted, one Euler pass gives the
-    series, and the generator counts are peeled off the same
-    log-derivative.
+    its log-derivative is theirs subtracted, the generator counts are
+    peeled off it and one Euler pass gives the series.  A successful
+    peel implies a nonnegative series; a failed one raises
+    NegativeDimension at the series' first negative degree, else the peel's.
     """
     if i_max < 2:
         raise InvalidParameter("the solved BoP tower starts at space 2")
-    results: List[TowerResult] = []
-    # Log-derivative of each solved space, dropped once space i + 2,
-    # its only other use, is solved.
-    logs: Dict[int, TruncatedSeries] = {}
-    for i in range(2, min(3, i_max) + 1):
-        fiber = rank_rule_homology(SpaceRef(F, i), truncation)
-        base = bo_space_homology(i, truncation)
-        table = tensor(fiber, base)
-        results.append(TowerResult(SpaceRef(BOP, i), poincare_series(table),
-                                   table, "product"))
-        logs[i] = poincare_log_derivative(table)
-    for i in range(4, i_max + 1):
-        mid = rank_rule_homology(SpaceRef(BPBAR, i - 2), truncation)
-        log = poincare_log_derivative(mid) - logs.pop(i - 2)
-        quotient = _nonnegative(from_log_derivative(log))
-        kind = "polynomial" if i % 2 == 0 else "exterior"
-        table = table_from_log_derivative(log, kind)
-        results.append(TowerResult(SpaceRef(BOP, i), quotient, table,
-                                   "ses_solved"))
-        logs[i] = log
-    return results
+    return [TowerResult(ref, from_log_derivative(log), table, provenance)
+            for ref, table, provenance, log in _solve_tower(i_max, truncation)]
 
 
 def bop_space(index: int, truncation: int) -> TowerResult:
     """Homology of one BoP space, for any index up to the solved range.
 
-    Below space 2 the fiber-times-bo product still applies; when the two
-    factors have different kinds the product only exists at series
-    level and the result carries no table.
+    From space 2 up this is bop_tower(index, truncation)[-1], errors
+    included, with only its own series built.  Below, the fiber-times-bo
+    product has no table when the two factors' kinds differ.
     """
     if index >= 2:
-        return bop_tower(index, truncation)[-1]
+        for ref, table, provenance, log in _solve_tower(index, truncation):
+            pass
+        return TowerResult(ref, from_log_derivative(log), table, provenance)
     fiber = rank_rule_homology(SpaceRef(F, index), truncation)
     base = bo_space_homology(index, truncation)
-    series = poincare_series(fiber) * poincare_series(base)
+    series = poincare_series(fiber, base)
     try:
         table = tensor(fiber, base)
     except InvalidKind:

@@ -175,3 +175,60 @@ def test_verifiers_pass_at_reference_scales():
     assert verify_first_appearance(32).passed
     assert verify_square_decompositions(512).passed
     assert verify_conjecture_shape(8, 64).passed
+
+
+def _oracle_quotient(k, n):
+    """Milnor quotient k (k=None: every factor) and its Sq^2 quotient
+    through degree n, dividing the monomial count by each exterior
+    factor with naive_mul by naive_invert."""
+    def divide(dims, degree):
+        if degree > n:
+            return dims
+        return oracles.naive_mul(
+            dims, oracles.naive_invert({0: 1, degree: 1}, n), n)
+
+    dims = {d: c for d, c in enumerate(oracles.steenrod_dims(n)) if c}
+    for i in range(n + 1 if k is None else k + 1):
+        dims = divide(dims, 2 ** (i + 1) - 1)
+    return ([dims.get(d, 0) for d in range(n + 1)],
+            [divide(dims, 2).get(d, 0) for d in range(n + 1)])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 40, 64])
+def test_quotient_chain_matches_per_index_oracle(n):
+    last = max((n + 1).bit_length() - 2, 0)   # 2^(last+1) - 1 <= n
+    for k in list(range(last + 3)) + [None]:
+        quotient, sq2 = _oracle_quotient(k, n)
+        assert list(milnor_quotient_series(k, n).coefficients) == quotient, k
+        assert list(milnor_sq2_quotient_series(k, n).coefficients) == sq2, k
+    # past the range every index reads the stable quotient
+    assert milnor_sq2_quotient_series(last + 5, n) == \
+        milnor_sq2_quotient_series(None, n)
+    with pytest.raises(InvalidParameter):
+        milnor_quotient_series(-1, n)
+
+
+def test_conjecture_shape_builds_one_steenrod_series(monkeypatch):
+    calls = []
+    real = conjecture_mod.steenrod_series
+
+    def counted(truncation):
+        calls.append(truncation)
+        return real(truncation)
+
+    monkeypatch.setattr(conjecture_mod, "steenrod_series", counted)
+    assert verify_conjecture_shape(16, 128).passed
+    assert calls == [128]
+
+
+def test_square_decompositions_build_each_monomial_once(monkeypatch):
+    calls = []
+    real = conjecture_mod.square_monomial
+
+    def counted(j):
+        calls.append(j)
+        return real(j)
+
+    monkeypatch.setattr(conjecture_mod, "square_monomial", counted)
+    assert verify_square_decompositions(64).passed
+    assert calls == list(range(2, 65))

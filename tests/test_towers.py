@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bopcalc import series as series_mod
 from bopcalc import towers as towers_mod
 from bopcalc.algebra import GeneratorTable, poincare_series, tensor
 from bopcalc.catalog import (
@@ -391,3 +392,43 @@ def test_rank_rule_bss_reports_the_differing_field(monkeypatch):
     assert not report.passed
     assert report.first_failure_degree == 0
     assert report.detail == {"spectrum": "BP", "index": 0, "field": "kind"}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 23, 40])
+def test_bop_space_is_the_last_space_of_the_tower(n):
+    for i in range(2, 13):
+        got = bop_space(i, n)
+        want = bop_tower(i, n)[-1]
+        assert got.space == want.space == SpaceRef(BOP, i)
+        assert got.series == want.series
+        assert got.table == want.table
+        assert got.provenance == want.provenance
+
+
+def test_bop_space_runs_one_euler_pass(monkeypatch):
+    # the lower spaces stay log-derivatives: only space 12 is rebuilt
+    calls = []
+    real = series_mod._euler
+
+    def counted(b):
+        calls.append(len(b))
+        return real(b)
+
+    monkeypatch.setattr(series_mod, "_euler", counted)
+    bop_space(12, 64)
+    assert calls == [65]
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 64])
+def test_bop_space_below_two_matches_naive_product(n):
+    for i in range(-8, 2):
+        fiber = rank_rule_homology(SpaceRef(F, i), n)
+        base = bo_space_homology(i, n)
+        want = oracles.naive_mul(
+            _nonzero(oracles.table_series(fiber.counts,
+                                          fiber.kind == "exterior", n)),
+            _nonzero(oracles.table_series(base.counts,
+                                          base.kind == "exterior", n)), n)
+        got = bop_space(i, n)
+        assert list(got.series.coefficients) == \
+            [want.get(d, 0) for d in range(n + 1)], i
