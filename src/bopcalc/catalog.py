@@ -55,6 +55,13 @@ __all__ = [
     "bo_space_homology",
     "bu_space_homology",
     "CATALOGUED_SPECTRA",
+    "BP",
+    "BPBAR",
+    "BO",
+    "BOP",
+    "BU",
+    "F",
+    "X",
 ]
 
 _TAGS = ("BP", "BPbar", "BPn", "bu", "bo", "BoP", "F", "X")

@@ -24,7 +24,8 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from inspect import signature
+from typing import Callable, List, Mapping, Optional, Sequence
 
 from . import conjecture as _conjecture
 from . import splitting as _splitting
@@ -49,76 +50,64 @@ __all__ = ["build_parser", "main", "CHECK_NAMES"]
 
 @dataclass(frozen=True)
 class _CheckSpec:
-    """One named check: `scale` is its size knob (a degree bound for
-    most, a level or index bound for the combinatorial ones), pinned to
-    the value the standard battery uses.  A check with a `scale_cap`
-    runs at most at that scale, whatever -N asks for."""
+    """One named check: `verifier` is called with its size knob `scale`
+    (a degree bound for most, a level or index bound for the
+    combinatorial ones) and, under --inject-fault, with `faults`; a
+    check without faults cannot be made to fail on purpose.  A check
+    with a `scale_cap` runs at most at that scale, whatever -N asks for."""
 
     name: str
-    pinned_scale: int
-    run: Callable[[int, bool], VerificationReport]
-    supports_fault: bool = False
+    verifier: Callable[..., VerificationReport]
+    scale: str
+    faults: Optional[Mapping[str, object]] = None
     scale_cap: Optional[int] = None
 
+    @property
+    def pinned_scale(self) -> int:
+        """The scale the standard battery uses: the verifier's default."""
+        return signature(self.verifier).parameters[self.scale].default
 
-def _registry() -> Dict[str, _CheckSpec]:
-    specs = [
-        _CheckSpec("rhs-one", 512,
-                   lambda n, f: _splitting.verify_rhs_one(
-                       truncation=n, inject_fault=f),
-                   supports_fault=True),
-        _CheckSpec("head-induction", 512,
-                   lambda n, f: _splitting.verify_head_induction(
-                       truncation=n, inject_fault=f),
-                   supports_fault=True),
-        _CheckSpec("rational-splitting", 256,
-                   lambda n, f: _splitting.verify_rational_splitting(n)),
-        _CheckSpec("bo-deloopings", 64,
-                   lambda n, f: _towers.verify_bo_deloopings(n)),
-        _CheckSpec("bu-bo-factorization", 100,
-                   lambda n, f: _towers.verify_bu_bo_factorization(n)),
-        _CheckSpec("negative-tower", 64,
-                   lambda n, f: _towers.verify_negative_tower(
-                       truncation=n,
-                       corrupt_f_degree=7 if f else None),
-                   supports_fault=True),
-        _CheckSpec("bop-tower", 60,
-                   lambda n, f: _towers.verify_bop_tower(truncation=n)),
-        _CheckSpec("rank-rule-bss", 40,
-                   lambda n, f: _towers.verify_rank_rule_bss(truncation=n)),
-        _CheckSpec("irreducibility", 12,
-                   lambda n, f: _splitting.verify_irreducibility(k_max=n)),
-        _CheckSpec("index-bijection", 8192,
-                   lambda n, f: _splitting.verify_index_bijection(bound=n)),
-        _CheckSpec("bpn-rank-recursion", 128,
-                   lambda n, f: _splitting.verify_bpn_rank_recursion(
-                       truncation=n)),
-        _CheckSpec("bop6-splitting", 256,
-                   lambda n, f: _splitting.verify_bop6_homotopy_splitting(n)),
-        _CheckSpec("epsilon-partition", 64,
-                   lambda n, f: _conjecture.verify_epsilon_partition(
-                       n_max=n)),
-        # The stable-limit identity itself stops holding past degree 64
-        # (height 16 first breaks at degree 127), so -N is capped there.
-        _CheckSpec("conjecture-limit", 64,
-                   lambda n, f: _conjecture.verify_stable_limit(
-                       limit_degree=n),
-                   scale_cap=64),
-        _CheckSpec("first-appearance", 64,
-                   lambda n, f: _conjecture.verify_first_appearance(
-                       q_max=n)),
-        _CheckSpec("squares", 4096,
-                   lambda n, f: _conjecture.verify_square_decompositions(
-                       bound=n)),
-        _CheckSpec("conjecture-shape", 128,
-                   lambda n, f: _conjecture.verify_conjecture_shape(
-                       truncation=n)),
-    ]
-    return {spec.name: spec for spec in specs}
+    def run(self, scale: int, inject_fault: bool) -> VerificationReport:
+        faults = self.faults if inject_fault else {}
+        return self.verifier(**{self.scale: scale}, **faults)
 
 
-_REGISTRY = _registry()
+_REGISTRY = {spec.name: spec for spec in (
+    _CheckSpec("rhs-one", _splitting.verify_rhs_one, "truncation",
+               {"inject_fault": True}),
+    _CheckSpec("head-induction", _splitting.verify_head_induction,
+               "truncation", {"inject_fault": True}),
+    _CheckSpec("rational-splitting", _splitting.verify_rational_splitting,
+               "truncation"),
+    _CheckSpec("bo-deloopings", _towers.verify_bo_deloopings, "truncation"),
+    _CheckSpec("bu-bo-factorization", _towers.verify_bu_bo_factorization,
+               "truncation"),
+    _CheckSpec("negative-tower", _towers.verify_negative_tower, "truncation",
+               {"corrupt_f_degree": 7}),
+    _CheckSpec("bop-tower", _towers.verify_bop_tower, "truncation"),
+    _CheckSpec("rank-rule-bss", _towers.verify_rank_rule_bss, "truncation"),
+    _CheckSpec("irreducibility", _splitting.verify_irreducibility, "k_max"),
+    _CheckSpec("index-bijection", _splitting.verify_index_bijection,
+               "bound"),
+    _CheckSpec("bpn-rank-recursion", _splitting.verify_bpn_rank_recursion,
+               "truncation"),
+    _CheckSpec("bop6-splitting", _splitting.verify_bop6_homotopy_splitting,
+               "truncation"),
+    _CheckSpec("epsilon-partition", _conjecture.verify_epsilon_partition,
+               "n_max"),
+    # The stable-limit identity itself stops holding past degree 64
+    # (height 16 first breaks at degree 127), so -N is capped there.
+    _CheckSpec("conjecture-limit", _conjecture.verify_stable_limit,
+               "limit_degree", scale_cap=64),
+    _CheckSpec("first-appearance", _conjecture.verify_first_appearance,
+               "q_max"),
+    _CheckSpec("squares", _conjecture.verify_square_decompositions, "bound"),
+    _CheckSpec("conjecture-shape", _conjecture.verify_conjecture_shape,
+               "truncation"),
+)}
 CHECK_NAMES = tuple(_REGISTRY)
+_FAULT_CHECKS = tuple(name for name, spec in _REGISTRY.items()
+                      if spec.faults)
 
 _CONJECTURE_CHECKS = {
     "limit": "conjecture-limit",
@@ -133,8 +122,12 @@ _CONJECTURE_CHECKS = {
 
 def _emit(text: str, args) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise InvalidParameter(
+                f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         print(text)
 
@@ -330,11 +323,10 @@ def _cmd_verify(args) -> int:
         return _run_reports(reports, args)
 
     spec = _REGISTRY[args.check]
-    if args.inject_fault and not spec.supports_fault:
+    if args.inject_fault and not spec.faults:
         raise InvalidParameter(
             f"check {spec.name!r} has no fault to inject; pick one of "
-            + ", ".join(s.name for s in _REGISTRY.values()
-                        if s.supports_fault))
+            + ", ".join(_FAULT_CHECKS))
     report = spec.run(_single_scale(spec, args), args.inject_fault)
     return _run_reports([report], args)
 
@@ -423,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="one of: " + ", ".join(CHECK_NAMES + ("all",)))
     p_ver.add_argument("--inject-fault", action="store_true",
                        help="corrupt the computation on purpose; the check "
-                            "must then fail (supported: rhs-one, "
-                            "head-induction, negative-tower)")
+                            "must then fail (supported: "
+                            + ", ".join(_FAULT_CHECKS) + ")")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_con = sub.add_parser(

@@ -144,13 +144,11 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._match(other)
-        # Convolve over the sparser operand; partition-type series are often
-        # dense but the two-term factors of the splitting identities are not.
         a, b = self.coefficients, other.coefficients
-        if _nnz(b) < _nnz(a):
-            a, b = b, a
         return _from_ints(
-            _mul_pairs(b, _pairs(a), self.truncation), self.truncation)
+            [sum(map(mul, a[:m + 1], b[m::-1]))
+             for m in range(self.truncation + 1)],
+            self.truncation)
 
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Exact quotient by a series whose constant term is +1 or -1.
@@ -421,27 +419,6 @@ def _binomial_pass(coeffs, degree, sign, power):
     else:
         for k in range(degree, n + 1):
             coeffs[k] -= sign * coeffs[k - degree]
-
-
-def _nnz(coeffs) -> int:
-    return sum(1 for c in coeffs if c)
-
-
-def _pairs(coeffs):
-    return [(d, c) for d, c in enumerate(coeffs) if c]
-
-
-def _mul_pairs(coeffs, pairs, truncation):
-    """Multiply a dense coefficient list by a sparse (degree, coeff) list."""
-    out = [0] * (truncation + 1)
-    for d, c in pairs:
-        if d > truncation:
-            break
-        for j in range(truncation - d + 1):
-            v = coeffs[j]
-            if v:
-                out[j + d] += c * v
-    return out
 
 
 def _add_log_derivative(b, degree, count, sign):

@@ -116,18 +116,12 @@ def head_series(s: int, truncation: int) -> TruncatedSeries:
 
 def layer_series(s: int, truncation: int) -> TruncatedSeries:
     """x^(2^(s+1)-2) (1+x^2) (1 - x^(2^(s+1))) * product over j > s."""
-    return _layer(s, truncation, omit_even_factor=False)
-
-
-def _layer(s: int, truncation: int, omit_even_factor: bool) -> TruncatedSeries:
     _check_level(s)
     lead = 2 ** (s + 1) - 2
     if lead > truncation:
         return make_polynomial({}, truncation)
     acc = _level_product(s + 1, truncation).times_binomial(2 ** (s + 1), -1, 1)
-    if not omit_even_factor:
-        acc = acc.times_binomial(2, 1, 1)
-    return acc.shift(lead)
+    return acc.times_binomial(2, 1, 1).shift(lead)
 
 
 def tail_series(s: int, truncation: int) -> TruncatedSeries:
@@ -141,13 +135,11 @@ def tail_series(s: int, truncation: int) -> TruncatedSeries:
     return acc
 
 
-def _tail(s: int, truncation: int, omit_even_factor: bool) -> TruncatedSeries:
-    acc = make_polynomial({}, truncation)
-    k = s
-    while 2 ** (k + 1) - 2 <= truncation:
-        acc = acc + _layer(k, truncation, omit_even_factor)
-        k += 1
-    return acc
+def _fault(series: TruncatedSeries, inject_fault: bool) -> TruncatedSeries:
+    """The injected fault, layers missing their (1+x^2) factor: a layer
+    or a sum of layers divided by (1+x^2).  Exact, since dividing by a
+    unit series undoes multiplying by it modulo x^(N+1), term by term."""
+    return series.times_binomial(2, 1, -1) if inject_fault else series
 
 
 # -- verifiers ---------------------------------------------------------------
@@ -165,8 +157,8 @@ def verify_head_induction(s_min: int = 2, s_max: int = 9,
     def body():
         for s in range(s_min, s_max + 1):
             lhs = head_series(s + 1, truncation)
-            rhs = head_series(s, truncation) + _layer(s, truncation,
-                                                      inject_fault)
+            rhs = head_series(s, truncation) + _fault(
+                layer_series(s, truncation), inject_fault)
             bad = first_mismatch(lhs, rhs)
             if bad is not None:
                 return False, bad, {"level": s}
@@ -184,15 +176,18 @@ def verify_rhs_one(truncation: int = 512,
         params["inject_fault"] = "layer missing its (1+x^2) factor"
 
     def body():
-        total = head_series(2, truncation) + _tail(2, truncation, inject_fault)
+        def tail(k):
+            return _fault(tail_series(k, truncation), inject_fault)
+
+        total = head_series(2, truncation) + tail(2)
         bad = first_mismatch(total, one(truncation))
         if bad is not None:
             return False, bad, {"stage": "master"}
         s = 2
         while 2 ** (s + 1) - 2 <= truncation:
-            lhs = _tail(s, truncation, inject_fault)
-            rhs = (_layer(s, truncation, inject_fault)
-                   + _tail(s + 1, truncation, inject_fault))
+            lhs = tail(s)
+            rhs = (_fault(layer_series(s, truncation), inject_fault)
+                   + tail(s + 1))
             bad = first_mismatch(lhs, rhs)
             if bad is not None:
                 return False, bad, {"stage": "telescope", "level": s}

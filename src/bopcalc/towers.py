@@ -79,6 +79,7 @@ __all__ = [
     "bss_iterate",
     "ses_quotient",
     "bop_tower",
+    "bop_space",
     "verify_negative_tower",
     "verify_bop_tower",
     "verify_rank_rule_bss",
@@ -463,13 +464,16 @@ def verify_bo_deloopings(truncation: int = 64) -> VerificationReport:
 
 def verify_bu_bo_factorization(truncation: int = 100) -> VerificationReport:
     """series(bu_2) = series(bo_2) * series(bo_4), the homology shadow of
-    the classical fibration relating BU to BO and BSp."""
+    the classical fibration relating BU to BO and BSp.
+
+    It is checked as L(bu_2) = L(bo_2) + L(bo_4) on log-derivatives
+    built from the tables, as verify_negative_tower does."""
     params = {"max_degree": truncation}
 
     def body():
-        left = poincare_series(bu_space_homology(2, truncation))
-        right = (poincare_series(bo_space_homology(2, truncation))
-                 * poincare_series(bo_space_homology(4, truncation)))
+        left = poincare_log_derivative(bu_space_homology(2, truncation))
+        right = (poincare_log_derivative(bo_space_homology(2, truncation))
+                 + poincare_log_derivative(bo_space_homology(4, truncation)))
         bad = first_mismatch(left, right)
         if bad is not None:
             return False, bad, None

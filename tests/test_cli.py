@@ -163,6 +163,20 @@ def test_verify_fault_requires_support():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_every_check_injects_its_fault_or_refuses(name, capsys):
+    status = main(["verify", name, "--inject-fault", "--format", "json"])
+    out, err = capsys.readouterr()
+    if name in ("rhs-one", "head-induction", "negative-tower"):
+        assert status == 1
+        report = json.loads(out)["report"]
+        assert report["pass"] is False
+        assert report["first_failure_degree"] >= 0
+    else:
+        assert status == 2 and out == ""
+        assert f"check {name!r} has no fault to inject" in err
+
+
 def test_verify_all_capped():
     proc = run_cli("verify", "all", "-N", "64", "--format", "json")
     assert proc.returncode == 0
@@ -273,6 +287,15 @@ def test_output_file(tmp_path):
     assert proc.stdout == ""
     doc = json.loads(target.read_text())
     assert doc["command"] == "conjecture" and doc["height"] == 4
+
+
+@pytest.mark.parametrize("target", ["missing/dir/out.txt", "."])
+def test_output_file_unwritable(tmp_path, capsys, target):
+    path = tmp_path / target
+    status = main(["catalog", "--output", str(path)])
+    out, err = capsys.readouterr()
+    assert status == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
 
 
 def test_console_script_entry_point():

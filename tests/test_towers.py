@@ -186,6 +186,37 @@ def test_verifiers_pass_at_reference_scales():
     assert verify_bu_bo_factorization(48).passed
 
 
+@pytest.mark.parametrize("degree", [1, 4, 7, 12, 30, 48])
+def test_bu_bo_factorization_names_first_broken_degree(monkeypatch, degree):
+    # one extra generator in bo_4 at `degree`: the report must fail where
+    # the naive product of the bo_2 and bo_4 series first leaves bu_2's
+    n = 48
+    real = towers_mod.bo_space_homology
+
+    def planted(index, truncation, periodic=False):
+        table = real(index, truncation, periodic)
+        if index != 4:
+            return table
+        counts = dict(table.counts)
+        counts[degree] = counts.get(degree, 0) + 1
+        return GeneratorTable(table.kind, counts, table.component_rank,
+                              table.truncation)
+
+    def series_dict(table):
+        coeffs = oracles.table_series(table.counts,
+                                      table.kind == "exterior", n)
+        return {d: c for d, c in enumerate(coeffs) if c}
+
+    monkeypatch.setattr(towers_mod, "bo_space_homology", planted)
+    product = oracles.naive_mul(series_dict(planted(2, n)),
+                                series_dict(planted(4, n)), n)
+    bu2 = series_dict(towers_mod.bu_space_homology(2, n))
+    want = min(d for d in range(n + 1) if product.get(d) != bu2.get(d))
+    report = verify_bu_bo_factorization(n)
+    assert not report.passed
+    assert report.first_failure_degree == want
+
+
 def test_negative_tower_rejects_indices_beyond_fiber_range():
     with pytest.raises(InvalidParameter):
         verify_negative_tower(i_from=0, i_to=7, truncation=16)
