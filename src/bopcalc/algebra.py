@@ -36,9 +36,9 @@ names the same first failing degree as one of the series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
+from ._record import record
 from .errors import (
     InvalidKind,
     InvalidParameter,
@@ -151,7 +151,7 @@ class GeneratorTable:
         return iter(sorted(self.counts.items()))
 
 
-@dataclass(frozen=True)
+@record
 class ParityReport:
     """Outcome of a generator-degree parity scan."""
 

@@ -32,9 +32,9 @@ are available (connective by default, periodic on request).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
+from ._record import field, record
 from .algebra import GeneratorTable
 from .errors import InvalidParameter, NegativeDimension, TruncationError
 from .series import (
@@ -67,7 +67,7 @@ __all__ = [
 _TAGS = ("BP", "BPbar", "BPn", "bu", "bo", "BoP", "F", "X")
 
 
-@dataclass(frozen=True)
+@record
 class SpectrumId:
     """Name of a catalogued spectrum; BPn carries its truncation level."""
 
@@ -115,7 +115,7 @@ def parse_spectrum(name: str) -> SpectrumId:
     raise InvalidParameter(f"unknown spectrum {name!r}")
 
 
-@dataclass(frozen=True)
+@record
 class SpaceRef:
     """Space `index` in the Omega spectrum for `spectrum`."""
 
@@ -123,7 +123,7 @@ class SpaceRef:
     index: int
 
 
-@dataclass(frozen=True)
+@record
 class HomotopyProfile:
     """Free ranks (as a series) and Z/2 counts per degree, through N."""
 

@@ -19,17 +19,14 @@ domain errors (bad spectrum names, indices outside a rule's range).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-from dataclasses import dataclass
-from inspect import signature
 from typing import Callable, List, Mapping, Optional, Sequence
 
 from . import conjecture as _conjecture
 from . import splitting as _splitting
 from . import towers as _towers
+from ._record import record
 from .catalog import (
     CATALOGUED_SPECTRA,
     SpaceRef,
@@ -48,7 +45,7 @@ __all__ = ["build_parser", "main", "CHECK_NAMES"]
 
 # -- check registry ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class _CheckSpec:
     """One named check: `verifier` is called with its size knob `scale`
     (a degree bound for most, a level or index bound for the
@@ -64,8 +61,13 @@ class _CheckSpec:
 
     @property
     def pinned_scale(self) -> int:
-        """The scale the standard battery uses: the verifier's default."""
-        return signature(self.verifier).parameters[self.scale].default
+        """The scale the standard battery uses: the verifier's default,
+        read from its code object (inspect would cost every process its
+        import time)."""
+        code = self.verifier.__code__
+        names = code.co_varnames[:code.co_argcount]
+        defaults = self.verifier.__defaults__
+        return defaults[names.index(self.scale) - len(names) + len(defaults)]
 
     def run(self, scale: int, inject_fault: bool) -> VerificationReport:
         faults = self.faults if inject_fault else {}
@@ -138,6 +140,11 @@ def _note(message: str, args) -> None:
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
+    # Imported here: most runs print JSON or text, and csv is start-up
+    # time every process would otherwise pay.
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -15,9 +15,9 @@ computation.  One chain of quotients per truncation serves every index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ._record import record
 from .errors import ConjectureShapeError, InvalidParameter, NotApplicable
 from .reports import VerificationReport, first_mismatch, run_check
 from .series import TruncatedSeries, make_polynomial, one
@@ -117,7 +117,7 @@ def milnor_sq2_quotient_series(k: Optional[int],
 
 # -- the epsilon bands -------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class EpsilonContext:
     """Band data for truncation height n: power is the exponent of the
     largest 2-power at most n-1, offset = n - 1 - 2^power measures how
@@ -227,7 +227,7 @@ def first_appearance(q: int) -> int:
 
 # -- Sq^2-annihilated monomial decompositions --------------------------------
 
-@dataclass(frozen=True)
+@record
 class SquareMonomial:
     """Decomposition of the j-th squared polynomial generator, j not a
     2-power, into generators b(m) of degree 2^(m+1): factors pairs each

@@ -14,15 +14,15 @@ nonnegative int, as on NegativeDimension) and 0 otherwise, and
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Tuple
 
+from ._record import record
 from .series import TruncatedSeries
 
 __all__ = ["VerificationReport", "run_check", "first_mismatch"]
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     """Outcome of one named check.
 

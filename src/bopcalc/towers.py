@@ -30,9 +30,9 @@ differ where their L's do, so failure degrees match the series ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ._record import record
 from .algebra import (
     GeneratorTable,
     parity_check,
@@ -98,7 +98,7 @@ _RANK_RULE_TAGS = ("BP", "BPbar", "BPn", "bu", "F", "X")
 _FIBER_TAGS = ("F", "X")
 
 
-@dataclass(frozen=True)
+@record
 class TowerResult:
     """One solved space: series always, generator table when one exists."""
 

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import subprocess
@@ -8,7 +9,7 @@ import jsonschema
 import pytest
 
 from bopcalc import towers as towers_mod
-from bopcalc.cli import CHECK_NAMES, main
+from bopcalc.cli import _REGISTRY, CHECK_NAMES, main
 from bopcalc.series import TruncatedSeries
 
 SERIES_SCHEMA = {
@@ -176,6 +177,13 @@ def test_every_check_injects_its_fault_or_refuses(name, capsys):
         assert status == 2 and out == ""
         assert f"check {name!r} has no fault to inject" in err
 
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_pinned_scale_is_the_verifiers_default(name):
+    spec = _REGISTRY[name]
+    want = inspect.signature(spec.verifier).parameters[spec.scale].default
+    assert spec.pinned_scale == want
 
 def test_verify_all_capped():
     proc = run_cli("verify", "all", "-N", "64", "--format", "json")

@@ -1,5 +1,7 @@
 import importlib
 import inspect
+import subprocess
+import sys
 
 import pytest
 
@@ -19,3 +21,15 @@ def test_module_all_is_the_one_export_list(name):
     assert defined <= set(module.__all__)
     for key in module.__all__:
         assert getattr(bopcalc, key) is getattr(module, key), key
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    # each bopcalc run is a short process, so start-up time is part of
+    # every check's cost; these modules alone cost more than most checks
+    probe = ("import sys; before = set(sys.modules); import bopcalc.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'csv'} "
+             "& (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -130,6 +130,35 @@ def test_fault_injection_is_caught():
     assert report.first_failure_degree == 8
 
 
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(splitting_mod, name)
+
+    def counted(s, truncation):
+        calls.append(s)
+        return real(s, truncation)
+
+    monkeypatch.setattr(splitting_mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("inject_fault", [False, True])
+@pytest.mark.parametrize("n", [0, 5, 6, 64, 512])
+def test_rhs_one_builds_one_layer_per_level(monkeypatch, n, inject_fault):
+    layers = _count_calls(monkeypatch, "layer_series")
+    verify_rhs_one(n, inject_fault=inject_fault)
+    levels = [s for s in range(2, 12) if 2 ** (s + 1) - 2 <= n]
+    assert layers == levels
+
+
+def test_head_induction_builds_each_head_and_layer_once(monkeypatch):
+    heads = _count_calls(monkeypatch, "head_series")
+    layers = _count_calls(monkeypatch, "layer_series")
+    verify_head_induction(2, 9, 128)
+    assert heads == list(range(2, 11))
+    assert layers == list(range(2, 10))
+
 def test_irreducibility_scale_cap():
     with pytest.raises(InvalidParameter):
         verify_irreducibility(22)
