@@ -36,8 +36,6 @@ names the same first failing degree as one of the series.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Tuple
-
 from ._record import record
 from .errors import (
     InvalidKind,

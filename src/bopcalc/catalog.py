@@ -32,7 +32,6 @@ are available (connective by default, periodic on request).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from ._record import field, record
 from .algebra import GeneratorTable

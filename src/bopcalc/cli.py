@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, List, Mapping, Optional, Sequence
 
 from . import conjecture as _conjecture
 from . import splitting as _splitting

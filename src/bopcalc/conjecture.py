@@ -15,8 +15,6 @@ computation.  One chain of quotients per truncation serves every index.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
-
 from ._record import record
 from .errors import ConjectureShapeError, InvalidParameter, NotApplicable
 from .reports import VerificationReport, first_mismatch, run_check

@@ -14,7 +14,6 @@ nonnegative int, as on NegativeDimension) and 0 otherwise, and
 from __future__ import annotations
 
 import time
-from typing import Callable, Mapping, Optional, Tuple
 
 from ._record import record
 from .series import TruncatedSeries

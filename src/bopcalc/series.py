@@ -31,6 +31,18 @@ counts off b degree by degree.  Either way a whole family costs one
 O(N^2) pass whose inner sums run in C, instead of one convolution per
 generator degree.
 
+Both passes first compress by the stride g, the gcd of the degrees where
+their input (b for _euler, P for _log_derivative) is nonzero.  When P is
+supported on multiples of g, P(x) = Q(x^g) and L_x(Q(x^g)) = g*L_y(Q)(x^g),
+so the pass runs on every g-th entry, a sequence g times shorter (g^2
+times less work), and spreads the result back out.  _euler compresses
+only when g divides every b_(gk): then its divisions are those of the
+compressed recurrence, and a remainder at compressed degree k is the
+remainder at degree g*k.  Even-indexed tower spaces have g = 2.  Each
+inner sum is one sum(map(mul, ...)) of a fixed tail of the input against
+a reversed copy of the output that grows by one entry per degree; map
+stops at the shorter operand, so no degree copies a slice.
+
 Division by a series with unit constant term is a single support-
 restricted recurrence; invert is division of 1.
 
@@ -50,8 +62,8 @@ m*(p_m - q_m).
 from __future__ import annotations
 
 import itertools
+from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from .errors import (
     InvalidParameter,
@@ -76,8 +88,6 @@ __all__ = [
 # Factor forms accepted by product_over.
 INVERSE_ONE_MINUS = "inverse_one_minus"
 ONE_PLUS = "one_plus"
-
-Factor = Tuple[int, int, str]
 
 
 class TruncatedSeries:
@@ -303,7 +313,8 @@ def geometric(degree: int, truncation: int) -> TruncatedSeries:
     return product_over([(degree, 1, INVERSE_ONE_MINUS)], truncation)
 
 
-def product_over(factors: Iterable[Factor], truncation: int) -> TruncatedSeries:
+def product_over(factors: Iterable[Tuple[int, int, str]],
+                 truncation: int) -> TruncatedSeries:
     """Product of factors (degree, count, form) truncated at N.
 
     Form is one of INVERSE_ONE_MINUS for 1/(1-x^d)^c or ONE_PLUS for
@@ -434,26 +445,50 @@ def _add_log_derivative(b, degree, count, sign):
             step = -step
 
 
+def _stride(seq):
+    """The gcd g of the degrees k >= 1 where seq is nonzero, or len(seq)
+    when there are none: seq[k] is 0 unless g divides k."""
+    return gcd(*itertools.compress(range(len(seq)), seq)) or len(seq)
+
+
+def _spread(seq, stride, length):
+    """seq placed at the multiples of stride in a list of zeros."""
+    out = [0] * length
+    out[::stride] = seq
+    return out
+
+
 def _euler(b):
     """Coefficients p with p_0 = 1 and log-derivative b (b_0 unused):
     n*p_n = sum_(k=1..n) b_k*p_(n-k).  Each division is exact when p is
     an integer series; one that is not raises InvalidParameter."""
-    p = [1] + [0] * (len(b) - 1)
-    for m in range(1, len(b)):
-        p[m], rest = divmod(sum(map(mul, b[1:m + 1], p[m - 1::-1])), m)
+    g = _stride(b)
+    if any(c % g for c in b[g::g]):
+        g = 1
+    c = [x // g for x in b[::g]]
+    c1, p, rev = c[1:], [1], [1]
+    for m in range(1, len(c)):
+        q, rest = divmod(sum(map(mul, c1, rev)), m)
         if rest:
             raise InvalidParameter(
-                f"not the log-derivative of an integer series at degree {m}")
-    return p
+                "not the log-derivative of an integer series at degree "
+                f"{m * g}")
+        p.append(q)
+        rev.insert(0, q)
+    return _spread(p, g, len(b))
 
 
 def _log_derivative(p):
     """Inverse of _euler: b_n = n*p_n - sum_(k=1..n-1) b_k*p_(n-k) for
     coefficients p with p_0 = 1; b_0 is left 0."""
-    b = [0] * len(p)
-    for m in range(1, len(p)):
-        b[m] = m * p[m] - sum(map(mul, b[1:m], p[m - 1:0:-1]))
-    return b
+    g = _stride(p)
+    c = p[::g]
+    c1, b, rev = c[1:], [0], []
+    for m in range(1, len(c)):
+        b_m = m * c[m] - sum(map(mul, c1, rev))
+        b.append(g * b_m)
+        rev.insert(0, b_m)
+    return _spread(b, g, len(p))
 
 
 def _peel(b, sign):

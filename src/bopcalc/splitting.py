@@ -20,7 +20,7 @@ every free summand exactly once.
 
 from __future__ import annotations
 
-from typing import Iterable
+from operator import add
 
 from ._record import record
 from .catalog import BO, BOP, bpn, homotopy_profile
@@ -200,7 +200,7 @@ def verify_rational_splitting(truncation: int = 256) -> VerificationReport:
     def body():
         bop = homotopy_profile(BOP, truncation)
         bo = homotopy_profile(BO, truncation)
-        rhs = bo.free_ranks
+        rhs = list(bo.free_ranks.coefficients)
         k = 2
         while 2 ** (k + 1) - 2 <= truncation:
             level = homotopy_profile(bpn(k), truncation).free_ranks
@@ -208,9 +208,10 @@ def verify_rational_splitting(truncation: int = 256) -> VerificationReport:
                 shift = 2 ** (k + 1) + 8 * u - 2
                 if shift > truncation:
                     break
-                rhs = rhs + level.shift(shift)
+                # map stops where rhs ends: level past N - shift drops off
+                rhs[shift:] = map(add, rhs[shift:], level.coefficients)
             k += 1
-        bad = first_mismatch(bop.free_ranks, rhs)
+        bad = first_mismatch(bop.free_ranks, TruncatedSeries(rhs, truncation))
         if bad is not None:
             return False, bad, {"side": "free"}
         for d in range(truncation + 1):

@@ -53,6 +53,21 @@ def naive_log_derivative(a: Dict[int, int], n: int) -> Dict[int, int]:
                      n)
 
 
+def naive_euler(b: Sequence[int]) -> Tuple[List[int], Optional[int]]:
+    """The series p with p_0 = 1 and x p'/p = b, from n*p_n =
+    sum_(k=1..n) b_k*p_(n-k) one degree at a time.  Returns (p, None),
+    or (p below d, d) at the first degree d whose division is inexact."""
+    p = [1]
+    for n in range(1, len(b)):
+        total = 0
+        for k in range(1, n + 1):
+            total += b[k] * p[n - k]
+        if total % n:
+            return p, n
+        p.append(total // n)
+    return p, None
+
+
 def table_series(degrees_counts: Dict[int, int], exterior: bool,
                  n: int) -> List[int]:
     """Poincare series through degree n of a free algebra with the given

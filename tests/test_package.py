@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import os
 import subprocess
 import sys
 
@@ -33,3 +34,17 @@ def test_cli_import_loads_no_heavy_stdlib_modules():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_typing_without_site():
+    # annotations stay unevaluated (from __future__ import annotations),
+    # so no module needs typing at run time; -S keeps site's own imports
+    # out of the count
+    src = os.path.dirname(os.path.dirname(bopcalc.__file__))
+    probe = ("import sys; before = set(sys.modules); import bopcalc.cli; "
+             "print('typing' in set(sys.modules) - before)")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

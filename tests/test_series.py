@@ -2,7 +2,7 @@ import doctest
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -367,3 +367,85 @@ def test_log_derivative_domain():
     with pytest.raises(InvalidParameter) as info:  # 2*p_2 = 1
         from_log_derivative(make_polynomial({2: 1}, 4))
     assert "degree 2" in str(info.value)
+
+
+# -- the Euler pair on strided input ------------------------------------
+#
+# Both passes run on every g-th entry when their input is supported on
+# multiples of g; these inputs exercise that path against the oracles.
+
+def _spread_dict(d, g):
+    return {k * g: c for k, c in d.items()}
+
+
+def _euler_outcome(coeffs):
+    """from_log_derivative's result as (coefficients, None) or
+    (None, error message)."""
+    try:
+        got = from_log_derivative(TruncatedSeries(coeffs, len(coeffs) - 1))
+    except InvalidParameter as exc:
+        return None, str(exc)
+    return list(got.coefficients), None
+
+
+def _naive_euler_outcome(coeffs):
+    p, bad = oracles.naive_euler(coeffs)
+    if bad is None:
+        return p, None
+    return None, f"not the log-derivative of an integer series at degree {bad}"
+
+
+@given(unit_dicts, st.integers(2, 6), st.integers(0, 40))
+def test_strided_log_derivative_matches_naive(a, g, n):
+    # P(x) = Q(x^g): only every g-th coefficient is nonzero
+    a = {d: c for d, c in _spread_dict(a, g).items() if c and d <= n}
+    series = make_polynomial(a, n)
+    log = log_derivative(series)
+    assert as_dict(log) == oracles.naive_log_derivative(a, n)
+    assert from_log_derivative(log) == series
+    assert _euler_outcome(list(log.coefficients)) == \
+        _naive_euler_outcome(list(log.coefficients))
+
+
+@given(st.dictionaries(st.integers(1, 8), st.integers(-20, 20), min_size=1),
+       st.integers(2, 6), st.integers(0, 40))
+def test_strided_euler_with_indivisible_entries_matches_naive(c, g, n):
+    # b on multiples of g, with some b_(gk) not divisible by g
+    b = [0] * (n + 1)
+    for k, v in _spread_dict(c, g).items():
+        if k <= n:
+            b[k] = v
+    first = min(c) * g
+    assume(first <= n)
+    if b[first] % g == 0:
+        b[first] += 1
+    assert _euler_outcome(b) == _naive_euler_outcome(b)
+
+
+@given(st.dictionaries(st.integers(1, 8), st.integers(-20, 20)),
+       st.integers(2, 6), st.integers(0, 40))
+def test_strided_euler_divisible_but_inexact_matches_naive(c, g, n):
+    # b = g * c(x^g): the compressed pass runs, and a remainder at
+    # compressed degree k must be reported at degree g*k
+    b = [0] * (n + 1)
+    for k, v in _spread_dict(c, g).items():
+        if k <= n:
+            b[k] = g * v
+    assert _euler_outcome(b) == _naive_euler_outcome(b)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+def test_strided_euler_names_the_uncompressed_degree(g):
+    # compressed c = y + 2*y^2 gives q_1 = 1, then 2*q_2 = c_1*q_1 + c_2 = 3
+    b = [0] * (4 * g + 1)
+    b[g], b[2 * g] = g, 2 * g
+    assert _euler_outcome(b) == (
+        None, f"not the log-derivative of an integer series at degree {2 * g}")
+    assert _euler_outcome(b) == _naive_euler_outcome(b)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_euler_pair_on_trivial_input(n):
+    assert from_log_derivative(make_polynomial({}, n)) == one(n)
+    assert log_derivative(one(n)) == make_polynomial({}, n)
+    assert _naive_euler_outcome([0] * (n + 1)) == ([1] + [0] * n, None)

@@ -8,7 +8,7 @@ import oracles
 from bopcalc import splitting as splitting_mod
 from bopcalc.catalog import BOP, BO, bpn, homotopy_profile
 from bopcalc.errors import InvalidParameter
-from bopcalc.series import one
+from bopcalc.series import TruncatedSeries, one
 from bopcalc.splitting import (
     SplittingIndex,
     head_series,
@@ -162,3 +162,37 @@ def test_head_induction_builds_each_head_and_layer_once(monkeypatch):
 def test_irreducibility_scale_cap():
     with pytest.raises(InvalidParameter):
         verify_irreducibility(22)
+
+
+@pytest.mark.parametrize("level, degree", [(2, 0), (2, 9), (3, 4), (3, 40),
+                                           (4, 0), (5, 30)])
+def test_rational_splitting_finds_a_planted_bpn_rank(monkeypatch, level,
+                                                     degree):
+    # one BPn level gains a free rank; the check must fail where a
+    # per-summand sum of shifted profiles first leaves BoP
+    n = 160
+    real = splitting_mod.homotopy_profile
+
+    def planted(spectrum, truncation):
+        profile = real(spectrum, truncation)
+        if spectrum != bpn(level):
+            return profile
+        ranks = list(profile.free_ranks.coefficients)
+        ranks[degree] += 1
+        return type(profile)(spectrum, TruncatedSeries(ranks, truncation),
+                             profile.torsion_z2)
+
+    monkeypatch.setattr(splitting_mod, "homotopy_profile", planted)
+    report = verify_rational_splitting(n)
+    want = list(real(BO, n).free_ranks.coefficients)
+    for k in range(2, 8):
+        level_ranks = planted(bpn(k), n).free_ranks.coefficients
+        for u in range(2 ** (k - 2)):
+            shift = 2 ** (k + 1) + 8 * u - 2
+            for d in range(shift, n + 1):
+                want[d] += level_ranks[d - shift]
+    bop = real(BOP, n).free_ranks.coefficients
+    bad = next(d for d in range(n + 1) if bop[d] != want[d])
+    assert not report.passed
+    assert report.first_failure_degree == bad
+    assert report.detail == {"side": "free"}

@@ -463,3 +463,78 @@ def test_bop_space_below_two_matches_naive_product(n):
         got = bop_space(i, n)
         assert list(got.series.coefficients) == \
             [want.get(d, 0) for d in range(n + 1)], i
+
+
+def test_bop_tower_check_runs_eleven_passes_each_way(monkeypatch):
+    # one Euler pass per returned series, one inverse pass per series
+    # read back by the reconstruction; the product cross-check reuses
+    # space 4's log-derivative
+    calls = {"_euler": 0, "_log_derivative": 0}
+    for name in calls:
+        def counted(seq, name=name, real=getattr(series_mod, name)):
+            calls[name] += 1
+            return real(seq)
+
+        monkeypatch.setattr(series_mod, name, counted)
+    assert verify_bop_tower(12, 64).passed
+    assert calls == {"_euler": 11, "_log_derivative": 11}
+
+
+@pytest.mark.parametrize("degree", [2, 4, 6, 8, 14, 20, 32])
+def test_bop_tower_product_crosscheck_finds_a_planted_bo_generator(
+        monkeypatch, degree):
+    # the product description of space 4 gains one generator; the
+    # solved tower does not see it, so only the cross-check can fail,
+    # at the first degree where the naive product leaves the tower
+    n = 32
+    real = towers_mod.bo_space_homology
+
+    def planted(index, truncation):
+        table = real(index, truncation)
+        if index != 4:
+            return table
+        counts = dict(table.counts)
+        counts[degree] = counts.get(degree, 0) + 1
+        return GeneratorTable(table.kind, counts, table.component_rank,
+                              truncation)
+
+    monkeypatch.setattr(towers_mod, "bo_space_homology", planted)
+    report = verify_bop_tower(12, n)
+    fiber = rank_rule_homology(SpaceRef(F, 4), n)
+    base = planted(4, n)
+    product = oracles.naive_mul(
+        _nonzero(oracles.table_series(fiber.counts,
+                                      fiber.kind == "exterior", n)),
+        _nonzero(oracles.table_series(base.counts,
+                                      base.kind == "exterior", n)), n)
+    space4 = _oracle_bop_tower(n, rank_rule_homology)[4][0]
+    want = next(d for d in range(n + 1) if product.get(d, 0) != space4[d])
+    assert not report.passed
+    assert report.first_failure_degree == want
+    assert report.detail == {"stage": "product_crosscheck", "index": 4}
+
+
+def test_rank_rule_bss_builds_no_series(monkeypatch):
+    # the check compares tables only
+    calls = []
+    monkeypatch.setattr(towers_mod, "poincare_series",
+                        lambda *tables: calls.append(tables))
+    assert verify_rank_rule_bss(-6, 6, 64).passed
+    assert calls == []
+
+
+def test_tower_result_reads_a_left_out_series_off_its_table():
+    t = GeneratorTable("polynomial", {2: 1, 4: 2}, truncation=12)
+    lazy = TowerResult(SpaceRef(BU, 0), None, t, "rank_rule")
+    assert lazy.series == poincare_series(t)
+    assert lazy.series is lazy.series
+    assert lazy == TowerResult(SpaceRef(BU, 0), poincare_series(t), t,
+                               "rank_rule")
+    assert lazy.to_json()["series"] == poincare_series(t).to_json()
+    with pytest.raises(AttributeError):
+        lazy.height
+    with pytest.raises(InvalidParameter):
+        TowerResult(SpaceRef(BU, 0), None, None, "rank_rule")
+    start = TowerResult(SpaceRef(BU, 0), None, t, "rank_rule")
+    for res in bss_iterate(start, 3, [0, 0, 0], assert_polynomial=True):
+        assert res.series == poincare_series(res.table)
