@@ -70,9 +70,6 @@ __all__ = [
 
 KINDS = ("polynomial", "exterior", "divided_power", "even_unresolved")
 
-# Kinds whose series uses the polynomial factor shape.
-_POLYNOMIAL_SHAPE = ("polynomial", "divided_power", "even_unresolved")
-
 
 class GeneratorTable:
     """Counts of free algebra generators per degree, up to a truncation.

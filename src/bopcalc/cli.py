@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import conjecture as _conjecture
@@ -34,7 +35,7 @@ from .catalog import (
     homotopy_profile,
     parse_spectrum,
 )
-from .algebra import GeneratorTable, poincare_series
+from .algebra import GeneratorTable
 from .errors import BopcalcError, InvalidParameter
 from .reports import VerificationReport
 from .series import TruncatedSeries
@@ -130,7 +131,12 @@ def _emit(text: str, args) -> None:
             raise InvalidParameter(
                 f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader left (`| head`): drop the rest of the output so
+            # the exit-time flush cannot fail, and keep the exit status
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _note(message: str, args) -> None:
@@ -181,13 +187,11 @@ def _cmd_homology(args) -> int:
     spectrum = parse_spectrum(args.spectrum)
     n = args.max_degree
     notes: List[str] = []
-    provenance = "catalog"
-    table: Optional[GeneratorTable] = None
-    series: Optional[TruncatedSeries] = None
 
     if args.periodic and spectrum.tag != "bo":
         raise InvalidParameter("--periodic only applies to bo")
 
+    space = SpaceRef(spectrum, args.index)
     if spectrum.tag == "bo":
         periodic = args.periodic
         if args.index >= 8 and not periodic:
@@ -196,49 +200,46 @@ def _cmd_homology(args) -> int:
                 f"space {args.index} of bo lies outside the connective "
                 "range; returning the periodic table")
         table = bo_space_homology(args.index, n, periodic=periodic)
+        res = _towers.TowerResult(space, None, table, "catalog")
     elif spectrum.tag == "bu":
-        table = bu_space_homology(args.index, n)
+        res = _towers.TowerResult(
+            space, None, bu_space_homology(args.index, n), "catalog")
     elif spectrum.tag == "BoP":
         res = _towers.bop_space(args.index, n)
-        provenance = res.provenance
-        table = res.table
-        series = res.series
-        if table is None:
+        if res.table is None:
             notes.append(
                 "generators of both parities; only the series is printed")
     else:
-        provenance = "rank_rule"
-        table = _towers.rank_rule_homology(SpaceRef(spectrum, args.index), n)
+        res = _towers.TowerResult(
+            space, None, _towers.rank_rule_homology(space, n), "rank_rule")
 
-    if series is None:
-        series = poincare_series(table)
     for message in notes:
         _note(message, args)
-
+    table = res.table
     if args.format == "json":
         doc = {
             "command": "homology",
             "spectrum": str(spectrum),
             "index": args.index,
             "max_degree": n,
-            "provenance": provenance,
+            "provenance": res.provenance,
             "table": table.to_json() if table is not None else None,
-            "series": series.to_json(),
+            "series": res.series.to_json(),
             "notes": notes,
         }
         _emit(json.dumps(doc, indent=2), args)
     elif args.format == "csv":
-        if table is not None:
-            _emit(_csv_text(("degree", "count"), table.csv_rows()), args)
-        else:
-            _emit(_csv_text(("degree", "coefficient"), series.csv_rows()),
-                  args)
+        label = "count" if table is not None else "coefficient"
+        rows = (table if table is not None else res.series).csv_rows()
+        _emit(_csv_text(("degree", label), rows), args)
     else:
-        head = [f"space: {spectrum}_{args.index}", f"provenance: {provenance}"]
+        head = [f"space: {spectrum}_{args.index}",
+                f"provenance: {res.provenance}"]
         if table is not None:
             body = _table_lines(table)
         else:
-            body = [f"max_degree: {n}"] + _series_lines(series, "coefficient")
+            body = [f"max_degree: {n}",
+                    *_series_lines(res.series, "coefficient")]
         _emit("\n".join(head + body), args)
     return 0
 

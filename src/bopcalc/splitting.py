@@ -201,16 +201,15 @@ def verify_rational_splitting(truncation: int = 256) -> VerificationReport:
         bop = homotopy_profile(BOP, truncation)
         bo = homotopy_profile(BO, truncation)
         rhs = list(bo.free_ranks.coefficients)
-        k = 2
-        while 2 ** (k + 1) - 2 <= truncation:
-            level = homotopy_profile(bpn(k), truncation).free_ranks
-            for u in range(2 ** (k - 2)):
-                shift = 2 ** (k + 1) + 8 * u - 2
-                if shift > truncation:
-                    break
-                # map stops where rhs ends: level past N - shift drops off
-                rhs[shift:] = map(add, rhs[shift:], level.coefficients)
-            k += 1
+        level = None
+        # connectivity is suspension + 6: the summands suspended to <= N
+        for idx in splitting_indices(truncation + 6):
+            if idx.level != level:  # indices come level by level
+                level = idx.level
+                ranks = homotopy_profile(bpn(level), truncation).free_ranks
+            shift = idx.suspension
+            # map stops where rhs ends: level past N - shift drops off
+            rhs[shift:] = map(add, rhs[shift:], ranks.coefficients)
         bad = first_mismatch(bop.free_ranks, TruncatedSeries(rhs, truncation))
         if bad is not None:
             return False, bad, {"side": "free"}

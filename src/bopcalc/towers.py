@@ -20,8 +20,8 @@ is the quotient of the matching BPbar space by the one two steps below.
 The tower is solved and checked in log-derivative space (L(P) = x P'/P,
 see series.py), where the quotient is a difference and a product is a
 sum.  The solver subtracts the sub's L from the middle's and peels the
-table off it; a series costs one Euler pass, run only when read.  A
-successful peel implies a nonnegative series (free on nonnegative
+table off it; a space's series is built from its table when first read.
+A successful peel implies a nonnegative series (free on nonnegative
 counts); when the peel raises NegativeDimension, the series is built
 and the error names its first negative degree, else the peel's.  The
 tower checks compare sums of L's: two series with constant term 1 first
@@ -221,9 +221,20 @@ def ses_quotient(middle: TruncatedSeries, sub: TruncatedSeries) -> TruncatedSeri
     return quotient
 
 
-def _solve_tower(i_max: int, truncation: int) -> Iterator[
-        Tuple[SpaceRef, GeneratorTable, str, TruncatedSeries]]:
-    """Rows (space, table, provenance, L) of BoP spaces 2..i_max."""
+def bop_tower(i_max: int, truncation: int) -> List[TowerResult]:
+    """Solve the BoP tower from space 2 through space i_max.
+
+    Spaces 2 and 3 are products of a rank-rule fiber space with the
+    matching bo space.  From there each space is the SES quotient of
+    the BPbar space two indices down by the BoP space two indices down:
+    its log-derivative is theirs subtracted and the generator counts are
+    peeled off it; each series is built from its table when first read.
+    A successful peel implies a nonnegative series; a failed one raises
+    NegativeDimension at the series' first negative degree, else the peel's.
+    """
+    if i_max < 2:
+        raise InvalidParameter("the solved BoP tower starts at space 2")
+    tower: List[TowerResult] = []
     logs: Dict[int, TruncatedSeries] = {}
     for i in range(2, i_max + 1):
         if i <= 3:
@@ -239,39 +250,21 @@ def _solve_tower(i_max: int, truncation: int) -> Iterator[
             except NegativeDimension as peel:
                 bad = from_log_derivative(log).check_nonnegative()
                 raise peel if bad is None else NegativeDimension(bad)
-        yield (SpaceRef(BOP, i), table,
-               "product" if i <= 3 else "ses_solved", log)
         logs[i] = log
-
-
-def bop_tower(i_max: int, truncation: int) -> List[TowerResult]:
-    """Solve the BoP tower from space 2 through space i_max.
-
-    Spaces 2 and 3 are products of a rank-rule fiber space with the
-    matching bo space.  From there each space is the SES quotient of
-    the BPbar space two indices down by the BoP space two indices down:
-    its log-derivative is theirs subtracted, the generator counts are
-    peeled off it and one Euler pass gives the series.  A successful
-    peel implies a nonnegative series; a failed one raises
-    NegativeDimension at the series' first negative degree, else the peel's.
-    """
-    if i_max < 2:
-        raise InvalidParameter("the solved BoP tower starts at space 2")
-    return [TowerResult(ref, from_log_derivative(log), table, provenance)
-            for ref, table, provenance, log in _solve_tower(i_max, truncation)]
+        tower.append(TowerResult(SpaceRef(BOP, i), None, table,
+                                 "product" if i <= 3 else "ses_solved"))
+    return tower
 
 
 def bop_space(index: int, truncation: int) -> TowerResult:
     """Homology of one BoP space, for any index up to the solved range.
 
     From space 2 up this is bop_tower(index, truncation)[-1], errors
-    included, with only its own series built.  Below, the fiber-times-bo
+    included, its series left to its table.  Below, the fiber-times-bo
     product has no table when the two factors' kinds differ.
     """
     if index >= 2:
-        for ref, table, provenance, log in _solve_tower(index, truncation):
-            pass
-        return TowerResult(ref, from_log_derivative(log), table, provenance)
+        return bop_tower(index, truncation)[-1]
     fiber = rank_rule_homology(SpaceRef(F, index), truncation)
     base = bo_space_homology(index, truncation)
     series = poincare_series(fiber, base)
@@ -354,8 +347,8 @@ def verify_bop_tower(i_max: int = 12, truncation: int = 60,
     The reconstruction compares L(BPbar_i), from its table, with the
     sum of the log-derivatives of the two series bop_tower returned,
     each recomputed from that series rather than taken from the solver.
-    The product cross-check compares the same L of space 4 with the
-    product's, built from its table.
+    The product cross-check compares L of the solved space 4 with the
+    product's, each built from its table.
     """
     params = {"i_max": i_max, "max_degree": truncation}
 
@@ -370,13 +363,9 @@ def verify_bop_tower(i_max: int = 12, truncation: int = 60,
             if not (rep.all_even if i % 2 == 0 else rep.all_odd):
                 return False, rep.offending[0], {"stage": "parity", "index": i}
         by_index = {res.space.index: res for res in tower}
-        kept = {}
 
         def space_log(j):
-            log = log_derivative(by_index[j].series)
-            if j == 4:  # read again by the product cross-check
-                kept[j] = log
-            return log
+            return log_derivative(by_index[j].series)
 
         for i, right in _pair_sums(range(2, i_max - 1), space_log):
             mid = poincare_log_derivative(
@@ -386,7 +375,8 @@ def verify_bop_tower(i_max: int = 12, truncation: int = 60,
                 return False, bad, {"stage": "reconstruction", "index": i}
         product4 = tensor(rank_rule_homology(SpaceRef(F, 4), truncation),
                           bo_space_homology(4, truncation))
-        bad = first_mismatch(kept[4], poincare_log_derivative(product4))
+        bad = first_mismatch(poincare_log_derivative(by_index[4].table),
+                             poincare_log_derivative(product4))
         if bad is not None:
             return False, bad, {"stage": "product_crosscheck", "index": 4}
         if truncation >= 2 and by_index[2].series.coefficient(2) != 1:

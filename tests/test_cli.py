@@ -2,12 +2,14 @@ import csv
 import inspect
 import io
 import json
+import os
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
+from bopcalc import series as series_mod
 from bopcalc import towers as towers_mod
 from bopcalc.cli import _REGISTRY, CHECK_NAMES, main
 from bopcalc.series import TruncatedSeries
@@ -101,6 +103,47 @@ def test_homology_series_only_space():
     doc = json.loads(proc.stdout)
     assert doc["table"] is None
     assert doc["notes"]
+
+
+@pytest.mark.parametrize("fmt, built", [
+    ("csv", []),
+    ("json", ["poincare_series", "_euler"]),
+])
+def test_homology_builds_a_series_only_to_print_it(monkeypatch, capsys,
+                                                   fmt, built):
+    # csv prints space 12's table as it is; json prints its series too,
+    # built once, from the table
+    calls = []
+    for module, name in ((series_mod, "_euler"),
+                         (towers_mod, "poincare_series")):
+        def counted(*args, name=name, real=getattr(module, name)):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert main(["homology", "BoP", "12", "-N", "64", "--format", fmt]) == 0
+    assert calls == built
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, status", [
+    (("homology", "BoP", "12", "-N", "400", "--format", "csv"), 0),
+    (("verify", "rhs-one", "-N", "64", "--inject-fault", "--format", "json"),
+     1),
+])
+def test_closed_stdout_keeps_the_exit_status(argv, status):
+    # the read end is closed before the child starts, so its first
+    # write to stdout fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bopcalc", *argv],
+                              stdout=write, stderr=subprocess.PIPE,
+                              text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == status
+    assert proc.stderr == ""
 
 
 def test_homology_domain_errors():

@@ -437,17 +437,35 @@ def test_bop_space_is_the_last_space_of_the_tower(n):
 
 
 def test_bop_space_runs_one_euler_pass(monkeypatch):
-    # the lower spaces stay log-derivatives: only space 12 is rebuilt
+    # nothing is built until the series is read; then only space 12's
+    # series is, from its table
     calls = []
-    real = series_mod._euler
+    real = towers_mod.poincare_series
 
-    def counted(b):
-        calls.append(len(b))
-        return real(b)
+    def counted(*tables):
+        calls.append(tables)
+        return real(*tables)
 
-    monkeypatch.setattr(series_mod, "_euler", counted)
-    bop_space(12, 64)
-    assert calls == [65]
+    monkeypatch.setattr(towers_mod, "poincare_series", counted)
+    res = bop_space(12, 64)
+    assert calls == []
+    assert res.series == real(res.table)
+    assert calls == [(res.table,)]
+
+
+def test_bop_tower_builds_no_series_until_one_is_read(monkeypatch):
+    calls = []
+    for module, name in ((series_mod, "_euler"),
+                         (towers_mod, "poincare_series")):
+        def counted(*args, name=name, real=getattr(module, name)):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    tower = bop_tower(12, 64)
+    assert len(tower) == 11 and calls == []
+    tower[-1].series
+    assert calls == ["poincare_series", "_euler"]
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 64])
