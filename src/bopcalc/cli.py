@@ -200,10 +200,10 @@ def _cmd_homology(args) -> int:
                 f"space {args.index} of bo lies outside the connective "
                 "range; returning the periodic table")
         table = bo_space_homology(args.index, n, periodic=periodic)
-        res = _towers.TowerResult(space, None, table, "catalog")
+        res = _towers.TowerResult(space, (table,), "catalog")
     elif spectrum.tag == "bu":
         res = _towers.TowerResult(
-            space, None, bu_space_homology(args.index, n), "catalog")
+            space, (bu_space_homology(args.index, n),), "catalog")
     elif spectrum.tag == "BoP":
         res = _towers.bop_space(args.index, n)
         if res.table is None:
@@ -211,7 +211,7 @@ def _cmd_homology(args) -> int:
                 "generators of both parities; only the series is printed")
     else:
         res = _towers.TowerResult(
-            space, None, _towers.rank_rule_homology(space, n), "rank_rule")
+            space, (_towers.rank_rule_homology(space, n),), "rank_rule")
 
     for message in notes:
         _note(message, args)

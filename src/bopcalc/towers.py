@@ -17,18 +17,20 @@ The BoP tower itself mixes all three: its bottom spaces are products of
 a catalogued bo space with a rank-rule fiber space, and each later space
 is the quotient of the matching BPbar space by the one two steps below.
 
-The tower is solved and checked in log-derivative space (L(P) = x P'/P,
-see series.py), where the quotient is a difference and a product is a
-sum.  The solver subtracts the sub's L from the middle's and peels the
-table off it; a space's series is built from its table when first read.
-A successful peel implies a nonnegative series (free on nonnegative
+A space is stored as the generator tables presenting its homology, and
+is solved and checked in log-derivative space (L(P) = x P'/P, see
+series.py), where the quotient is a difference and a product a sum.  The
+solver subtracts the sub's L from the middle's and peels the table off
+it.  A successful peel implies a nonnegative series (free on nonnegative
 counts); when the peel raises NegativeDimension, the series is built
 and the error names its first negative degree, else the peel's.  The
-tower checks compare sums of L's: two series with constant term 1 first
-differ where their L's do, so failure degrees match the series ones.
+checks compare L's built from the tables: two series with constant term
+1 first differ where their L's do, so failure degrees match the series'.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from ._record import record
 from .algebra import (
@@ -57,7 +59,6 @@ from .catalog import (
     homotopy_profile,
 )
 from .errors import (
-    InvalidKind,
     InvalidParameter,
     NegativeDimension,
     RankRuleInapplicable,
@@ -66,7 +67,6 @@ from .reports import VerificationReport, first_mismatch, run_check
 from .series import (
     TruncatedSeries,
     from_log_derivative,
-    log_derivative,
     make_polynomial,
 )
 
@@ -98,31 +98,27 @@ _FIBER_TAGS = ("F", "X")
 
 @record
 class TowerResult:
-    """One solved space: its series, and its generator table when one
-    exists.  Given series None and a table, the series is the table's
-    Poincare series, built when first read."""
+    """One solved space: its one generator table, or two factors of
+    different kinds (then `table` is None).  Its Poincare series is not
+    a field; it is built from the tables when first read."""
 
     space: SpaceRef
-    series: Optional[TruncatedSeries]
-    table: Optional[GeneratorTable]
+    tables: Tuple[GeneratorTable, ...]
     provenance: str
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
             raise InvalidParameter(f"unknown provenance {self.provenance!r}")
-        if self.series is None:
-            if self.table is None:
-                raise InvalidParameter(
-                    "a tower result needs a series or a table")
-            del self.__dict__["series"]
+        if not self.tables:
+            raise InvalidParameter("a tower result needs a table")
 
-    def __getattr__(self, name):
-        # called only for names missing from the instance: a series left
-        # to the table, until its first read stores it
-        if name != "series":
-            raise AttributeError(name)
-        series = self.__dict__["series"] = poincare_series(self.table)
-        return series
+    @property
+    def table(self) -> Optional[GeneratorTable]:
+        return self.tables[0] if len(self.tables) == 1 else None
+
+    @cached_property
+    def series(self) -> TruncatedSeries:
+        return poincare_series(*self.tables)
 
     def to_json(self) -> dict:
         return {
@@ -135,7 +131,7 @@ class TowerResult:
 
     def csv_rows(self) -> Iterator[Tuple[int, int, int]]:
         """Rows (space index, degree, generator count); falls back to
-        (space index, degree, coefficient) when no table exists."""
+        (space index, degree, coefficient) for two factors."""
         rows = (self.series if self.table is None else self.table).csv_rows()
         return ((self.space.index, d, c) for d, c in rows)
 
@@ -202,7 +198,7 @@ def bss_iterate(start: TowerResult, steps: int,
                 and parity_check(table).all_even):
             table = resolve_extensions(table, True)
         ref = SpaceRef(ref.spectrum, ref.index + 1)
-        results.append(TowerResult(ref, None, table, "bss_iteration"))
+        results.append(TowerResult(ref, (table,), "bss_iteration"))
     return results
 
 
@@ -228,7 +224,7 @@ def bop_tower(i_max: int, truncation: int) -> List[TowerResult]:
     matching bo space.  From there each space is the SES quotient of
     the BPbar space two indices down by the BoP space two indices down:
     its log-derivative is theirs subtracted and the generator counts are
-    peeled off it; each series is built from its table when first read.
+    peeled off it.  No series is built unless one is read.
     A successful peel implies a nonnegative series; a failed one raises
     NegativeDimension at the series' first negative degree, else the peel's.
     """
@@ -238,8 +234,7 @@ def bop_tower(i_max: int, truncation: int) -> List[TowerResult]:
     logs: Dict[int, TruncatedSeries] = {}
     for i in range(2, i_max + 1):
         if i <= 3:
-            table = tensor(rank_rule_homology(SpaceRef(F, i), truncation),
-                           bo_space_homology(i, truncation))
+            (table,) = _fiber_times_bo(i, truncation)
             log = poincare_log_derivative(table)
         else:
             mid = rank_rule_homology(SpaceRef(BPBAR, i - 2), truncation)
@@ -251,7 +246,7 @@ def bop_tower(i_max: int, truncation: int) -> List[TowerResult]:
                 bad = from_log_derivative(log).check_nonnegative()
                 raise peel if bad is None else NegativeDimension(bad)
         logs[i] = log
-        tower.append(TowerResult(SpaceRef(BOP, i), None, table,
+        tower.append(TowerResult(SpaceRef(BOP, i), (table,),
                                  "product" if i <= 3 else "ses_solved"))
     return tower
 
@@ -260,19 +255,23 @@ def bop_space(index: int, truncation: int) -> TowerResult:
     """Homology of one BoP space, for any index up to the solved range.
 
     From space 2 up this is bop_tower(index, truncation)[-1], errors
-    included, its series left to its table.  Below, the fiber-times-bo
-    product has no table when the two factors' kinds differ.
+    included.  Below, it is the fiber-times-bo product, presented by its
+    two factors when their kinds differ.
     """
     if index >= 2:
         return bop_tower(index, truncation)[-1]
+    return TowerResult(SpaceRef(BOP, index),
+                       _fiber_times_bo(index, truncation), "product")
+
+
+def _fiber_times_bo(index: int, truncation: int) -> tuple:
+    """Tables of F_index (x) bo_index: their tensor product when the
+    kinds agree, else the two factors."""
     fiber = rank_rule_homology(SpaceRef(F, index), truncation)
     base = bo_space_homology(index, truncation)
-    series = poincare_series(fiber, base)
-    try:
-        table = tensor(fiber, base)
-    except InvalidKind:
-        table = None
-    return TowerResult(SpaceRef(BOP, index), series, table, "product")
+    if fiber.kind != base.kind:
+        return fiber, base
+    return (tensor(fiber, base),)
 
 
 # -- verifiers ---------------------------------------------------------------
@@ -344,11 +343,11 @@ def verify_bop_tower(i_max: int = 12, truncation: int = 60,
     series, the solved space 4 agrees with its product description, and
     H_2 of space 2 is one-dimensional (probed only when N >= 2).
 
-    The reconstruction compares L(BPbar_i), from its table, with the
-    sum of the log-derivatives of the two series bop_tower returned,
-    each recomputed from that series rather than taken from the solver.
-    The product cross-check compares L of the solved space 4 with the
-    product's, each built from its table.
+    The reconstruction compares L(BPbar_i) with the sum of the L's of
+    the two tables bop_tower returned, each built afresh from the table
+    rather than taken from the solver.  The product cross-check compares
+    L of the solved space 4 with the product's.  Every L is built from a
+    table; only the Hurewicz probe builds a series.
     """
     params = {"i_max": i_max, "max_degree": truncation}
 
@@ -365,7 +364,7 @@ def verify_bop_tower(i_max: int = 12, truncation: int = 60,
         by_index = {res.space.index: res for res in tower}
 
         def space_log(j):
-            return log_derivative(by_index[j].series)
+            return poincare_log_derivative(by_index[j].table)
 
         for i, right in _pair_sums(range(2, i_max - 1), space_log):
             mid = poincare_log_derivative(
@@ -373,8 +372,7 @@ def verify_bop_tower(i_max: int = 12, truncation: int = 60,
             bad = first_mismatch(mid, right)
             if bad is not None:
                 return False, bad, {"stage": "reconstruction", "index": i}
-        product4 = tensor(rank_rule_homology(SpaceRef(F, 4), truncation),
-                          bo_space_homology(4, truncation))
+        (product4,) = _fiber_times_bo(4, truncation)
         bad = first_mismatch(poincare_log_derivative(by_index[4].table),
                              poincare_log_derivative(product4))
         if bad is not None:
@@ -411,8 +409,8 @@ def verify_rank_rule_bss(i_from: int = -6, i_to: int = 6,
             profile = homotopy_profile(spectrum, depth)
             start_table = rank_rule_homology(SpaceRef(spectrum, i_from),
                                              truncation)
-            start = TowerResult(SpaceRef(spectrum, i_from), None,
-                                start_table, "rank_rule")
+            start = TowerResult(SpaceRef(spectrum, i_from), (start_table,),
+                                "rank_rule")
             ranks = [profile.free_rank(-i)
                      for i in range(i_from + 1, i_to + 1)]
             walked = bss_iterate(start, i_to - i_from, ranks,
@@ -459,8 +457,8 @@ def verify_bo_deloopings(truncation: int = 64) -> VerificationReport:
                     return False, bad, {"step": f"{i}->{i + 1}",
                                         "mode": "exact", "field": field}
             else:
-                bad = first_mismatch(poincare_series(stepped),
-                                     poincare_series(target))
+                bad = first_mismatch(poincare_log_derivative(stepped),
+                                     poincare_log_derivative(target))
                 if bad is not None:
                     return False, bad, {"step": f"{i}->{i + 1}",
                                         "mode": "series"}

@@ -19,6 +19,7 @@ from bopcalc.towers import TowerResult
 
 SERIES = make_polynomial({0: 1, 2: 3}, 4)
 TABLE = GeneratorTable("polynomial", {2: 1}, truncation=4)
+ODD_TABLE = GeneratorTable("exterior", {3: 1}, truncation=4)
 
 # The parent dataclasses' fields in order, as (name,) or (name, Field).
 FIELDS = {
@@ -37,7 +38,7 @@ FIELDS = {
     EpsilonContext: [("n",), ("power",), ("offset",)],
     SquareMonomial: [("index",), ("factors",)],
     SplittingIndex: [("level",), ("offset",)],
-    TowerResult: [("space",), ("series",), ("table",), ("provenance",)],
+    TowerResult: [("space",), ("tables",), ("provenance",)],
 }
 
 # (args, kwargs) per class: valid calls in every form, then calls that
@@ -91,12 +92,13 @@ CALLS = {
         ((1, 0), {}), ((3, 2), {}), ((3, -1), {}), ((2,), {}),
     ],
     TowerResult: [
-        ((SpaceRef(BP, 2), SERIES, TABLE, "catalog"), {}),
-        ((SpaceRef(BP, 2), SERIES, None, "ses_solved"), {}),
-        ((), {"space": SpaceRef(BO, 1), "series": SERIES, "table": None,
+        ((SpaceRef(BP, 2), (TABLE,), "catalog"), {}),
+        ((SpaceRef(BP, 2), (TABLE, ODD_TABLE), "ses_solved"), {}),
+        ((), {"space": SpaceRef(BO, 1), "tables": (ODD_TABLE, TABLE),
               "provenance": "product"}),
-        ((SpaceRef(BP, 2), SERIES, None, "bogus"), {}),
-        ((SpaceRef(BP, 2), SERIES), {}),
+        ((SpaceRef(BP, 2), (TABLE,), "bogus"), {}),
+        ((SpaceRef(BP, 2), (), "catalog"), {}),
+        ((SpaceRef(BP, 2), (TABLE,)), {}),
     ],
 }
 

@@ -87,8 +87,7 @@ def test_bss_iterate_walks_bu():
     n = 16
     prof = homotopy_profile(BU, n)
     start_table = rank_rule_homology(SpaceRef(BU, 0), n)
-    start = TowerResult(SpaceRef(BU, 0), poincare_series(start_table),
-                        start_table, "rank_rule")
+    start = TowerResult(SpaceRef(BU, 0), (start_table,), "rank_rule")
     walked = bss_iterate(start, 3, [prof.free_rank(-1), prof.free_rank(-2),
                                     prof.free_rank(-3)],
                          assert_polynomial=True)
@@ -100,12 +99,13 @@ def test_bss_iterate_walks_bu():
 
 def test_bss_iterate_validation():
     t = GeneratorTable("polynomial", {2: 1}, truncation=8)
-    start = TowerResult(SpaceRef(BU, 0), poincare_series(t), t, "rank_rule")
+    start = TowerResult(SpaceRef(BU, 0), (t,), "rank_rule")
     with pytest.raises(InvalidParameter):
         bss_iterate(start, -1, [])
     with pytest.raises(InvalidParameter):
         bss_iterate(start, 2, [0])
-    bare = TowerResult(SpaceRef(BU, 0), poincare_series(t), None, "catalog")
+    odd = GeneratorTable("exterior", {3: 1}, truncation=8)
+    bare = TowerResult(SpaceRef(BU, 0), (t, odd), "product")
     with pytest.raises(InvalidParameter):
         bss_iterate(bare, 1, [0])
     # without the polynomial assertion the second step is blocked
@@ -116,7 +116,7 @@ def test_bss_iterate_validation():
 def test_tower_result_validation():
     t = GeneratorTable("polynomial", {2: 1}, truncation=8)
     with pytest.raises(InvalidParameter):
-        TowerResult(SpaceRef(BU, 0), poincare_series(t), t, "guesswork")
+        TowerResult(SpaceRef(BU, 0), (t,), "guesswork")
 
 
 def test_ses_quotient():
@@ -350,23 +350,23 @@ def test_negative_tower_fault_sweep_matches_oracle(n):
 
 
 @pytest.mark.parametrize("index", range(2, 13))
-def test_bop_tower_reconstruction_reads_the_returned_series(monkeypatch,
+def test_bop_tower_reconstruction_reads_the_returned_tables(monkeypatch,
                                                             index):
-    # one returned series is corrupted at degree 10 while every table,
-    # and so the solver's own log-derivative, stays right: the
-    # reconstruction must see it at the first pair holding that space
+    # one returned table gains a generator of its space's parity while
+    # the solver's own log-derivatives stay right: the reconstruction
+    # must see it, at that degree, at the first pair holding that space
     real = towers_mod.bop_tower
+    degree = 10 if index % 2 == 0 else 9
 
     def corrupted(i_max, truncation):
-        bump = make_polynomial({10: 1}, truncation)
-        return [TowerResult(r.space, r.series + bump, r.table, r.provenance)
+        return [TowerResult(r.space, (_plant(r.table, degree),), r.provenance)
                 if r.space.index == index else r
                 for r in real(i_max, truncation)]
 
     monkeypatch.setattr(towers_mod, "bop_tower", corrupted)
     report = verify_bop_tower(12, 32)
     assert not report.passed
-    assert report.first_failure_degree == 10
+    assert report.first_failure_degree == degree
     assert report.detail == {"stage": "reconstruction",
                              "index": index - 2 if index >= 4 else index}
 
@@ -386,6 +386,14 @@ def test_first_table_mismatch_names_the_field():
     ]
     for other, want in cases:
         assert towers_mod._first_table_mismatch(other, base) == want
+
+
+def _plant(table, degree):
+    """The table with one more generator in the given degree."""
+    counts = dict(table.counts)
+    counts[degree] = counts.get(degree, 0) + 1
+    return GeneratorTable(table.kind, counts, table.component_rank,
+                          table.truncation)
 
 
 def _bump_rank(table):
@@ -408,13 +416,13 @@ def test_rank_rule_bss_reports_the_differing_field(monkeypatch):
     real_iterate = towers_mod.bss_iterate
 
     def kind_changed(*args, **kwargs):
-        return [TowerResult(r.space, r.series,
-                            GeneratorTable("even_unresolved"
-                                           if r.table.kind == "polynomial"
-                                           else r.table.kind,
-                                           r.table.counts,
-                                           r.table.component_rank,
-                                           r.table.truncation),
+        return [TowerResult(r.space,
+                            (GeneratorTable("even_unresolved"
+                                            if r.table.kind == "polynomial"
+                                            else r.table.kind,
+                                            r.table.counts,
+                                            r.table.component_rank,
+                                            r.table.truncation),),
                             r.provenance)
                 for r in real_iterate(*args, **kwargs)]
 
@@ -483,19 +491,19 @@ def test_bop_space_below_two_matches_naive_product(n):
             [want.get(d, 0) for d in range(n + 1)], i
 
 
-def test_bop_tower_check_runs_eleven_passes_each_way(monkeypatch):
-    # one Euler pass per returned series, one inverse pass per series
-    # read back by the reconstruction; the product cross-check reuses
-    # space 4's log-derivative
-    calls = {"_euler": 0, "_log_derivative": 0}
-    for name in calls:
-        def counted(seq, name=name, real=getattr(series_mod, name)):
-            calls[name] += 1
-            return real(seq)
+def test_bop_tower_check_builds_only_the_hurewicz_series(monkeypatch):
+    # every log-derivative comes from a table; the one series built is
+    # space 2's, for the Hurewicz probe
+    calls = []
+    for module, name in ((series_mod, "_log_derivative"),
+                         (towers_mod, "poincare_series")):
+        def counted(*args, name=name, real=getattr(module, name)):
+            calls.append(name)
+            return real(*args)
 
-        monkeypatch.setattr(series_mod, name, counted)
+        monkeypatch.setattr(module, name, counted)
     assert verify_bop_tower(12, 64).passed
-    assert calls == {"_euler": 11, "_log_derivative": 11}
+    assert calls == ["poincare_series"]
 
 
 @pytest.mark.parametrize("degree", [2, 4, 6, 8, 14, 20, 32])
@@ -541,18 +549,64 @@ def test_rank_rule_bss_builds_no_series(monkeypatch):
     assert calls == []
 
 
-def test_tower_result_reads_a_left_out_series_off_its_table():
+def test_tower_result_reads_its_series_off_its_tables():
     t = GeneratorTable("polynomial", {2: 1, 4: 2}, truncation=12)
-    lazy = TowerResult(SpaceRef(BU, 0), None, t, "rank_rule")
+    odd = GeneratorTable("exterior", {3: 1, 5: 1}, truncation=12)
+    lazy = TowerResult(SpaceRef(BU, 0), (t,), "rank_rule")
+    assert lazy.table == t
     assert lazy.series == poincare_series(t)
     assert lazy.series is lazy.series
-    assert lazy == TowerResult(SpaceRef(BU, 0), poincare_series(t), t,
-                               "rank_rule")
+    assert lazy == TowerResult(SpaceRef(BU, 0), (t,), "rank_rule")
     assert lazy.to_json()["series"] == poincare_series(t).to_json()
+    pair = TowerResult(SpaceRef(BOP, 1), (t, odd), "product")
+    assert pair.table is None
+    assert pair.series == poincare_series(t, odd)
+    assert pair.to_json()["table"] is None
     with pytest.raises(AttributeError):
         lazy.height
     with pytest.raises(InvalidParameter):
-        TowerResult(SpaceRef(BU, 0), None, None, "rank_rule")
-    start = TowerResult(SpaceRef(BU, 0), None, t, "rank_rule")
-    for res in bss_iterate(start, 3, [0, 0, 0], assert_polynomial=True):
+        TowerResult(SpaceRef(BU, 0), (), "rank_rule")
+    for res in bss_iterate(lazy, 3, [0, 0, 0], assert_polynomial=True):
         assert res.series == poincare_series(res.table)
+
+
+def test_tower_result_repr_eq_and_hash_build_no_series(monkeypatch):
+    calls = []
+    monkeypatch.setattr(towers_mod, "poincare_series",
+                        lambda *tables: calls.append(tables))
+    t = GeneratorTable("polynomial", {2: 1, 4: 2}, truncation=12)
+    res, twin = (TowerResult(SpaceRef(BU, 0), (t,), "rank_rule")
+                 for _ in range(2))
+    assert "tables=" in repr(res) and "series" not in repr(res)
+    assert res == twin
+    with pytest.raises(TypeError):
+        hash(res)  # a GeneratorTable is unhashable
+    assert calls == []
+
+
+@pytest.mark.parametrize("degree", [3, 5, 8, 13, 20])
+@pytest.mark.parametrize("target", [1, 2, 4, 6])
+def test_bo_deloopings_series_mode_finds_a_planted_generator(monkeypatch,
+                                                             target, degree):
+    # a series-mode step compares L's; a generator planted in its target
+    # shows at its degree, before any later step reads that table
+    real = towers_mod.bo_space_homology
+
+    def planted(index, truncation):
+        table = real(index, truncation)
+        return _plant(table, degree) if index == target else table
+
+    monkeypatch.setattr(towers_mod, "bo_space_homology", planted)
+    report = verify_bo_deloopings(32)
+    assert not report.passed
+    assert report.first_failure_degree == degree
+    assert report.detail == {"step": f"{target - 1}->{target}",
+                             "mode": "series"}
+
+
+def test_bo_deloopings_builds_no_series(monkeypatch):
+    calls = []
+    monkeypatch.setattr(towers_mod, "poincare_series",
+                        lambda *tables: calls.append(tables))
+    assert verify_bo_deloopings(64).passed
+    assert calls == []
