@@ -235,11 +235,8 @@ def _difference_profile(spectrum, total, sub, truncation) -> HomotopyProfile:
     return HomotopyProfile(spectrum, free)
 
 
-def _catalogued_spectra():
-    return (BP, BPBAR, bpn(1), bpn(2), bpn(3), bpn(4), BU, BO, BOP, F, X)
-
-
-CATALOGUED_SPECTRA = _catalogued_spectra()
+CATALOGUED_SPECTRA = (BP, BPBAR, bpn(1), bpn(2), bpn(3), bpn(4),
+                      BU, BO, BOP, F, X)
 
 
 # -- classical space homology tables -----------------------------------------
@@ -319,9 +316,10 @@ def bo_space_homology(index: int, truncation: int,
 def bu_space_homology(index: int, truncation: int) -> GeneratorTable:
     """Mod-2 homology of space `index` in the bu tower.
 
-    Indices 0, 1, 2 are the classical tables for Z x BU, U and BU.  All
-    other indices follow from those by the rank rule, which for bu says a
-    generator sits in each degree d with d - index even and nonnegative.
+    One formula covers every index: the rank rule for bu puts a
+    generator in each degree d >= 1 with d - index even and nonnegative,
+    and a component when index <= 0 is even.  At indices 0, 1 and 2 it
+    gives the classical tables of Z x BU, U and BU.
 
     >>> bu_space_homology(1, 7).counts
     {1: 1, 3: 1, 5: 1, 7: 1}
@@ -329,12 +327,6 @@ def bu_space_homology(index: int, truncation: int) -> GeneratorTable:
     1
     """
     n = truncation
-    if index == 0:
-        return GeneratorTable("polynomial", _degrees(2, 2, n), 1, n)
-    if index == 1:
-        return GeneratorTable("exterior", _degrees(1, 2, n), 0, n)
-    if index == 2:
-        return GeneratorTable("polynomial", _degrees(2, 2, n), 0, n)
     kind = "polynomial" if index % 2 == 0 else "exterior"
     counts = {d: 1 for d in range(1, n + 1) if (d - index) % 2 == 0
               and d - index >= 0}

@@ -47,65 +47,50 @@ __all__ = ["build_parser", "main", "CHECK_NAMES"]
 
 @record
 class _CheckSpec:
-    """One named check: `verifier` is called with its size knob `scale`
+    """One named check.  `verifier` takes one size argument, its scale
     (a degree bound for most, a level or index bound for the
-    combinatorial ones) and, under --inject-fault, with `faults`; a
+    combinatorial ones), and under --inject-fault also `faults`; a
     check without faults cannot be made to fail on purpose.  A check
     with a `scale_cap` runs at most at that scale, whatever -N asks for."""
 
     name: str
     verifier: Callable[..., VerificationReport]
-    scale: str
     faults: Optional[Mapping[str, object]] = None
     scale_cap: Optional[int] = None
 
     @property
     def pinned_scale(self) -> int:
-        """The scale the standard battery uses: the verifier's default,
-        read from its code object (inspect would cost every process its
-        import time)."""
-        code = self.verifier.__code__
-        names = code.co_varnames[:code.co_argcount]
-        defaults = self.verifier.__defaults__
-        return defaults[names.index(self.scale) - len(names) + len(defaults)]
+        """The scale the standard battery uses: the verifier's default."""
+        return self.verifier.__defaults__[0]
 
     def run(self, scale: int, inject_fault: bool) -> VerificationReport:
         faults = self.faults if inject_fault else {}
-        return self.verifier(**{self.scale: scale}, **faults)
+        return self.verifier(scale, **faults)
 
 
 _REGISTRY = {spec.name: spec for spec in (
-    _CheckSpec("rhs-one", _splitting.verify_rhs_one, "truncation",
-               {"inject_fault": True}),
+    _CheckSpec("rhs-one", _splitting.verify_rhs_one, {"inject_fault": True}),
     _CheckSpec("head-induction", _splitting.verify_head_induction,
-               "truncation", {"inject_fault": True}),
-    _CheckSpec("rational-splitting", _splitting.verify_rational_splitting,
-               "truncation"),
-    _CheckSpec("bo-deloopings", _towers.verify_bo_deloopings, "truncation"),
-    _CheckSpec("bu-bo-factorization", _towers.verify_bu_bo_factorization,
-               "truncation"),
-    _CheckSpec("negative-tower", _towers.verify_negative_tower, "truncation",
+               {"inject_fault": True}),
+    _CheckSpec("rational-splitting", _splitting.verify_rational_splitting),
+    _CheckSpec("bo-deloopings", _towers.verify_bo_deloopings),
+    _CheckSpec("bu-bo-factorization", _towers.verify_bu_bo_factorization),
+    _CheckSpec("negative-tower", _towers.verify_negative_tower,
                {"corrupt_f_degree": 7}),
-    _CheckSpec("bop-tower", _towers.verify_bop_tower, "truncation"),
-    _CheckSpec("rank-rule-bss", _towers.verify_rank_rule_bss, "truncation"),
-    _CheckSpec("irreducibility", _splitting.verify_irreducibility, "k_max"),
-    _CheckSpec("index-bijection", _splitting.verify_index_bijection,
-               "bound"),
-    _CheckSpec("bpn-rank-recursion", _splitting.verify_bpn_rank_recursion,
-               "truncation"),
-    _CheckSpec("bop6-splitting", _splitting.verify_bop6_homotopy_splitting,
-               "truncation"),
-    _CheckSpec("epsilon-partition", _conjecture.verify_epsilon_partition,
-               "n_max"),
+    _CheckSpec("bop-tower", _towers.verify_bop_tower),
+    _CheckSpec("rank-rule-bss", _towers.verify_rank_rule_bss),
+    _CheckSpec("irreducibility", _splitting.verify_irreducibility),
+    _CheckSpec("index-bijection", _splitting.verify_index_bijection),
+    _CheckSpec("bpn-rank-recursion", _splitting.verify_bpn_rank_recursion),
+    _CheckSpec("bop6-splitting", _splitting.verify_bop6_homotopy_splitting),
+    _CheckSpec("epsilon-partition", _conjecture.verify_epsilon_partition),
     # The stable-limit identity itself stops holding past degree 64
     # (height 16 first breaks at degree 127), so -N is capped there.
     _CheckSpec("conjecture-limit", _conjecture.verify_stable_limit,
-               "limit_degree", scale_cap=64),
-    _CheckSpec("first-appearance", _conjecture.verify_first_appearance,
-               "q_max"),
-    _CheckSpec("squares", _conjecture.verify_square_decompositions, "bound"),
-    _CheckSpec("conjecture-shape", _conjecture.verify_conjecture_shape,
-               "truncation"),
+               scale_cap=64),
+    _CheckSpec("first-appearance", _conjecture.verify_first_appearance),
+    _CheckSpec("squares", _conjecture.verify_square_decompositions),
+    _CheckSpec("conjecture-shape", _conjecture.verify_conjecture_shape),
 )}
 CHECK_NAMES = tuple(_REGISTRY)
 _FAULT_CHECKS = tuple(name for name, spec in _REGISTRY.items()

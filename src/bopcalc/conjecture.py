@@ -29,12 +29,10 @@ __all__ = [
     "epsilon",
     "summand_suspensions",
     "conjectured_bopn_cohomology",
-    "conjectured_coarse_companion",
     "bop_cohomology_series",
     "first_appearance",
     "SquareMonomial",
     "square_monomial",
-    "square_degree_check",
     "verify_epsilon_partition",
     "verify_stable_limit",
     "verify_first_appearance",
@@ -196,12 +194,6 @@ def _conjectured(n: int, truncation: int,
     return acc
 
 
-def conjectured_coarse_companion(n: int, truncation: int) -> TruncatedSeries:
-    """Same indexed sum built from the singly-quotiented series; equals
-    the conjectured answer times (1 + x^2) term by term."""
-    return conjectured_bopn_cohomology(n, truncation).times_binomial(2, 1, 1)
-
-
 def bop_cohomology_series(truncation: int) -> TruncatedSeries:
     """Graded dimensions of the cohomology of BoP itself: the stable
     quotient suspended by each multiple of 8, i.e. over (1 - x^8)."""
@@ -265,13 +257,6 @@ def square_monomial(j: int) -> SquareMonomial:
     return SquareMonomial(index=j, factors=factors)
 
 
-def square_degree_check(j: int) -> bool:
-    """The decomposition's total degree must be twice the source degree
-    (squaring doubles degree)."""
-    mono = square_monomial(j)
-    return mono.total_degree == 2 * mono.source_degree
-
-
 # -- verifiers ---------------------------------------------------------------
 
 def verify_epsilon_partition(n_max: int = 64) -> VerificationReport:
@@ -309,10 +294,10 @@ def verify_epsilon_partition(n_max: int = 64) -> VerificationReport:
     return run_check("epsilon-partition", params, body)
 
 
-def verify_stable_limit(heights: Tuple[int, ...] = (16, 20, 24, 33, 48, 64),
-                        limit_degree: int = 64) -> VerificationReport:
-    """For heights >= 16 the conjectured series agrees with the
-    cohomology of BoP through the limit degree."""
+def verify_stable_limit(limit_degree: int = 64) -> VerificationReport:
+    """At heights 16, 20, 24, 33, 48 and 64 the conjectured series
+    agrees with the cohomology of BoP through the limit degree."""
+    heights = (16, 20, 24, 33, 48, 64)
     params = {"heights": list(heights), "max_degree": limit_degree}
 
     def body():
@@ -372,10 +357,10 @@ def verify_square_decompositions(bound: int = 4096) -> VerificationReport:
     return run_check("squares", params, body)
 
 
-def verify_conjecture_shape(n_max: int = 16,
-                            truncation: int = 128) -> VerificationReport:
+def verify_conjecture_shape(truncation: int = 128) -> VerificationReport:
     """Every summand suspension is nonnegative and the conjectured
-    series has nonnegative coefficients for each height in range."""
+    series has nonnegative coefficients for each height 3..16."""
+    n_max = 16
     params = {"n_max": n_max, "max_degree": truncation}
 
     def body():

@@ -124,13 +124,6 @@ class TruncatedSeries:
                 return d
         return None
 
-    def truncate(self, truncation: int) -> "TruncatedSeries":
-        """Forget coefficients above a smaller truncation degree."""
-        if truncation > self.truncation:
-            raise TruncationError(
-                f"cannot extend truncation {self.truncation} to {truncation}")
-        return _from_ints(self.coefficients[: truncation + 1], truncation)
-
     # -- ring operations --------------------------------------------------
 
     def _match(self, other: "TruncatedSeries") -> None:

@@ -144,12 +144,10 @@ def _fault(series: TruncatedSeries, inject_fault: bool) -> TruncatedSeries:
 
 # -- verifiers ---------------------------------------------------------------
 
-def verify_head_induction(s_min: int = 2, s_max: int = 9,
-                          truncation: int = 512,
+def verify_head_induction(truncation: int = 512,
                           inject_fault: bool = False) -> VerificationReport:
-    """head(s+1) = head(s) + layer(s) for each level in the sweep."""
-    if s_min < 2 or s_max < s_min:
-        raise InvalidParameter("need 2 <= s_min <= s_max")
+    """head(s+1) = head(s) + layer(s) for each level s = 2..9."""
+    s_min, s_max = 2, 9
     params = {"s_min": s_min, "s_max": s_max, "max_degree": truncation}
     if inject_fault:
         params["inject_fault"] = "layer missing its (1+x^2) factor"
@@ -192,30 +190,40 @@ def verify_rhs_one(truncation: int = 512,
     return run_check("rhs-one", params, body)
 
 
+def _splitting_mismatch(truncation: int) -> Optional[Tuple[int, str]]:
+    """(degree, side) of the first failure of the rational splitting
+    through the truncation: the free side first, then the torsion side;
+    None when both sides agree."""
+    bop = homotopy_profile(BOP, truncation)
+    bo = homotopy_profile(BO, truncation)
+    rhs = list(bo.free_ranks.coefficients)
+    level = None
+    # connectivity is suspension + 6: the summands suspended to <= N
+    for idx in splitting_indices(truncation + 6):
+        if idx.level != level:  # indices come level by level
+            level = idx.level
+            ranks = homotopy_profile(bpn(level), truncation).free_ranks
+        shift = idx.suspension
+        # map stops where rhs ends: level past N - shift drops off
+        rhs[shift:] = map(add, rhs[shift:], ranks.coefficients)
+    bad = first_mismatch(bop.free_ranks, TruncatedSeries(rhs, truncation))
+    if bad is not None:
+        return bad, "free"
+    for d in range(truncation + 1):
+        if bop.torsion(d) != bo.torsion(d):
+            return d, "torsion"
+    return None
+
+
 def verify_rational_splitting(truncation: int = 256) -> VerificationReport:
     """Free ranks of BoP match bo plus the suspended BPn(k) regiment,
     and the torsion patterns agree outright."""
     params = {"max_degree": truncation}
 
     def body():
-        bop = homotopy_profile(BOP, truncation)
-        bo = homotopy_profile(BO, truncation)
-        rhs = list(bo.free_ranks.coefficients)
-        level = None
-        # connectivity is suspension + 6: the summands suspended to <= N
-        for idx in splitting_indices(truncation + 6):
-            if idx.level != level:  # indices come level by level
-                level = idx.level
-                ranks = homotopy_profile(bpn(level), truncation).free_ranks
-            shift = idx.suspension
-            # map stops where rhs ends: level past N - shift drops off
-            rhs[shift:] = map(add, rhs[shift:], ranks.coefficients)
-        bad = first_mismatch(bop.free_ranks, TruncatedSeries(rhs, truncation))
+        bad = _splitting_mismatch(truncation)
         if bad is not None:
-            return False, bad, {"side": "free"}
-        for d in range(truncation + 1):
-            if bop.torsion(d) != bo.torsion(d):
-                return False, d, {"side": "torsion"}
+            return False, bad[0], {"side": bad[1]}
         return True, None, None
 
     return run_check("rational-splitting", params, body)
@@ -271,10 +279,11 @@ def verify_index_bijection(bound: int = 8192) -> VerificationReport:
     return run_check("index-bijection", params, body)
 
 
-def verify_bpn_rank_recursion(j_min: int = 2, j_max: int = 6,
-                              truncation: int = 128) -> VerificationReport:
-    """rank BPn(j)_m = rank BPn(j-1)_m + rank BPn(j)_(m - (2^(j+1)-2)):
-    a monomial either avoids the top generator or divides by it once."""
+def verify_bpn_rank_recursion(truncation: int = 128) -> VerificationReport:
+    """rank BPn(j)_m = rank BPn(j-1)_m + rank BPn(j)_(m - (2^(j+1)-2))
+    for levels j = 2..6: a monomial either avoids the top generator or
+    divides by it once."""
+    j_min, j_max = 2, 6
     params = {"j_min": j_min, "j_max": j_max, "max_degree": truncation}
 
     def body():
@@ -293,31 +302,22 @@ def verify_bpn_rank_recursion(j_min: int = 2, j_max: int = 6,
 
 def verify_bop6_homotopy_splitting(truncation: int = 256) -> VerificationReport:
     """Homotopy of the sixth BoP space splits as the sixth bo space plus
-    the bottom space of each summand at its connectivity."""
+    the bottom space of each summand at its connectivity.
+
+    pi_d(BoP_6) = pi_(d-6)(BoP) and likewise for bo, so once every
+    connectivity is checked to be its summand's suspension + 6, the
+    comparison in degrees <= N is the rational splitting's through
+    N - 6, reported 6 degrees up.  Below degree 6 both sides vanish."""
     params = {"max_degree": truncation}
 
     def body():
-        bop = homotopy_profile(BOP, truncation)
-        bo = homotopy_profile(BO, truncation)
-        levels = {}
-        summands = list(splitting_indices(truncation))
-        for idx in summands:
-            if idx.level not in levels:
-                levels[idx.level] = homotopy_profile(bpn(idx.level),
-                                                     truncation)
+        for idx in splitting_indices(truncation):
             if idx.connectivity != idx.suspension + 6:
                 return False, idx.connectivity, {"stage": "index-shift"}
-        for d in range(truncation + 1):
-            lhs = bop.free_rank(d - 6)
-            rhs = bo.free_rank(d - 6)
-            for idx in summands:
-                m = d - idx.connectivity
-                if m >= 0:
-                    rhs += levels[idx.level].free_rank(m)
-            if lhs != rhs:
-                return False, d, {"side": "free"}
-            if bop.torsion(d - 6) != bo.torsion(d - 6):
-                return False, d, {"side": "torsion"}
+        if truncation >= 6:
+            bad = _splitting_mismatch(truncation - 6)
+            if bad is not None:
+                return False, bad[0] + 6, {"side": bad[1]}
         return True, None, None
 
     return run_check("bop6-splitting", params, body)

@@ -120,21 +120,6 @@ class TowerResult:
     def series(self) -> TruncatedSeries:
         return poincare_series(*self.tables)
 
-    def to_json(self) -> dict:
-        return {
-            "spectrum": str(self.space.spectrum),
-            "index": self.space.index,
-            "provenance": self.provenance,
-            "series": self.series.to_json(),
-            "table": self.table.to_json() if self.table else None,
-        }
-
-    def csv_rows(self) -> Iterator[Tuple[int, int, int]]:
-        """Rows (space index, degree, generator count); falls back to
-        (space index, degree, coefficient) for two factors."""
-        rows = (self.series if self.table is None else self.table).csv_rows()
-        return ((self.space.index, d, c) for d, c in rows)
-
 
 def _rank_rule_table(spectrum: SpectrumId, index: int, truncation: int,
                      profile: HomotopyProfile) -> GeneratorTable:
@@ -292,21 +277,18 @@ def _pair_sums(indices: Sequence[int],
         yield i, logs.pop(i) + logs[i + 2]
 
 
-def verify_negative_tower(i_from: int = -8, i_to: int = 5,
-                          truncation: int = 64,
+def verify_negative_tower(truncation: int = 64,
                           corrupt_f_degree: Optional[int] = None,
                           ) -> VerificationReport:
-    """series(X_i) = series(F_i) * series(F_(i+2)) across an index sweep.
+    """series(X_i) = series(F_i) * series(F_(i+2)) for i = -8..5.
 
     The fibration behind it splits in homotopy, so the identity is exact
     at every degree.  It is checked as L(X_i) = L(F_i) + L(F_(i+2)) on
     log-derivatives built from the tables.  corrupt_f_degree plants an
     extra free rank in the F profile to demonstrate the check has teeth.
     """
-    if i_to + 2 > 8:
-        raise InvalidParameter("the fiber tower is only labeled through index 8")
-    if i_from > i_to:
-        raise InvalidParameter("empty index range")
+    # i_to + 2 = 7 stays within the fiber tower's labels, which end at 8
+    i_from, i_to = -8, 5
     params = {"from": i_from, "to": i_to, "max_degree": truncation}
     if corrupt_f_degree is not None:
         params["corrupt_f_degree"] = corrupt_f_degree
@@ -334,9 +316,8 @@ def verify_negative_tower(i_from: int = -8, i_to: int = 5,
     return run_check("negative-tower", params, body)
 
 
-def verify_bop_tower(i_max: int = 12, truncation: int = 60,
-                     ) -> VerificationReport:
-    """Structural checks on the solved BoP tower.
+def verify_bop_tower(truncation: int = 60) -> VerificationReport:
+    """Structural checks on the solved BoP tower, spaces 2 through 12.
 
     Counts stay nonnegative, generator parity follows the space index,
     multiplying the series of spaces i and i+2 reconstructs the BPbar
@@ -349,6 +330,7 @@ def verify_bop_tower(i_max: int = 12, truncation: int = 60,
     L of the solved space 4 with the product's.  Every L is built from a
     table; only the Hurewicz probe builds a series.
     """
+    i_max = 12
     params = {"i_max": i_max, "max_degree": truncation}
 
     def body():
@@ -397,10 +379,10 @@ def _first_table_mismatch(got: GeneratorTable,
                    if getattr(got, field) != getattr(want, field))
 
 
-def verify_rank_rule_bss(i_from: int = -6, i_to: int = 6,
-                         truncation: int = 40) -> VerificationReport:
-    """The two solvers agree: bar iteration from the bottom of an index
-    window reproduces the rank rule at every index, for BP and bu."""
+def verify_rank_rule_bss(truncation: int = 40) -> VerificationReport:
+    """The two solvers agree: bar iteration from index -6 up to 6
+    reproduces the rank rule at every index, for BP and bu."""
+    i_from, i_to = -6, 6
     params = {"from": i_from, "to": i_to, "max_degree": truncation}
 
     def body():

@@ -99,7 +99,7 @@ def test_criterion_01_master_identity():
 
 def test_criterion_02_level_induction():
     def body():
-        assert verify_head_induction(2, 9, 512).passed
+        assert verify_head_induction(512).passed
         for s in range(2, 10):
             lhs = tail_series(s, 512)
             rhs = layer_series(s, 512) + tail_series(s + 1, 512)
@@ -142,7 +142,7 @@ def test_criterion_05_bu_bo_factorization():
 
 def test_criterion_06_negative_tower():
     def body():
-        assert verify_negative_tower(-8, 5, 64).passed
+        assert verify_negative_tower(64).passed
 
     _criterion(6, "fiber tower product identity for indices -8..5 to "
                   "degree 64", body)
@@ -172,7 +172,7 @@ def test_criterion_07_bop_tower():
 
 def test_criterion_08_rank_rule_equals_iteration():
     def body():
-        report = verify_rank_rule_bss(-6, 6, 40)
+        report = verify_rank_rule_bss(40)
         assert report.passed
 
     _criterion(8, "rank rule equals iterated delooping for both "
@@ -183,7 +183,7 @@ def test_criterion_09_irreducibility_and_indexing():
     def body():
         assert verify_irreducibility(12).passed
         assert verify_index_bijection(8192).passed
-        assert verify_bpn_rank_recursion(2, 6, 128).passed
+        assert verify_bpn_rank_recursion(128).passed
 
     _criterion(9, "window inequalities for levels up to 12, index "
                   "bijection to 8192, rank recursion to degree 128", body)
@@ -200,8 +200,7 @@ def test_criterion_10_homotopy_splitting():
 def test_criterion_11_conjecture_suite():
     def body():
         assert verify_epsilon_partition(64).passed
-        assert verify_stable_limit(heights=(16, 20, 24, 33, 48, 64),
-                                   limit_degree=64).passed
+        assert verify_stable_limit(64).passed
         limit = bop_cohomology_series(64)
         two_cell = make_polynomial({0: 1, 2: 1}, 64)
         assert limit * two_cell == homotopy_profile(BPBAR, 64).free_ranks

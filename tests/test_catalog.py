@@ -206,6 +206,15 @@ def test_bu_space_tables():
     assert bu_space_homology(-1, 6).counts == {1: 1, 3: 1, 5: 1}
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 64])
+def test_bu_tables_are_the_rank_rule(n):
+    # the classical tables of Z x BU, U and BU are the rank rule's too
+    from bopcalc.towers import rank_rule_homology
+    for i in range(-12, 13):
+        assert bu_space_homology(i, n) == \
+            rank_rule_homology(SpaceRef(BU, i), n), i
+
+
 def test_space_ref():
     ref = SpaceRef(BOP, 4)
     assert ref.spectrum == BOP and ref.index == 4

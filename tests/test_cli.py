@@ -224,9 +224,11 @@ def test_every_check_injects_its_fault_or_refuses(name, capsys):
 
 @pytest.mark.parametrize("name", CHECK_NAMES)
 def test_pinned_scale_is_the_verifiers_default(name):
+    # one size argument, the scale, then the fault keywords if any
     spec = _REGISTRY[name]
-    want = inspect.signature(spec.verifier).parameters[spec.scale].default
-    assert spec.pinned_scale == want
+    scale, *rest = inspect.signature(spec.verifier).parameters.values()
+    assert [p.name for p in rest] == list(spec.faults or {})
+    assert spec.pinned_scale == scale.default
 
 def test_verify_all_capped():
     proc = run_cli("verify", "all", "-N", "64", "--format", "json")

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -48,3 +49,21 @@ def test_cli_import_loads_no_typing_without_site():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_tracer_spans_name_live_functions():
+    # the benchmark's tracer wraps each span's function by name, so a
+    # deleted or renamed entry point breaks every traced run
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "tracer.py")
+    spec = importlib.util.spec_from_file_location("_bopcalc_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for _, module_name, attr, _ in tracer.SPANS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []

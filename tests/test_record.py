@@ -32,7 +32,7 @@ FIELDS = {
                          ("first_failure_degree", field(default=None)),
                          ("elapsed_ms", field(default=0.0)),
                          ("detail", field(default=None))],
-    _CheckSpec: [("name",), ("verifier",), ("scale",),
+    _CheckSpec: [("name",), ("verifier",),
                  ("faults", field(default=None)),
                  ("scale_cap", field(default=None))],
     EpsilonContext: [("n",), ("power",), ("offset",)],
@@ -72,12 +72,12 @@ CALLS = {
         (("x", {}, True, 3), {}), (("x", {}, False), {}), (("x",), {}),
     ],
     _CheckSpec: [
-        (("rhs-one", verify_rhs_one, "truncation"), {}),
-        (("rhs-one", verify_rhs_one, "truncation", {"inject_fault": True}),
-         {}),
-        (("rhs-one", verify_rhs_one), {"scale": "truncation",
-                                       "scale_cap": 64}),
+        (("rhs-one", verify_rhs_one), {}),
+        (("rhs-one", verify_rhs_one, {"inject_fault": True}), {}),
+        (("rhs-one", verify_rhs_one), {"scale_cap": 64}),
+        (("rhs-one", verify_rhs_one, None, 64), {}),
         (("rhs-one",), {}),
+        (("rhs-one", verify_rhs_one), {"scale": "truncation"}),
     ],
     EpsilonContext: [
         ((5, 2, 0), {}), ((), {"n": 9, "power": 3, "offset": 0}),

@@ -120,16 +120,6 @@ def test_invert_requires_unit():
         make_polynomial({1: 1}, 4).invert()
 
 
-@given(coeff_dicts, st.integers(0, 12))
-def test_truncate_consistent(a, n):
-    s = from_dict(a)
-    t = s.truncate(n)
-    assert t.truncation == n
-    assert t.coefficients == s.coefficients[: n + 1]
-    with pytest.raises(TruncationError):
-        t.truncate(13)
-
-
 def test_check_nonnegative():
     assert one(4).check_nonnegative() is None
     assert make_polynomial({3: -1}, 4).check_nonnegative() == 3

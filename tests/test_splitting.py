@@ -113,11 +113,11 @@ def test_rational_splitting_spot_check():
 
 def test_verifiers_pass_at_reference_scales():
     assert verify_rhs_one(128).passed
-    assert verify_head_induction(2, 5, 128).passed
+    assert verify_head_induction(128).passed
     assert verify_rational_splitting(96).passed
     assert verify_irreducibility(8).passed
     assert verify_index_bijection(1024).passed
-    assert verify_bpn_rank_recursion(2, 4, 64).passed
+    assert verify_bpn_rank_recursion(64).passed
     assert verify_bop6_homotopy_splitting(96).passed
 
 
@@ -125,7 +125,7 @@ def test_fault_injection_is_caught():
     report = verify_rhs_one(64, inject_fault=True)
     assert not report.passed
     assert report.first_failure_degree == 8
-    report = verify_head_induction(2, 4, 64, inject_fault=True)
+    report = verify_head_induction(64, inject_fault=True)
     assert not report.passed
     assert report.first_failure_degree == 8
 
@@ -155,7 +155,7 @@ def test_rhs_one_builds_one_layer_per_level(monkeypatch, n, inject_fault):
 def test_head_induction_builds_each_head_and_layer_once(monkeypatch):
     heads = _count_calls(monkeypatch, "head_series")
     layers = _count_calls(monkeypatch, "layer_series")
-    verify_head_induction(2, 9, 128)
+    verify_head_induction(128)
     assert heads == list(range(2, 11))
     assert layers == list(range(2, 10))
 
@@ -164,13 +164,12 @@ def test_irreducibility_scale_cap():
         verify_irreducibility(22)
 
 
-@pytest.mark.parametrize("level, degree", [(2, 0), (2, 9), (3, 4), (3, 40),
-                                           (4, 0), (5, 30)])
-def test_rational_splitting_finds_a_planted_bpn_rank(monkeypatch, level,
-                                                     degree):
-    # one BPn level gains a free rank; the check must fail where a
-    # per-summand sum of shifted profiles first leaves BoP
-    n = 160
+PLANTED_BPN_RANKS = [(2, 0), (2, 9), (3, 4), (3, 40), (4, 0), (5, 30)]
+
+
+def _plant_bpn_rank(monkeypatch, level, degree):
+    """Give BPn(level) one more free rank in `degree` wherever the
+    splitting module reads a profile; returns the planted reader."""
     real = splitting_mod.homotopy_profile
 
     def planted(spectrum, truncation):
@@ -183,6 +182,17 @@ def test_rational_splitting_finds_a_planted_bpn_rank(monkeypatch, level,
                              profile.torsion_z2)
 
     monkeypatch.setattr(splitting_mod, "homotopy_profile", planted)
+    return planted
+
+
+@pytest.mark.parametrize("level, degree", PLANTED_BPN_RANKS)
+def test_rational_splitting_finds_a_planted_bpn_rank(monkeypatch, level,
+                                                     degree):
+    # one BPn level gains a free rank; the check must fail where a
+    # per-summand sum of shifted profiles first leaves BoP
+    n = 160
+    real = splitting_mod.homotopy_profile
+    planted = _plant_bpn_rank(monkeypatch, level, degree)
     report = verify_rational_splitting(n)
     want = list(real(BO, n).free_ranks.coefficients)
     for k in range(2, 8):
@@ -195,4 +205,16 @@ def test_rational_splitting_finds_a_planted_bpn_rank(monkeypatch, level,
     bad = next(d for d in range(n + 1) if bop[d] != want[d])
     assert not report.passed
     assert report.first_failure_degree == bad
+    assert report.detail == {"side": "free"}
+
+
+@pytest.mark.parametrize("level, degree", PLANTED_BPN_RANKS)
+def test_bop6_splitting_finds_a_planted_bpn_rank(monkeypatch, level, degree):
+    # pi_d(BoP_6) = pi_(d-6)(BoP): the sixth space fails six degrees
+    # above where the rational splitting fails six degrees lower
+    _plant_bpn_rank(monkeypatch, level, degree)
+    want = verify_rational_splitting(154)
+    report = verify_bop6_homotopy_splitting(160)
+    assert not want.passed and not report.passed
+    assert report.first_failure_degree == want.first_failure_degree + 6
     assert report.detail == {"side": "free"}
