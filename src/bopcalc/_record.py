@@ -4,8 +4,7 @@
 a frozen value class, as ``@dataclass(frozen=True)`` would:
 
 * ``__init__`` takes the fields positionally or by keyword, with the
-  class-level values as defaults (``field(default_factory=f)`` gives
-  each instance a fresh ``f()``), and then calls ``__post_init__`` when
+  class-level values as defaults, and then calls ``__post_init__`` when
   the class defines one;
 * two records are equal when they have the same class and equal field
   values, and hash as the tuple of their field values;
@@ -23,20 +22,6 @@ names.
 
 from operator import attrgetter
 
-_MISSING = object()
-
-
-class _Factory:
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-
-def field(*, default_factory):
-    """A field default built afresh for each instance by default_factory()."""
-    return _Factory(default_factory)
-
 
 def _frozen_setattr(self, name, value):
     raise AttributeError(f"cannot assign to field {name!r}")
@@ -46,18 +31,13 @@ def _frozen_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _compile_init(cls, names, defaults, factories):
+def _compile_init(cls, names, defaults):
     body = ["    __d = self.__dict__"]
-    for name in names:
-        value = (f"__make_{name}() if {name} is __missing else {name}"
-                 if name in factories else name)
-        body.append(f"    __d[{name!r}] = {value}")
+    body += [f"    __d[{name!r}] = {name}" for name in names]
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
     source = f"def __init__(self, {', '.join(names)}):\n" + "\n".join(body)
-    namespace = {"__missing": _MISSING}
-    namespace.update((f"__make_{name}", make)
-                     for name, make in factories.items())
+    namespace = {}
     exec(source, namespace)
     init = namespace["__init__"]
     init.__defaults__ = tuple(defaults) or None
@@ -69,19 +49,13 @@ def _compile_init(cls, names, defaults, factories):
 def record(cls):
     """Make cls a frozen value class over its annotated fields."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    defaults, factories = [], {}
+    defaults = []
     for name in names:
-        if name not in cls.__dict__:
-            if defaults:
-                raise TypeError(
-                    f"non-default field {name!r} follows a default field")
-            continue
-        value = cls.__dict__[name]
-        if isinstance(value, _Factory):
-            factories[name] = value.make
-            delattr(cls, name)
-            value = _MISSING
-        defaults.append(value)
+        if name in cls.__dict__:
+            defaults.append(cls.__dict__[name])
+        elif defaults:
+            raise TypeError(
+                f"non-default field {name!r} follows a default field")
 
     get = attrgetter(*names)
     values = get if len(names) > 1 else lambda self: (get(self),)
@@ -99,7 +73,7 @@ def record(cls):
                           for name, value in zip(names, values(self)))
         return f"{self.__class__.__qualname__}({pairs})"
 
-    cls.__init__ = _compile_init(cls, names, defaults, factories)
+    cls.__init__ = _compile_init(cls, names, defaults)
     cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
     cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
     cls.__match_args__ = names

@@ -22,7 +22,8 @@ generators give exterior tables one degree up, exterior tables on odd
 generators give divided-power tables one degree up, and the spectral
 sequence collapses, so counts carry over verbatim.  Whether a
 divided-power answer is actually polynomial is a genuine extension
-question; resolve_extensions records the caller's explicit choice.
+question; resolve_extensions commits a table to polynomial once the
+caller has settled it.
 
 A table also has a direct route to and from the log-derivative L(P) =
 x P'/P of its Poincare series P (series.log_derivative):
@@ -36,7 +37,6 @@ names the same first failing degree as one of the series.
 
 from __future__ import annotations
 
-from ._record import record
 from .errors import (
     InvalidKind,
     InvalidParameter,
@@ -57,7 +57,6 @@ from .series import (
 __all__ = [
     "KINDS",
     "GeneratorTable",
-    "ParityReport",
     "poincare_series",
     "poincare_log_derivative",
     "tor_suspend",
@@ -65,7 +64,7 @@ __all__ = [
     "extract_generators",
     "table_from_log_derivative",
     "tensor",
-    "parity_check",
+    "off_parity",
 ]
 
 KINDS = ("polynomial", "exterior", "divided_power", "even_unresolved")
@@ -146,15 +145,6 @@ class GeneratorTable:
         return iter(sorted(self.counts.items()))
 
 
-@record
-class ParityReport:
-    """Outcome of a generator-degree parity scan."""
-
-    all_even: bool
-    all_odd: bool
-    offending: Tuple[int, ...]
-
-
 def poincare_series(*tables: GeneratorTable) -> TruncatedSeries:
     """Poincare series of the free algebra the tables present, tensored.
 
@@ -210,18 +200,17 @@ def tor_suspend(table: GeneratorTable, next_component_rank: int = 0) -> Generato
     return GeneratorTable(kind, counts, next_component_rank, table.truncation)
 
 
-def resolve_extensions(table: GeneratorTable, assert_polynomial: bool) -> GeneratorTable:
-    """Commit a divided-power table to polynomial, or mark it unresolved.
+def resolve_extensions(table: GeneratorTable) -> GeneratorTable:
+    """Commit a divided-power table to polynomial.
 
-    The series is unchanged either way; only the multiplicative structure
-    label moves.  Callers assert polynomial when an independent argument
-    (a catalogued space, an evenness constraint) backs it.
+    The series is unchanged; only the multiplicative structure label
+    moves.  Call it when an independent argument (a catalogued space, an
+    evenness constraint) backs the polynomial answer.
     """
     if table.kind != "divided_power":
         raise InvalidKind(
             f"only divided_power tables can be resolved, got {table.kind!r}")
-    kind = "polynomial" if assert_polynomial else "even_unresolved"
-    return GeneratorTable(kind, table.counts, table.component_rank,
+    return GeneratorTable("polynomial", table.counts, table.component_rank,
                           table.truncation)
 
 
@@ -277,14 +266,11 @@ def tensor(left: GeneratorTable, right: GeneratorTable) -> GeneratorTable:
                           left.truncation)
 
 
-def parity_check(table: GeneratorTable) -> ParityReport:
-    """Do all generators sit in even degrees, or all in odd degrees?
+def off_parity(table: GeneratorTable, parity: int) -> Optional[int]:
+    """The lowest generator degree d with d % 2 != parity, or None.
 
-    On a mixed table every generator degree is reported as offending,
-    since neither parity claim survives.
+    >>> off_parity(GeneratorTable("polynomial", {2: 1, 3: 1, 5: 1},
+    ...                           truncation=6), 0)
+    3
     """
-    degrees = sorted(table.counts)
-    all_even = all(d % 2 == 0 for d in degrees)
-    all_odd = all(d % 2 == 1 for d in degrees)
-    offending = () if (all_even or all_odd) else tuple(degrees)
-    return ParityReport(all_even, all_odd, offending)
+    return min((d for d in table.counts if d % 2 != parity), default=None)

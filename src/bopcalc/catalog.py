@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 
-from ._record import field, record
+from ._record import record
 from .algebra import GeneratorTable
 from .errors import InvalidParameter, NegativeDimension, TruncationError
 from .series import (
@@ -128,7 +128,7 @@ class HomotopyProfile:
 
     spectrum: SpectrumId
     free_ranks: TruncatedSeries
-    torsion_z2: Mapping[int, int] = field(default_factory=dict)
+    torsion_z2: Mapping[int, int]
 
     @property
     def truncation(self) -> int:
@@ -195,17 +195,17 @@ def homotopy_profile(spectrum: SpectrumId, truncation: int) -> HomotopyProfile:
     if tag == "BP":
         free = product_over(
             ((d, 1, INVERSE_ONE_MINUS) for d in _vn_degrees()), truncation)
-        return HomotopyProfile(spectrum, free)
+        return HomotopyProfile(spectrum, free, {})
     if tag == "BPbar":
-        bp = homotopy_profile(BP, truncation)
-        return HomotopyProfile(spectrum, bp.free_ranks.times_binomial(8, -1, -1))
+        bp = homotopy_profile(BP, truncation).free_ranks
+        return HomotopyProfile(spectrum, bp.times_binomial(8, -1, -1), {})
     if tag == "BPn":
         degrees = [2 * (2 ** n - 1) for n in range(1, spectrum.level + 1)]
         free = product_over(
             ((d, 1, INVERSE_ONE_MINUS) for d in degrees), truncation)
-        return HomotopyProfile(spectrum, free)
+        return HomotopyProfile(spectrum, free, {})
     if tag == "bu":
-        return HomotopyProfile(spectrum, geometric(2, truncation))
+        return HomotopyProfile(spectrum, geometric(2, truncation), {})
     if tag == "bo":
         free = make_polynomial(
             {d: 1 for d in range(0, truncation + 1, 4)}, truncation)
@@ -232,7 +232,7 @@ def _difference_profile(spectrum, total, sub, truncation) -> HomotopyProfile:
     bad = free.check_nonnegative()
     if bad is not None:
         raise NegativeDimension(bad, f"profile of {spectrum} broken at {bad}")
-    return HomotopyProfile(spectrum, free)
+    return HomotopyProfile(spectrum, free, {})
 
 
 CATALOGUED_SPECTRA = (BP, BPBAR, bpn(1), bpn(2), bpn(3), bpn(4),

@@ -24,8 +24,6 @@ __all__ = [
     "steenrod_series",
     "milnor_quotient_series",
     "milnor_sq2_quotient_series",
-    "EpsilonContext",
-    "epsilon_context",
     "epsilon",
     "summand_suspensions",
     "conjectured_bopn_cohomology",
@@ -113,36 +111,24 @@ def milnor_sq2_quotient_series(k: Optional[int],
 
 # -- the epsilon bands -------------------------------------------------------
 
-@record
-class EpsilonContext:
-    """Band data for truncation height n: power is the exponent of the
-    largest 2-power at most n-1, offset = n - 1 - 2^power measures how
-    far n-1 sits past it.  Offsets bound the two epsilon=1 bands."""
-
-    n: int
-    power: int
-    offset: int
-
-
 def _band_data(n: int) -> Tuple[int, int]:
+    """Band data (power, offset) for truncation height n: power is the
+    exponent of the largest 2-power at most n-1, offset = n - 1 - 2^power
+    measures how far n-1 sits past it.  Offsets bound the two epsilon=1
+    bands."""
     power = (n - 1).bit_length() - 1
     return power, n - 1 - 2 ** power
 
 
-def epsilon_context(n: int) -> EpsilonContext:
-    if n <= 2:
-        raise InvalidParameter(f"truncation height {n} must exceed 2")
-    power, offset = _band_data(n)
-    return EpsilonContext(n=n, power=power, offset=offset)
-
-
-def epsilon(ctx: EpsilonContext, s: int) -> int:
+def epsilon(n: int, s: int) -> int:
     """1 on the lower band (s <= offset) and the upper band
     (s >= n - offset), 0 on the middle band between them."""
-    if not 1 <= s <= ctx.n - 1:
-        raise InvalidParameter(
-            f"summand index {s} outside 1..{ctx.n - 1}")
-    if s <= ctx.offset or s >= ctx.n - ctx.offset:
+    if n <= 2:
+        raise InvalidParameter(f"truncation height {n} must exceed 2")
+    if not 1 <= s <= n - 1:
+        raise InvalidParameter(f"summand index {s} outside 1..{n - 1}")
+    _, offset = _band_data(n)
+    if s <= offset or s >= n - offset:
         return 1
     return 0
 
@@ -267,29 +253,28 @@ def verify_epsilon_partition(n_max: int = 64) -> VerificationReport:
 
     def body():
         for n in range(3, n_max + 1):
-            ctx = epsilon_context(n)
+            _, offset = _band_data(n)
             lower = middle = upper = 0
             for s in range(1, n):
-                in_lower = s <= ctx.offset
-                in_upper = s >= n - ctx.offset
-                in_middle = ctx.offset < s < n - ctx.offset
+                in_lower = s <= offset
+                in_upper = s >= n - offset
+                in_middle = offset < s < n - offset
                 if in_lower + in_middle + in_upper != 1:
-                    return False, s, {"height": n, "stage": "overlap"}
+                    return s, {"height": n, "stage": "overlap"}
                 lower += in_lower
                 middle += in_middle
                 upper += in_upper
                 want = 1 if (in_lower or in_upper) else 0
-                if epsilon(ctx, s) != want:
-                    return False, s, {"height": n, "stage": "value"}
+                if epsilon(n, s) != want:
+                    return s, {"height": n, "stage": "value"}
             if lower + middle + upper != n - 1:
-                return False, n, {"height": n, "stage": "count"}
+                return n, {"height": n, "stage": "count"}
             for s in (0, n):
                 try:
-                    epsilon(ctx, s)
+                    epsilon(n, s)
                 except InvalidParameter:
                     continue
-                return False, s, {"height": n, "stage": "range"}
-        return True, None, None
+                return s, {"height": n, "stage": "range"}
 
     return run_check("epsilon-partition", params, body)
 
@@ -306,8 +291,7 @@ def verify_stable_limit(limit_degree: int = 64) -> VerificationReport:
             got = conjectured_bopn_cohomology(n, limit_degree)
             bad = first_mismatch(got, target)
             if bad is not None:
-                return False, bad, {"height": n}
-        return True, None, None
+                return bad, {"height": n}
 
     return run_check("conjecture-limit", params, body)
 
@@ -327,9 +311,8 @@ def verify_first_appearance(q_max: int = 64) -> VerificationReport:
                     seen.setdefault(q, n)
         for q in range(1, q_max + 1):
             if seen.get(q) != first_appearance(q):
-                return False, q, {"scanned": seen.get(q),
-                                  "formula": first_appearance(q)}
-        return True, None, None
+                return q, {"scanned": seen.get(q),
+                           "formula": first_appearance(q)}
 
     return run_check("first-appearance", params, body)
 
@@ -346,13 +329,12 @@ def verify_square_decompositions(bound: int = 4096) -> VerificationReport:
                     square_monomial(j)
                 except NotApplicable:
                     continue
-                return False, j, {"stage": "indecomposable"}
+                return j, {"stage": "indecomposable"}
             mono = square_monomial(j)
             if mono.total_degree != 2 * mono.source_degree:
-                return False, j, {"stage": "degree"}
+                return j, {"stage": "degree"}
             if any(m < 0 or count <= 0 for m, count in mono.factors):
-                return False, j, {"stage": "factors"}
-        return True, None, None
+                return j, {"stage": "factors"}
 
     return run_check("squares", params, body)
 
@@ -369,10 +351,9 @@ def verify_conjecture_shape(truncation: int = 128) -> VerificationReport:
             try:
                 series = _conjectured(n, truncation, chain)
             except ConjectureShapeError as exc:
-                return False, n, {"height": n, "error": str(exc)}
+                return n, {"height": n, "error": str(exc)}
             bad = series.check_nonnegative()
             if bad is not None:
-                return False, bad, {"height": n}
-        return True, None, None
+                return bad, {"height": n}
 
     return run_check("conjecture-shape", params, body)

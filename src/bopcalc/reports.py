@@ -4,11 +4,14 @@ Every verifier returns a VerificationReport rather than a bare bool, so
 the CLI and the test suite can both show what was checked, with which
 parameters, and where the first discrepancy sits when something breaks.
 
-A check body that raises still yields a report, so one misbehaving
-check cannot cost ``verify all`` the others.  The report fails; its
-locator is the exception's ``degree`` when it carries one (a
-nonnegative int, as on NegativeDimension) and 0 otherwise, and
-``detail.error`` holds ``"<ExceptionClass>: <message>"``.
+A check body returns None when its check passes, and otherwise the
+pair (first_failure_degree, detail): the failure is the result, and
+the report passes exactly when there is none.  A body that raises
+still yields a report, so one misbehaving check cannot cost ``verify
+all`` the others.  The report fails; its locator is the exception's
+``degree`` when it carries one (a nonnegative int, as on
+NegativeDimension) and 0 otherwise, and ``detail.error`` holds
+``"<ExceptionClass>: <message>"``.
 """
 
 from __future__ import annotations
@@ -64,24 +67,23 @@ class VerificationReport:
 
 
 def run_check(check: str, parameters: Mapping,
-              body: Callable[[], Tuple[bool, Optional[int], Optional[Mapping]]],
+              body: Callable[[], Optional[Tuple[int, Optional[Mapping]]]],
               ) -> VerificationReport:
-    """Time a check body returning (passed, first_failure_degree, detail).
+    """Time a check body returning None or (first_failure_degree, detail).
 
     An exception from the body becomes a failing report, located by the
     rule in the module docstring.
     """
     start = time.perf_counter()
     try:
-        passed, failure_degree, detail = body()
+        failure = body()
     except Exception as exc:
         degree = getattr(exc, "degree", None)
-        passed = False
-        failure_degree = (degree if isinstance(degree, int) and degree >= 0
-                          else 0)
-        detail = {"error": f"{type(exc).__name__}: {exc}"}
+        failure = (degree if isinstance(degree, int) and degree >= 0 else 0,
+                   {"error": f"{type(exc).__name__}: {exc}"})
     elapsed = (time.perf_counter() - start) * 1000.0
-    return VerificationReport(check, dict(parameters), passed,
+    failure_degree, detail = failure or (None, None)
+    return VerificationReport(check, dict(parameters), failure is None,
                               failure_degree, elapsed, detail)
 
 

@@ -159,9 +159,8 @@ def verify_head_induction(truncation: int = 512,
             rhs = head + _fault(layer_series(s, truncation), inject_fault)
             bad = first_mismatch(lhs, rhs)
             if bad is not None:
-                return False, bad, {"level": s}
+                return bad, {"level": s}
             head = lhs
-        return True, None, None
 
     return run_check("head-induction", params, body)
 
@@ -184,8 +183,7 @@ def verify_rhs_one(truncation: int = 512,
             tail_series(2, truncation), inject_fault)
         bad = first_mismatch(total, one(truncation))
         if bad is not None:
-            return False, bad, {"stage": "master"}
-        return True, None, None
+            return bad, {"stage": "master"}
 
     return run_check("rhs-one", params, body)
 
@@ -223,8 +221,7 @@ def verify_rational_splitting(truncation: int = 256) -> VerificationReport:
     def body():
         bad = _splitting_mismatch(truncation)
         if bad is not None:
-            return False, bad[0], {"side": bad[1]}
-        return True, None, None
+            return bad[0], {"side": bad[1]}
 
     return run_check("rational-splitting", params, body)
 
@@ -243,16 +240,15 @@ def verify_irreducibility(k_max: int = 12) -> VerificationReport:
             for u in range(2 ** (k - 2)):
                 idx = SplittingIndex(k, u)
                 if not idx.in_window():
-                    return False, idx.connectivity, {"level": k, "offset": u}
+                    return idx.connectivity, {"level": k, "offset": u}
             try:
                 SplittingIndex(k, 2 ** (k - 2))
             except InvalidParameter:
                 pass
             else:
-                return False, 2 ** (k + 2) + 4, {"level": k,
-                                                 "offset": 2 ** (k - 2),
-                                                 "stage": "boundary"}
-        return True, None, None
+                return 2 ** (k + 2) + 4, {"level": k,
+                                          "offset": 2 ** (k - 2),
+                                          "stage": "boundary"}
 
     return run_check("irreducibility", params, body)
 
@@ -268,13 +264,12 @@ def verify_index_bijection(bound: int = 8192) -> VerificationReport:
                                 for idx in splitting_indices(bound))
         for a, b in zip(progression, connectivities):
             if a != b:
-                return False, min(a, b), None
+                return min(a, b), None
         if len(progression) != len(connectivities):
             longer = max(progression, connectivities, key=len)
-            return False, longer[min(len(progression), len(connectivities))], {
+            return longer[min(len(progression), len(connectivities))], {
                 "progression": len(progression),
                 "connectivities": len(connectivities)}
-        return True, None, None
 
     return run_check("index-bijection", params, body)
 
@@ -294,8 +289,7 @@ def verify_bpn_rank_recursion(truncation: int = 128) -> VerificationReport:
             rhs = below + whole.shift(step) if step <= truncation else below
             bad = first_mismatch(whole, rhs)
             if bad is not None:
-                return False, bad, {"level": j}
-        return True, None, None
+                return bad, {"level": j}
 
     return run_check("bpn-rank-recursion", params, body)
 
@@ -313,11 +307,10 @@ def verify_bop6_homotopy_splitting(truncation: int = 256) -> VerificationReport:
     def body():
         for idx in splitting_indices(truncation):
             if idx.connectivity != idx.suspension + 6:
-                return False, idx.connectivity, {"stage": "index-shift"}
+                return idx.connectivity, {"stage": "index-shift"}
         if truncation >= 6:
             bad = _splitting_mismatch(truncation - 6)
             if bad is not None:
-                return False, bad[0] + 6, {"side": bad[1]}
-        return True, None, None
+                return bad[0] + 6, {"side": bad[1]}
 
     return run_check("bop6-splitting", params, body)

@@ -6,8 +6,9 @@ Three mechanisms produce the homology of a space in a connective tower:
   space i picks up one generator in degree d for every free summand of
   pi_(d-i), polynomial generators when i is even and exterior ones when
   i is odd, plus a component for every free summand of pi_(-i);
-* iterated bar steps (bss_iterate), walking up a tower one delooping at
-  a time via tor_suspend;
+* iterated bar steps (bss_iterate), walking a table up a tower one
+  delooping at a time via tor_suspend, each all-even divided-power step
+  resolved to polynomial;
 * short-exact-sequence division (ses_quotient), when a space sits in a
   fibration whose other two homologies are known and everything in
   sight is a bicommutative Hopf algebra, so the middle series factors
@@ -35,7 +36,7 @@ from functools import cached_property
 from ._record import record
 from .algebra import (
     GeneratorTable,
-    parity_check,
+    off_parity,
     poincare_log_derivative,
     poincare_series,
     resolve_extensions,
@@ -85,7 +86,7 @@ __all__ = [
     "verify_bu_bo_factorization",
 ]
 
-PROVENANCES = ("catalog", "rank_rule", "bss_iteration", "ses_solved", "product")
+PROVENANCES = ("catalog", "rank_rule", "ses_solved", "product")
 
 # Spectra with torsion-free, evenly graded homotopy; the rank rule reads
 # their space homology straight off the profile.  F and X qualify only
@@ -157,34 +158,24 @@ def rank_rule_homology(space: SpaceRef, truncation: int) -> GeneratorTable:
     return _rank_rule_table(spectrum, space.index, truncation, profile)
 
 
-def bss_iterate(start: TowerResult, steps: int,
-                component_ranks: Sequence[int],
-                assert_polynomial: bool = False) -> List[TowerResult]:
-    """Deloop `steps` times from a known space, one bar step each.
+def bss_iterate(table: GeneratorTable,
+                component_ranks: Sequence[int]) -> List[GeneratorTable]:
+    """The tables of the next len(component_ranks) deloopings of a space,
+    one bar step each.
 
     component_ranks[j] is the free rank of pi_0 of the (j+1)-st space
-    reached.  Even-degree divided-power outputs are resolved to
-    polynomial only when assert_polynomial is set; otherwise they stay
-    divided-power and a further step raises UnresolvedExtension.
+    reached.  A divided-power step whose generators all sit in even
+    degrees is resolved to polynomial, as it is for a spectrum whose
+    spaces have torsion-free homology; an odd one stays divided-power,
+    and the step after it raises UnresolvedExtension.
     """
-    if steps < 0:
-        raise InvalidParameter("steps must be >= 0")
-    if len(component_ranks) < steps:
-        raise InvalidParameter(
-            f"need {steps} component ranks, got {len(component_ranks)}")
-    if start.table is None:
-        raise InvalidParameter("bss_iterate needs a starting generator table")
-    results: List[TowerResult] = []
-    table = start.table
-    ref = start.space
-    for j in range(steps):
-        table = tor_suspend(table, component_ranks[j])
-        if (table.kind == "divided_power" and assert_polynomial
-                and parity_check(table).all_even):
-            table = resolve_extensions(table, True)
-        ref = SpaceRef(ref.spectrum, ref.index + 1)
-        results.append(TowerResult(ref, (table,), "bss_iteration"))
-    return results
+    tables: List[GeneratorTable] = []
+    for rank in component_ranks:
+        table = tor_suspend(table, rank)
+        if table.kind == "divided_power" and off_parity(table, 0) is None:
+            table = resolve_extensions(table)
+        tables.append(table)
+    return tables
 
 
 def ses_quotient(middle: TruncatedSeries, sub: TruncatedSeries) -> TruncatedSeries:
@@ -299,7 +290,7 @@ def verify_negative_tower(truncation: int = 64,
         x_prof = homotopy_profile(X, depth)
         if corrupt_f_degree is not None:
             bump = make_polynomial({corrupt_f_degree: 1}, depth)
-            f_prof = HomotopyProfile(F, f_prof.free_ranks + bump)
+            f_prof = HomotopyProfile(F, f_prof.free_ranks + bump, {})
 
         def f_log(j):
             return poincare_log_derivative(
@@ -310,8 +301,7 @@ def verify_negative_tower(truncation: int = 64,
                 _rank_rule_table(X, i, truncation, x_prof))
             bad = first_mismatch(left, right)
             if bad is not None:
-                return False, bad, {"index": i}
-        return True, None, None
+                return bad, {"index": i}
 
     return run_check("negative-tower", params, body)
 
@@ -337,12 +327,12 @@ def verify_bop_tower(truncation: int = 60) -> VerificationReport:
         try:
             tower = bop_tower(i_max, truncation)
         except NegativeDimension as exc:
-            return False, exc.degree, {"stage": "tower"}
+            return exc.degree, {"stage": "tower"}
         for res in tower:
             i = res.space.index
-            rep = parity_check(res.table)
-            if not (rep.all_even if i % 2 == 0 else rep.all_odd):
-                return False, rep.offending[0], {"stage": "parity", "index": i}
+            bad = off_parity(res.table, i % 2)
+            if bad is not None:
+                return bad, {"stage": "parity", "index": i}
         by_index = {res.space.index: res for res in tower}
 
         def space_log(j):
@@ -353,15 +343,14 @@ def verify_bop_tower(truncation: int = 60) -> VerificationReport:
                 rank_rule_homology(SpaceRef(BPBAR, i), truncation))
             bad = first_mismatch(mid, right)
             if bad is not None:
-                return False, bad, {"stage": "reconstruction", "index": i}
+                return bad, {"stage": "reconstruction", "index": i}
         (product4,) = _fiber_times_bo(4, truncation)
         bad = first_mismatch(poincare_log_derivative(by_index[4].table),
                              poincare_log_derivative(product4))
         if bad is not None:
-            return False, bad, {"stage": "product_crosscheck", "index": 4}
+            return bad, {"stage": "product_crosscheck", "index": 4}
         if truncation >= 2 and by_index[2].series.coefficient(2) != 1:
-            return False, 2, {"stage": "hurewicz", "index": 2}
-        return True, None, None
+            return 2, {"stage": "hurewicz", "index": 2}
 
     return run_check("bop-tower", params, body)
 
@@ -389,22 +378,17 @@ def verify_rank_rule_bss(truncation: int = 40) -> VerificationReport:
         for spectrum in (BP, BU):
             depth = max(truncation, truncation - i_from, i_to)
             profile = homotopy_profile(spectrum, depth)
-            start_table = rank_rule_homology(SpaceRef(spectrum, i_from),
-                                             truncation)
-            start = TowerResult(SpaceRef(spectrum, i_from), (start_table,),
-                                "rank_rule")
-            ranks = [profile.free_rank(-i)
-                     for i in range(i_from + 1, i_to + 1)]
-            walked = bss_iterate(start, i_to - i_from, ranks,
-                                 assert_polynomial=True)
-            for res in walked:
-                expected = rank_rule_homology(res.space, truncation)
-                if res.table != expected:
-                    bad, field = _first_table_mismatch(res.table, expected)
-                    return False, bad, {"spectrum": str(spectrum),
-                                        "index": res.space.index,
-                                        "field": field}
-        return True, None, None
+            start = rank_rule_homology(SpaceRef(spectrum, i_from), truncation)
+            indices = range(i_from + 1, i_to + 1)
+            walked = bss_iterate(start, [profile.free_rank(-i)
+                                         for i in indices])
+            for i, table in zip(indices, walked):
+                expected = rank_rule_homology(SpaceRef(spectrum, i),
+                                              truncation)
+                if table != expected:
+                    bad, field = _first_table_mismatch(table, expected)
+                    return bad, {"spectrum": str(spectrum), "index": i,
+                                 "field": field}
 
     return run_check("rank-rule-bss", params, body)
 
@@ -436,15 +420,14 @@ def verify_bo_deloopings(truncation: int = 64) -> VerificationReport:
             if i in _BO_STEPS_EXACT:
                 if stepped != target:
                     bad, field = _first_table_mismatch(stepped, target)
-                    return False, bad, {"step": f"{i}->{i + 1}",
-                                        "mode": "exact", "field": field}
+                    return bad, {"step": f"{i}->{i + 1}",
+                                 "mode": "exact", "field": field}
             else:
                 bad = first_mismatch(poincare_log_derivative(stepped),
                                      poincare_log_derivative(target))
                 if bad is not None:
-                    return False, bad, {"step": f"{i}->{i + 1}",
-                                        "mode": "series"}
-        return True, None, None
+                    return bad, {"step": f"{i}->{i + 1}",
+                                 "mode": "series"}
 
     return run_check("bo-deloopings", params, body)
 
@@ -463,7 +446,6 @@ def verify_bu_bo_factorization(truncation: int = 100) -> VerificationReport:
                  + poincare_log_derivative(bo_space_homology(4, truncation)))
         bad = first_mismatch(left, right)
         if bad is not None:
-            return False, bad, None
-        return True, None, None
+            return bad, None
 
     return run_check("bu-bo-factorization", params, body)

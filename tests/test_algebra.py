@@ -10,7 +10,7 @@ from bopcalc.algebra import (
     KINDS,
     GeneratorTable,
     extract_generators,
-    parity_check,
+    off_parity,
     poincare_log_derivative,
     poincare_series,
     resolve_extensions,
@@ -128,12 +128,11 @@ def test_tor_suspend_shifts_and_folds_components():
 
 def test_resolve_extensions():
     t = GeneratorTable("divided_power", {2: 1}, truncation=4)
-    assert resolve_extensions(t, True).kind == "polynomial"
-    assert resolve_extensions(t, False).kind == "even_unresolved"
-    assert resolve_extensions(t, True).counts == t.counts
+    assert resolve_extensions(t).kind == "polynomial"
+    assert resolve_extensions(t).counts == t.counts
     with pytest.raises(InvalidKind):
         resolve_extensions(GeneratorTable("polynomial", {2: 1},
-                                          truncation=4), True)
+                                          truncation=4))
 
 
 @given(count_dicts, count_dicts)
@@ -159,15 +158,13 @@ def test_tensor_validation():
 def test_parity_check():
     even = GeneratorTable("polynomial", {2: 1, 4: 1}, truncation=4)
     odd = GeneratorTable("exterior", {3: 1}, truncation=4)
-    mixed = GeneratorTable("polynomial", {2: 1, 3: 1}, truncation=4)
+    mixed = GeneratorTable("polynomial", {4: 1, 2: 1, 3: 2}, truncation=4)
     empty = GeneratorTable("polynomial", {}, truncation=4)
-    assert parity_check(even).all_even and not parity_check(even).all_odd
-    assert parity_check(odd).all_odd
-    rep = parity_check(mixed)
-    assert not rep.all_even and not rep.all_odd
-    assert rep.offending == (2, 3)
-    both = parity_check(empty)
-    assert both.all_even and both.all_odd and both.offending == ()
+    assert off_parity(even, 0) is None and off_parity(even, 1) == 2
+    assert off_parity(odd, 1) is None and off_parity(odd, 0) == 3
+    # the lowest degree of the wrong parity, wherever it sits
+    assert (off_parity(mixed, 0), off_parity(mixed, 1)) == (3, 2)
+    assert off_parity(empty, 0) is None and off_parity(empty, 1) is None
 
 
 def test_kinds_constant():

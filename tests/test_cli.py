@@ -49,7 +49,7 @@ HOMOLOGY_SCHEMA = {
         "index": {"type": "integer"},
         "max_degree": {"type": "integer", "minimum": 0},
         "provenance": {"enum": ["catalog", "rank_rule", "product",
-                                "ses_solved", "bss_iteration"]},
+                                "ses_solved"]},
         "table": {"type": ["object", "null"]},
         "series": SERIES_SCHEMA,
         "notes": {"type": "array", "items": {"type": "string"}},
@@ -220,6 +220,19 @@ def test_every_check_injects_its_fault_or_refuses(name, capsys):
         assert status == 2 and out == ""
         assert f"check {name!r} has no fault to inject" in err
 
+
+@pytest.mark.parametrize("name, degree", [("rhs-one", 8),
+                                          ("head-induction", 8),
+                                          ("negative-tower", 1)])
+def test_fault_first_fails_at_its_stated_degree(name, degree, capsys):
+    # the README states each fault's first failing degree: one scale
+    # below it the faulted run passes, and at it the run fails there
+    argv = ["verify", name, "--inject-fault", "--format", "json", "-N"]
+    assert main(argv + [str(degree - 1)]) == 0
+    capsys.readouterr()
+    assert main(argv + [str(degree)]) == 1
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["first_failure_degree"] == degree
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)

@@ -8,11 +8,10 @@ import oracles
 from bopcalc import conjecture as conjecture_mod
 from bopcalc.catalog import BP, homotopy_profile
 from bopcalc.conjecture import (
-    EpsilonContext,
+    _band_data,
     bop_cohomology_series,
     conjectured_bopn_cohomology,
     epsilon,
-    epsilon_context,
     first_appearance,
     milnor_quotient_series,
     milnor_sq2_quotient_series,
@@ -77,20 +76,20 @@ def test_quotient_by_exterior_oracle_agreement():
 
 
 def test_epsilon_context_frozen():
-    assert (epsilon_context(5).power, epsilon_context(5).offset) == (2, 0)
-    assert (epsilon_context(16).power, epsilon_context(16).offset) == (3, 7)
-    assert (epsilon_context(33).power, epsilon_context(33).offset) == (5, 0)
+    # the band data (power, offset) that epsilon reads at a height
+    assert _band_data(5) == (2, 0)
+    assert _band_data(16) == (3, 7)
+    assert _band_data(33) == (5, 0)
     with pytest.raises(InvalidParameter):
-        epsilon_context(2)
+        epsilon(2, 1)
 
 
 def test_epsilon_band_structure():
-    ctx = epsilon_context(6)
     # n=6: power 2, offset 1; raised band at both ends of the strip
-    assert [epsilon(ctx, s) for s in range(1, 6)] == [1, 0, 0, 0, 1]
+    assert [epsilon(6, s) for s in range(1, 6)] == [1, 0, 0, 0, 1]
     for bad in (0, 6):
         with pytest.raises(InvalidParameter):
-            epsilon(ctx, bad)
+            epsilon(6, bad)
 
 
 def test_summand_suspensions_bounds():

@@ -8,10 +8,10 @@ from dataclasses import field
 import pytest
 
 from bopcalc._record import record
-from bopcalc.algebra import GeneratorTable, ParityReport
+from bopcalc.algebra import GeneratorTable
 from bopcalc.catalog import BO, BP, HomotopyProfile, SpaceRef, SpectrumId
 from bopcalc.cli import _CheckSpec
-from bopcalc.conjecture import EpsilonContext, SquareMonomial
+from bopcalc.conjecture import SquareMonomial
 from bopcalc.reports import VerificationReport
 from bopcalc.series import make_polynomial
 from bopcalc.splitting import SplittingIndex, verify_rhs_one
@@ -25,9 +25,7 @@ ODD_TABLE = GeneratorTable("exterior", {3: 1}, truncation=4)
 FIELDS = {
     SpectrumId: [("tag",), ("level", field(default=None))],
     SpaceRef: [("spectrum",), ("index",)],
-    HomotopyProfile: [("spectrum",), ("free_ranks",),
-                      ("torsion_z2", field(default_factory=dict))],
-    ParityReport: [("all_even",), ("all_odd",), ("offending",)],
+    HomotopyProfile: [("spectrum",), ("free_ranks",), ("torsion_z2",)],
     VerificationReport: [("check",), ("parameters",), ("passed",),
                          ("first_failure_degree", field(default=None)),
                          ("elapsed_ms", field(default=0.0)),
@@ -35,7 +33,6 @@ FIELDS = {
     _CheckSpec: [("name",), ("verifier",),
                  ("faults", field(default=None)),
                  ("scale_cap", field(default=None))],
-    EpsilonContext: [("n",), ("power",), ("offset",)],
     SquareMonomial: [("index",), ("factors",)],
     SplittingIndex: [("level",), ("offset",)],
     TowerResult: [("space",), ("tables",), ("provenance",)],
@@ -56,14 +53,9 @@ CALLS = {
         ((), {"spectrum": BP, "index": 3}), ((BP,), {}), ((), {}),
     ],
     HomotopyProfile: [
-        ((BP, SERIES), {}), ((BP, SERIES, {2: 1}), {}),
+        ((BP, SERIES, {}), {}), ((BP, SERIES, {2: 1}), {}),
         ((), {"spectrum": BO, "free_ranks": SERIES, "torsion_z2": {}}),
-        ((BP,), {}),
-    ],
-    ParityReport: [
-        ((True, False, ()), {}), ((False, False, (3, 5)), {}),
-        ((), {"all_even": False, "all_odd": True, "offending": ()}),
-        ((True,), {}),
+        ((BP, SERIES), {}), ((BP,), {}),
     ],
     VerificationReport: [
         (("x", {}, True), {}),
@@ -78,10 +70,6 @@ CALLS = {
         (("rhs-one", verify_rhs_one, None, 64), {}),
         (("rhs-one",), {}),
         (("rhs-one", verify_rhs_one), {"scale": "truncation"}),
-    ],
-    EpsilonContext: [
-        ((5, 2, 0), {}), ((), {"n": 9, "power": 3, "offset": 0}),
-        ((5, 2), {}),
     ],
     SquareMonomial: [
         ((3, ((0, 2), (0, 4))), {}), ((5,), {"factors": ((0, 2), (1, 4))}),
@@ -158,12 +146,6 @@ def test_record_behaves_as_its_frozen_dataclass(cls):
         for got_b, want_b in built:
             assert (got_a == got_b) == (want_a == want_b)
             assert (got_a != got_b) == (want_a != want_b)
-
-
-def test_default_factory_gives_each_record_its_own_dict():
-    a, b = HomotopyProfile(BP, SERIES), HomotopyProfile(BP, SERIES)
-    assert a.torsion_z2 == {} and a.torsion_z2 is not b.torsion_z2
-    assert "torsion_z2" not in vars(HomotopyProfile)
 
 
 def test_record_reprs_are_pinned():

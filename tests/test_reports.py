@@ -39,10 +39,10 @@ def test_one_line_formats():
 
 
 def test_run_check_times_and_passes_through():
-    report = run_check("demo", {"k": 1}, lambda: (True, None, None))
+    report = run_check("demo", {"k": 1}, lambda: None)
     assert report.passed and report.elapsed_ms >= 0.0
     assert report.parameters == {"k": 1}
-    report = run_check("demo", {}, lambda: (False, 9, {"why": "x"}))
+    report = run_check("demo", {}, lambda: (9, {"why": "x"}))
     assert not report.passed
     assert report.first_failure_degree == 9
     assert report.detail == {"why": "x"}

@@ -86,31 +86,26 @@ def test_rank_rule_out_of_range():
 def test_bss_iterate_walks_bu():
     n = 16
     prof = homotopy_profile(BU, n)
-    start_table = rank_rule_homology(SpaceRef(BU, 0), n)
-    start = TowerResult(SpaceRef(BU, 0), (start_table,), "rank_rule")
-    walked = bss_iterate(start, 3, [prof.free_rank(-1), prof.free_rank(-2),
-                                    prof.free_rank(-3)],
-                         assert_polynomial=True)
-    assert [r.space.index for r in walked] == [1, 2, 3]
-    assert [r.provenance for r in walked] == ["bss_iteration"] * 3
-    for r in walked:
-        assert r.table == rank_rule_homology(r.space, n)
+    start = rank_rule_homology(SpaceRef(BU, 0), n)
+    walked = bss_iterate(start, [prof.free_rank(-1), prof.free_rank(-2),
+                                 prof.free_rank(-3)])
+    assert len(walked) == 3
+    for i, table in enumerate(walked, 1):
+        assert table == rank_rule_homology(SpaceRef(BU, i), n)
 
 
 def test_bss_iterate_validation():
     t = GeneratorTable("polynomial", {2: 1}, truncation=8)
-    start = TowerResult(SpaceRef(BU, 0), (t,), "rank_rule")
-    with pytest.raises(InvalidParameter):
-        bss_iterate(start, -1, [])
-    with pytest.raises(InvalidParameter):
-        bss_iterate(start, 2, [0])
-    odd = GeneratorTable("exterior", {3: 1}, truncation=8)
-    bare = TowerResult(SpaceRef(BU, 0), (t, odd), "product")
-    with pytest.raises(InvalidParameter):
-        bss_iterate(bare, 1, [0])
-    # without the polynomial assertion the second step is blocked
+    assert bss_iterate(t, []) == []
+    # the walk's length is the number of component ranks
+    assert [w.kind for w in bss_iterate(t, [0, 0, 0])] == [
+        "exterior", "polynomial", "exterior"]
+    # an odd divided-power step is not resolved, so the next one is blocked
+    odd_start = GeneratorTable("exterior", {2: 1}, truncation=8)
+    (step,) = bss_iterate(odd_start, [0])
+    assert (step.kind, step.counts) == ("divided_power", {3: 1})
     with pytest.raises(UnresolvedExtension):
-        bss_iterate(start, 3, [0, 0, 0], assert_polynomial=False)
+        bss_iterate(odd_start, [0, 0])
 
 
 def test_tower_result_validation():
@@ -353,6 +348,34 @@ def test_bop_tower_reconstruction_reads_the_returned_tables(monkeypatch,
                              "index": index - 2 if index >= 4 else index}
 
 
+@pytest.mark.parametrize("index, kind, counts, want", [
+    (2, "polynomial", {3: 1, 5: 2}, 3),
+    (2, "polynomial", {2: 1, 3: 1}, 3),
+    (3, "exterior", {6: 1}, 6),
+    (3, "exterior", {3: 1, 4: 1}, 4),
+])
+def test_bop_tower_parity_stage_finds_a_planted_table(monkeypatch, index,
+                                                      kind, counts, want):
+    # the space's table is replaced by one with a generator of the wrong
+    # parity: the parity stage names the lowest such degree, whether the
+    # table is all wrong or mixed
+    real = towers_mod.bop_tower
+    n = 30
+
+    def planted(i_max, truncation):
+        return [TowerResult(r.space, (GeneratorTable(kind, counts,
+                                                     truncation=n),),
+                            r.provenance)
+                if r.space.index == index else r
+                for r in real(i_max, truncation)]
+
+    monkeypatch.setattr(towers_mod, "bop_tower", planted)
+    report = verify_bop_tower(n)
+    assert not report.passed
+    assert report.first_failure_degree == want
+    assert report.detail == {"stage": "parity", "index": index}
+
+
 def test_first_table_mismatch_names_the_field():
     base = GeneratorTable("polynomial", {2: 1, 4: 3}, 1, 8)
     cases = [
@@ -398,15 +421,10 @@ def test_rank_rule_bss_reports_the_differing_field(monkeypatch):
     real_iterate = towers_mod.bss_iterate
 
     def kind_changed(*args, **kwargs):
-        return [TowerResult(r.space,
-                            (GeneratorTable("even_unresolved"
-                                            if r.table.kind == "polynomial"
-                                            else r.table.kind,
-                                            r.table.counts,
-                                            r.table.component_rank,
-                                            r.table.truncation),),
-                            r.provenance)
-                for r in real_iterate(*args, **kwargs)]
+        return [GeneratorTable("even_unresolved" if t.kind == "polynomial"
+                               else t.kind,
+                               t.counts, t.component_rank, t.truncation)
+                for t in real_iterate(*args, **kwargs)]
 
     monkeypatch.setattr(towers_mod, "bss_iterate", kind_changed)
     report = verify_rank_rule_bss(12)
@@ -546,8 +564,6 @@ def test_tower_result_reads_its_series_off_its_tables():
         lazy.height
     with pytest.raises(InvalidParameter):
         TowerResult(SpaceRef(BU, 0), (), "rank_rule")
-    for res in bss_iterate(lazy, 3, [0, 0, 0], assert_polynomial=True):
-        assert res.series == poincare_series(res.table)
 
 
 def test_tower_result_repr_eq_and_hash_build_no_series(monkeypatch):
