@@ -29,10 +29,11 @@ A table also has a direct route to and from the log-derivative L(P) =
 x P'/P of its Poincare series P (series.log_derivative):
 poincare_log_derivative adds d*c at the multiples of each generator
 degree d, O(N log N) with no Euler pass, and table_from_log_derivative
-reads the counts back off.  The tower solver and the tower checks stay
-in that space, where a tensor product of tables is a sum and a short
-exact sequence a difference; series.py says why a comparison there
-names the same first failing degree as one of the series.
+reads the counts back off.  poincare_series is the one Euler pass on
+that L.  The tower solver and the tower checks stay in that space, where
+a tensor product of tables is a sum and a short exact sequence a
+difference; series.py says why a comparison there names the same first
+failing degree as one of the series.
 """
 
 from __future__ import annotations
@@ -45,13 +46,11 @@ from .errors import (
     UnresolvedExtension,
 )
 from .series import (
-    INVERSE_ONE_MINUS,
-    ONE_PLUS,
     TruncatedSeries,
     _add_log_derivative,
     _peel,
+    from_log_derivative,
     log_derivative,
-    product_over,
 )
 
 __all__ = [
@@ -146,21 +145,23 @@ class GeneratorTable:
 
 
 def poincare_series(*tables: GeneratorTable) -> TruncatedSeries:
-    """Poincare series of the free algebra the tables present, tensored.
+    """Poincare series of the free algebra the tables present, tensored:
+    the Euler transform of their log-derivative, at the first table's
+    truncation.
 
     >>> from .series import make_polynomial
     >>> t = GeneratorTable("exterior", {3: 1, 5: 1}, truncation=8)
     >>> poincare_series(t) == make_polynomial({0: 1, 3: 1, 5: 1, 8: 1}, 8)
     True
     """
-    return product_over(sorted(
-        (d, c, ONE_PLUS if t.kind == "exterior" else INVERSE_ONE_MINUS)
-        for t in tables for d, c in t.counts.items()), tables[0].truncation)
+    return from_log_derivative(poincare_log_derivative(*tables))
 
 
-def poincare_log_derivative(table: GeneratorTable) -> TruncatedSeries:
-    """Log-derivative of the table's Poincare series, straight from the
-    counts; like poincare_series, it ignores the component rank.
+def poincare_log_derivative(*tables: GeneratorTable) -> TruncatedSeries:
+    """Log-derivative of the tables' tensored Poincare series, straight
+    from the counts: the sum of each table's terms, with the sign of its
+    own kind, at the first table's truncation.  Like poincare_series, it
+    ignores the component rank.
 
     >>> t = GeneratorTable("exterior", {3: 1, 5: 1}, component_rank=2,
     ...                    truncation=8)
@@ -169,11 +170,12 @@ def poincare_log_derivative(table: GeneratorTable) -> TruncatedSeries:
     >>> poincare_log_derivative(t) == log_derivative(poincare_series(t))
     True
     """
-    sign = 1 if table.kind == "exterior" else -1
-    b = [0] * (table.truncation + 1)
-    for d, c in table.counts.items():
-        _add_log_derivative(b, d, c, sign)
-    return TruncatedSeries(b, table.truncation)
+    b = [0] * (tables[0].truncation + 1)
+    for table in tables:
+        sign = 1 if table.kind == "exterior" else -1
+        for d, c in table.counts.items():
+            _add_log_derivative(b, d, c, sign)
+    return TruncatedSeries(b, tables[0].truncation)
 
 
 def tor_suspend(table: GeneratorTable, next_component_rank: int = 0) -> GeneratorTable:

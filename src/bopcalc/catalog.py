@@ -37,7 +37,6 @@ from ._record import record
 from .algebra import GeneratorTable
 from .errors import InvalidParameter, NegativeDimension, TruncationError
 from .series import (
-    INVERSE_ONE_MINUS,
     TruncatedSeries,
     geometric,
     make_polynomial,
@@ -193,16 +192,14 @@ def homotopy_profile(spectrum: SpectrumId, truncation: int) -> HomotopyProfile:
     """
     tag = spectrum.tag
     if tag == "BP":
-        free = product_over(
-            ((d, 1, INVERSE_ONE_MINUS) for d in _vn_degrees()), truncation)
+        free = product_over(_vn_degrees(), truncation)
         return HomotopyProfile(spectrum, free, {})
     if tag == "BPbar":
         bp = homotopy_profile(BP, truncation).free_ranks
         return HomotopyProfile(spectrum, bp.times_binomial(8, -1, -1), {})
     if tag == "BPn":
-        degrees = [2 * (2 ** n - 1) for n in range(1, spectrum.level + 1)]
-        free = product_over(
-            ((d, 1, INVERSE_ONE_MINUS) for d in degrees), truncation)
+        free = product_over(itertools.islice(_vn_degrees(), spectrum.level),
+                            truncation)
         return HomotopyProfile(spectrum, free, {})
     if tag == "bu":
         return HomotopyProfile(spectrum, geometric(2, truncation), {})
@@ -211,12 +208,10 @@ def homotopy_profile(spectrum: SpectrumId, truncation: int) -> HomotopyProfile:
             {d: 1 for d in range(0, truncation + 1, 4)}, truncation)
         return HomotopyProfile(spectrum, free, _bo_torsion(truncation))
     if tag == "BoP":
-        degrees = sorted([4, 8] + [
-            d for d in itertools.takewhile(
-                lambda d: d <= truncation,
-                (2 * (2 ** n - 1) for n in itertools.count(2)))])
-        free = product_over(
-            ((d, 1, INVERSE_ONE_MINUS) for d in degrees), truncation)
+        # 4 and 8 merged into the degrees 6, 14, 30, ... of v_2, v_3, ...
+        degrees = itertools.chain([4, 6, 8],
+                                  itertools.islice(_vn_degrees(), 2, None))
+        free = product_over(degrees, truncation)
         return HomotopyProfile(spectrum, free, _bo_torsion(truncation))
     if tag == "F":
         return _difference_profile(spectrum, BOP, BO, truncation)

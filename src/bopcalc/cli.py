@@ -406,9 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="CHECK",
                        help="one of: " + ", ".join(CHECK_NAMES + ("all",)))
     p_ver.add_argument("--inject-fault", action="store_true",
-                       help="corrupt the computation on purpose; the check "
-                            "must then fail (supported: "
-                            + ", ".join(_FAULT_CHECKS) + ")")
+                       help="corrupt the computation on purpose; a run "
+                            "whose -N reaches the fault's first failing degree "
+                            "(rhs-one: 8, head-induction: 8, negative-tower: "
+                            "1) fails there, and one below it passes")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_con = sub.add_parser(

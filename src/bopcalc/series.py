@@ -7,20 +7,18 @@ anywhere in this package.  A series of truncation N knows nothing about
 degrees above N, and every binary operation insists both operands share
 the same N rather than silently extending one of them.
 
-The free constructor of interest is product_over, which multiplies out a
-family of standard factors 1/(1-x^d)^c or (1+x^d)^c.  These are exactly
-the shapes that Poincare series of free graded-commutative algebras are
-made of, and the family may be an infinite generator as long as its
-degrees never decrease: factors beyond the truncation degree are 1 up to
-truncation, so enumeration stops at the first degree above N.
+product_over multiplies out the factors 1/(1-x^d) of a family of
+degrees d, one O(N) binomial pass per degree.  The family may be an
+infinite generator as long as its degrees never decrease: factors
+beyond the truncation degree are 1 up to truncation, so enumeration
+stops at the first degree above N.  times_binomial multiplies or
+divides by (1 +- x^d) with a strided pass over the coefficients instead
+of inverting a dense polynomial and convolving with it; shift
+multiplies by x^k as a slice.
 
-Every single factor (1 + x^d) or 1/(1 - x^d) is applied by one O(N)
-kernel, times_binomial, which multiplies or divides by (1 +- x^d) with a
-strided pass over the coefficients instead of inverting a dense
-polynomial and convolving with it; shift multiplies by x^k as a slice.
-
-Factors of multiplicity two or more go through the Euler transform
-instead (Bernstein & Sloane, "Some canonical sequences of integers",
+A generator table's Poincare series (algebra.poincare_series) is built
+instead as the Euler transform of its log-derivative, whatever its kind
+and counts (Bernstein & Sloane, "Some canonical sequences of integers",
 1995).  The log-derivative b of a product P = sum p_n x^n, defined by
 x P'/P = sum b_k x^k, is additive over factors: 1/(1-x^d)^c adds d*c at
 every multiple of d and (1+x^d)^c adds (-1)^(j+1)*d*c at j*d.  The
@@ -81,13 +79,7 @@ __all__ = [
     "from_log_derivative",
     "geometric",
     "one",
-    "INVERSE_ONE_MINUS",
-    "ONE_PLUS",
 ]
-
-# Factor forms accepted by product_over.
-INVERSE_ONE_MINUS = "inverse_one_minus"
-ONE_PLUS = "one_plus"
 
 
 class TruncatedSeries:
@@ -303,32 +295,25 @@ def one(truncation: int) -> TruncatedSeries:
 
 def geometric(degree: int, truncation: int) -> TruncatedSeries:
     """1/(1 - x^degree)."""
-    return product_over([(degree, 1, INVERSE_ONE_MINUS)], truncation)
+    return product_over([degree], truncation)
 
 
-def product_over(factors: Iterable[Tuple[int, int, str]],
+def product_over(degrees: Iterable[int],
                  truncation: int) -> TruncatedSeries:
-    """Product of factors (degree, count, form) truncated at N.
+    """Product of 1/(1 - x^d) over the degrees d, truncated at N.
 
-    Form is one of INVERSE_ONE_MINUS for 1/(1-x^d)^c or ONE_PLUS for
-    (1+x^d)^c.  The family may be infinite provided its degrees are
-    non-decreasing; enumeration stops at the first degree beyond N.
+    A degree listed c times contributes 1/(1 - x^d)^c.  The family may be
+    infinite provided it is non-decreasing; enumeration stops at the
+    first degree beyond N.  Each factor is one O(N) binomial pass.
 
-    A factor of count 1 is applied by the O(N) binomial pass.  Factors of
-    count 2 or more add their log-derivative terms to one sequence b, and
-    one Euler recurrence n*p_n = sum_k b_k*p_(n-k) turns b into the
-    product of all of them at once.
-
-    >>> evens = ((d, 1, INVERSE_ONE_MINUS) for d in itertools.count(2, 2))
-    >>> product_over(evens, 8).coefficient(8)
+    >>> product_over(itertools.count(2, 2), 8).coefficient(8)
     5
-    >>> print(product_over([(1, 2, INVERSE_ONE_MINUS), (2, 1, ONE_PLUS)], 3))
+    >>> print(product_over([1, 1, 2], 3))
     1 + 2*x + 4*x^2 + 6*x^3
     """
-    b = [0] * (truncation + 1)
-    singles = []
+    acc = [1] + [0] * truncation
     last = 0
-    for degree, count, form in factors:
+    for degree in degrees:
         if degree <= 0:
             raise ZeroDegreeFactor(f"factor degree {degree} must be positive")
         if degree < last:
@@ -337,23 +322,7 @@ def product_over(factors: Iterable[Tuple[int, int, str]],
         last = degree
         if degree > truncation:
             break
-        if count < 0:
-            raise ValueError(f"factor count {count} must be >= 0")
-        if count == 0:
-            continue
-        if form == INVERSE_ONE_MINUS:
-            sign, power = -1, -1
-        elif form == ONE_PLUS:
-            sign, power = 1, 1
-        else:
-            raise ValueError(f"unknown factor form {form!r}")
-        if count == 1:
-            singles.append((degree, sign, power))
-        else:
-            _add_log_derivative(b, degree, count, sign)
-    acc = _euler(b) if any(b) else [1] + [0] * truncation
-    for degree, sign, power in singles:
-        _binomial_pass(acc, degree, sign, power)
+        _binomial_pass(acc, degree, -1, -1)
     return _from_ints(acc, truncation)
 
 

@@ -14,9 +14,11 @@ Three mechanisms produce the homology of a space in a connective tower:
   sight is a bicommutative Hopf algebra, so the middle series factors
   exactly.
 
-The BoP tower itself mixes all three: its bottom spaces are products of
-a catalogued bo space with a rank-rule fiber space, and each later space
-is the quotient of the matching BPbar space by the one two steps below.
+The BoP tower uses the rank rule and the division but no bar walk: its
+bottom spaces are products of a catalogued bo space with a rank-rule
+fiber space, and each later space is the matching BPbar space divided,
+in log-derivative space rather than by ses_quotient, by the one two
+steps below.
 
 A space is stored as the generator tables presenting its homology, and
 is solved and checked in log-derivative space (L(P) = x P'/P, see
@@ -442,8 +444,8 @@ def verify_bu_bo_factorization(truncation: int = 100) -> VerificationReport:
 
     def body():
         left = poincare_log_derivative(bu_space_homology(2, truncation))
-        right = (poincare_log_derivative(bo_space_homology(2, truncation))
-                 + poincare_log_derivative(bo_space_homology(4, truncation)))
+        right = poincare_log_derivative(bo_space_homology(2, truncation),
+                                        bo_space_homology(4, truncation))
         bad = first_mismatch(left, right)
         if bad is not None:
             return bad, None

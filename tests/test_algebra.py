@@ -1,11 +1,8 @@
-import doctest
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bopcalc import algebra as algebra_mod
 from bopcalc.algebra import (
     KINDS,
     GeneratorTable,
@@ -29,11 +26,6 @@ from bopcalc.series import log_derivative, make_polynomial, one
 
 count_dicts = st.dictionaries(st.integers(1, 10), st.integers(1, 4),
                               max_size=5)
-
-
-def test_doctests():
-    failures, _ = doctest.testmod(algebra_mod)
-    assert failures == 0
 
 
 def test_table_validation():

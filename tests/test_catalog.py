@@ -1,10 +1,8 @@
-import doctest
 import json
 
 import pytest
 
 import oracles
-from bopcalc import catalog as catalog_mod
 from bopcalc.catalog import (
     BP,
     BPBAR,
@@ -24,11 +22,6 @@ from bopcalc.catalog import (
     parse_spectrum,
 )
 from bopcalc.errors import InvalidParameter, TruncationError
-
-
-def test_doctests():
-    failures, _ = doctest.testmod(catalog_mod)
-    assert failures == 0
 
 
 def test_spectrum_ids():

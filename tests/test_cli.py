@@ -11,7 +11,13 @@ import pytest
 
 from bopcalc import series as series_mod
 from bopcalc import towers as towers_mod
-from bopcalc.cli import _REGISTRY, CHECK_NAMES, main
+from bopcalc.cli import (
+    _FAULT_CHECKS,
+    _REGISTRY,
+    CHECK_NAMES,
+    build_parser,
+    main,
+)
 from bopcalc.series import TruncatedSeries
 
 SERIES_SCHEMA = {
@@ -221,9 +227,12 @@ def test_every_check_injects_its_fault_or_refuses(name, capsys):
         assert f"check {name!r} has no fault to inject" in err
 
 
-@pytest.mark.parametrize("name, degree", [("rhs-one", 8),
-                                          ("head-induction", 8),
-                                          ("negative-tower", 1)])
+# The degree at which each check's fault first shows, as the README and
+# the --inject-fault help state it.
+FAULT_DEGREES = [("rhs-one", 8), ("head-induction", 8), ("negative-tower", 1)]
+
+
+@pytest.mark.parametrize("name, degree", FAULT_DEGREES)
 def test_fault_first_fails_at_its_stated_degree(name, degree, capsys):
     # the README states each fault's first failing degree: one scale
     # below it the faulted run passes, and at it the run fails there
@@ -233,6 +242,15 @@ def test_fault_first_fails_at_its_stated_degree(name, degree, capsys):
     assert main(argv + [str(degree)]) == 1
     report = json.loads(capsys.readouterr().out)["report"]
     assert report["first_failure_degree"] == degree
+
+
+def test_inject_fault_help_names_each_first_degree():
+    verify = build_parser()._subparsers._group_actions[0].choices["verify"]
+    (action,) = [a for a in verify._actions
+                 if "--inject-fault" in a.option_strings]
+    assert sorted(_FAULT_CHECKS) == sorted(name for name, _ in FAULT_DEGREES)
+    for name, degree in FAULT_DEGREES:
+        assert f"{name}: {degree}" in action.help
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)

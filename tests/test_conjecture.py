@@ -1,5 +1,3 @@
-import doctest
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,11 +24,6 @@ from bopcalc.conjecture import (
 )
 from bopcalc.errors import InvalidParameter, NotApplicable
 from bopcalc.series import TruncatedSeries, make_polynomial
-
-
-def test_doctests():
-    failures, _ = doctest.testmod(conjecture_mod)
-    assert failures == 0
 
 
 def test_steenrod_series_matches_monomial_count():

@@ -1,3 +1,4 @@
+import doctest
 import importlib
 import importlib.util
 import inspect
@@ -11,6 +12,16 @@ import bopcalc
 
 LIBRARY_MODULES = ("algebra", "catalog", "conjecture", "errors", "reports",
                    "series", "splitting", "towers")
+
+# The library modules whose docstrings hold no examples.
+NO_EXAMPLES = ("errors", "reports", "splitting")
+
+
+@pytest.mark.parametrize("name", LIBRARY_MODULES)
+def test_doctests(name):
+    results = doctest.testmod(importlib.import_module(f"bopcalc.{name}"))
+    assert results.failed == 0
+    assert results.attempted > 0 or name in NO_EXAMPLES
 
 
 @pytest.mark.parametrize("name", LIBRARY_MODULES)

@@ -1,12 +1,16 @@
-import doctest
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bopcalc import series as series_mod
+from bopcalc.algebra import (
+    GeneratorTable,
+    poincare_log_derivative,
+    poincare_series,
+)
 from bopcalc.errors import (
     InvalidParameter,
     NotInvertible,
@@ -15,8 +19,6 @@ from bopcalc.errors import (
 )
 from bopcalc.reports import first_mismatch
 from bopcalc.series import (
-    INVERSE_ONE_MINUS,
-    ONE_PLUS,
     TruncatedSeries,
     from_log_derivative,
     geometric,
@@ -37,11 +39,6 @@ def from_dict(d, n=12):
 
 def as_dict(s):
     return {d: c for d, c in enumerate(s.coefficients) if c}
-
-
-def test_doctests():
-    failures, _ = doctest.testmod(series_mod)
-    assert failures == 0
 
 
 def test_construction_and_queries():
@@ -135,20 +132,21 @@ def test_geometric_is_partition_series():
 
 
 def test_product_over_inverse_form_matches_partitions():
+    # a degree listed twice is the factor 1/(1 - x^4)^2
     n = 40
-    factors = [(2, 1, INVERSE_ONE_MINUS), (4, 2, INVERSE_ONE_MINUS),
-               (6, 1, INVERSE_ONE_MINUS)]
-    got = product_over(factors, n)
+    got = product_over([2, 4, 4, 6], n)
     parts = oracles.repeated([2], 1) + oracles.repeated([4], 2) + [6]
     assert list(got.coefficients) == oracles.partition_counts(parts, n)
 
 
-def test_product_over_one_plus_matches_subsets():
+def test_poincare_series_exterior_matches_subsets():
     n = 8
-    got = product_over([(3, 1, ONE_PLUS), (5, 1, ONE_PLUS)], n)
+    got = poincare_series(GeneratorTable("exterior", {3: 1, 5: 1},
+                                         truncation=n))
     assert list(got.coefficients) == oracles.EXTERIOR_3_5_COEFFS
     n = 20
-    got = product_over([(2, 3, ONE_PLUS), (5, 2, ONE_PLUS)], n)
+    got = poincare_series(GeneratorTable("exterior", {2: 3, 5: 2},
+                                         truncation=n))
     parts = oracles.repeated([2], 3) + oracles.repeated([5], 2)
     assert list(got.coefficients) == oracles.subset_sum_counts(parts, n)
 
@@ -157,23 +155,16 @@ def test_product_over_lazy_and_validating():
     def infinite():
         d = 2
         while True:
-            yield (d, 1, INVERSE_ONE_MINUS)
+            yield d
             d *= 2
 
     got = product_over(infinite(), 10)
     assert list(got.coefficients) == oracles.partition_counts([2, 4, 8], 10)
 
     with pytest.raises(ZeroDegreeFactor):
-        product_over([(0, 1, INVERSE_ONE_MINUS)], 4)
+        product_over([0], 4)
     with pytest.raises(ValueError):
-        product_over([(4, 1, ONE_PLUS), (2, 1, ONE_PLUS)], 8)
-    with pytest.raises(ValueError):
-        product_over([(2, -1, ONE_PLUS)], 8)
-    with pytest.raises(ValueError):
-        product_over([(2, 1, "bogus")], 8)
-    # count 0 factors contribute nothing and do not break monotonicity
-    assert product_over([(2, 0, ONE_PLUS), (2, 1, ONE_PLUS)], 4) == \
-        make_polynomial({0: 1, 2: 1}, 4)
+        product_over([4, 2], 8)
 
 
 @given(coeff_dicts)
@@ -204,13 +195,14 @@ def test_binomial_fast_path_matches_repeated_mul(degree, count, n):
     direct = one(n)
     for _ in range(count):
         direct = direct * base
-    assert product_over([(degree, count, INVERSE_ONE_MINUS)], n) == \
-        direct.invert()
+    assert poincare_series(GeneratorTable(
+        "polynomial", {degree: count}, truncation=n)) == direct.invert()
     plus = make_polynomial({0: 1, degree: 1}, n) if degree <= n else one(n)
     direct_plus = one(n)
     for _ in range(count):
         direct_plus = direct_plus * plus
-    assert product_over([(degree, count, ONE_PLUS)], n) == direct_plus
+    assert poincare_series(GeneratorTable(
+        "exterior", {degree: count}, truncation=n)) == direct_plus
 
 
 @given(coeff_dicts, st.integers(1, 14), st.sampled_from([1, -1]),
@@ -251,36 +243,56 @@ def test_shift_rejects_out_of_range():
 def test_product_over_count_one_matches_oracles(degrees):
     n = 24
     degrees = sorted(degrees)
-    got = product_over([(d, 1, INVERSE_ONE_MINUS) for d in degrees], n)
+    got = product_over(degrees, n)
     assert list(got.coefficients) == oracles.partition_counts(degrees, n)
-    got = product_over([(d, 1, ONE_PLUS) for d in degrees], n)
+    got = poincare_series(GeneratorTable("exterior", Counter(degrees),
+                                         truncation=n))
     assert list(got.coefficients) == oracles.subset_sum_counts(degrees, n)
 
 
-# One factor family for product_over: (degree, count, form) in degree
-# order, counts mixing 1 (the binomial pass) with 2..10^20 (the Euler
-# transform), degrees reaching past the truncation.
-factor_families = st.lists(
-    st.tuples(st.integers(1, 22),
-              st.one_of(st.just(1), st.integers(2, 6),
-                        st.integers(2, 10 ** 20)),
-              st.sampled_from([INVERSE_ONE_MINUS, ONE_PLUS])),
-    max_size=6).map(sorted)
+# Generator counts per degree for one table: counts mixing 1 with
+# 2..10^20, degrees up to the truncation.
+count_tables = st.dictionaries(
+    st.integers(1, 20),
+    st.one_of(st.just(1), st.integers(2, 6), st.integers(2, 10 ** 20)),
+    max_size=4)
 
 
-@given(factor_families)
-def test_product_over_matches_repeated_naive_mul(factors):
-    n = 20
+def _oracle_series(counts, exterior, n):
+    """The series of one table as a dict, from naive products of its
+    factors (1 + x^d)^c or 1/(1 - x^d)^c."""
     want = {0: 1}
-    for degree, count, form in factors:
-        if degree > n:
-            break
-        if form == ONE_PLUS:
+    for degree, count in counts.items():
+        if exterior:
             base = {0: 1, degree: 1}
         else:
             base = oracles.naive_invert({0: 1, degree: -1}, n)
         want = oracles.naive_mul(want, oracles.naive_power(base, count, n), n)
-    assert as_dict(product_over(factors, n)) == want
+    return want
+
+
+@given(count_tables, count_tables)
+def test_poincare_series_matches_repeated_naive_mul(odd, even):
+    # mixed kinds, as for the BoP spaces below 2: the series of the
+    # exterior and polynomial tables tensored is the product of theirs
+    n = 20
+    exterior = GeneratorTable("exterior", odd, truncation=n)
+    polynomial = GeneratorTable("polynomial", even, truncation=n)
+    want = oracles.naive_mul(_oracle_series(odd, True, n),
+                             _oracle_series(even, False, n), n)
+    assert as_dict(poincare_series(exterior, polynomial)) == want
+
+
+@given(count_tables, st.sampled_from(["exterior", "polynomial"]),
+       count_tables, st.sampled_from(["exterior", "polynomial"]),
+       st.integers(0, 20))
+def test_poincare_log_derivative_adds_over_tables(a, kind_a, b, kind_b, n):
+    ta = GeneratorTable(kind_a, {d: c for d, c in a.items() if d <= n},
+                        truncation=n)
+    tb = GeneratorTable(kind_b, {d: c for d, c in b.items() if d <= n},
+                        truncation=n)
+    assert poincare_log_derivative(ta, tb) == \
+        poincare_log_derivative(ta) + poincare_log_derivative(tb)
 
 
 @given(st.lists(st.tuples(st.integers(1, 24), st.integers(1, 10)),
@@ -288,9 +300,12 @@ def test_product_over_matches_repeated_naive_mul(factors):
 def test_product_over_counts_match_partition_oracles(family):
     n = 24
     parts = [p for d, c in family for p in oracles.repeated([d], c)]
-    got = product_over([(d, c, INVERSE_ONE_MINUS) for d, c in family], n)
+    got = product_over(parts, n)
     assert list(got.coefficients) == oracles.partition_counts(parts, n)
-    got = product_over([(d, c, ONE_PLUS) for d, c in family], n)
+    counts = Counter(parts)
+    got = poincare_series(GeneratorTable("polynomial", counts, truncation=n))
+    assert list(got.coefficients) == oracles.partition_counts(parts, n)
+    got = poincare_series(GeneratorTable("exterior", counts, truncation=n))
     assert list(got.coefficients) == oracles.subset_sum_counts(parts, n)
 
 

@@ -1,5 +1,3 @@
-import doctest
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,11 +21,6 @@ from bopcalc.splitting import (
     verify_rational_splitting,
     verify_rhs_one,
 )
-
-
-def test_doctests():
-    failures, _ = doctest.testmod(splitting_mod)
-    assert failures == 0
 
 
 def test_head_and_layer_low_degrees_by_hand():

@@ -1,5 +1,3 @@
-import doctest
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -40,11 +38,6 @@ from bopcalc.towers import (
     verify_negative_tower,
     verify_rank_rule_bss,
 )
-
-
-def test_doctests():
-    failures, _ = doctest.testmod(towers_mod)
-    assert failures == 0
 
 
 def test_rank_rule_reads_profile_with_index_shift():
