@@ -1,4 +1,4 @@
-"""Catalogued 2-local spectra: homotopy profiles and known space homology.
+"""Catalogued 2-local spectra: homotopy profiles and the bo space tables.
 
 The spectra tracked here are the usual connective suspects at the prime 2:
 
@@ -21,8 +21,8 @@ any other torsion, so this is a complete description through the
 truncation degree.
 
 Space homology uses Omega-spectrum indexing: space i of a spectrum E has
-pi_d = E_(d-i).  Low bo and bu spaces have classical homology tables,
-recorded here; everything torsion-free is reached instead through the
+pi_d = E_(d-i).  The bo spaces have classical tables, recorded here;
+everything torsion-free, bu's Z x BU, U and BU included, comes from the
 rank rule in the towers module.  For index i < 4 the bo tower agrees with
 its 8-periodic counterpart, and the periodic tables are what the catalog
 stores; from 4 to 7 the connective and periodic answers differ, and both
@@ -51,7 +51,6 @@ __all__ = [
     "parse_spectrum",
     "homotopy_profile",
     "bo_space_homology",
-    "bu_space_homology",
     "CATALOGUED_SPECTRA",
     "BP",
     "BPBAR",
@@ -307,23 +306,3 @@ def bo_space_homology(index: int, truncation: int,
         f"no connective bo table catalogued at index {index}; "
         "pass periodic=True for the 8-periodic tower")
 
-
-def bu_space_homology(index: int, truncation: int) -> GeneratorTable:
-    """Mod-2 homology of space `index` in the bu tower.
-
-    One formula covers every index: the rank rule for bu puts a
-    generator in each degree d >= 1 with d - index even and nonnegative,
-    and a component when index <= 0 is even.  At indices 0, 1 and 2 it
-    gives the classical tables of Z x BU, U and BU.
-
-    >>> bu_space_homology(1, 7).counts
-    {1: 1, 3: 1, 5: 1, 7: 1}
-    >>> bu_space_homology(0, 6).component_rank
-    1
-    """
-    n = truncation
-    kind = "polynomial" if index % 2 == 0 else "exterior"
-    counts = {d: 1 for d in range(1, n + 1) if (d - index) % 2 == 0
-              and d - index >= 0}
-    component = 1 if index <= 0 and index % 2 == 0 else 0
-    return GeneratorTable(kind, counts, component, n)

@@ -30,8 +30,6 @@ from ._record import record
 from .catalog import (
     CATALOGUED_SPECTRA,
     SpaceRef,
-    bo_space_homology,
-    bu_space_homology,
     homotopy_profile,
     parse_spectrum,
 )
@@ -176,27 +174,15 @@ def _cmd_homology(args) -> int:
     if args.periodic and spectrum.tag != "bo":
         raise InvalidParameter("--periodic only applies to bo")
 
-    space = SpaceRef(spectrum, args.index)
-    if spectrum.tag == "bo":
-        periodic = args.periodic
-        if args.index >= 8 and not periodic:
-            periodic = True
-            notes.append(
-                f"space {args.index} of bo lies outside the connective "
-                "range; returning the periodic table")
-        table = bo_space_homology(args.index, n, periodic=periodic)
-        res = _towers.TowerResult(space, (table,), "catalog")
-    elif spectrum.tag == "bu":
-        res = _towers.TowerResult(
-            space, (bu_space_homology(args.index, n),), "catalog")
-    elif spectrum.tag == "BoP":
-        res = _towers.bop_space(args.index, n)
-        if res.table is None:
-            notes.append(
-                "generators of both parities; only the series is printed")
-    else:
-        res = _towers.TowerResult(
-            space, (_towers.rank_rule_homology(space, n),), "rank_rule")
+    periodic = args.periodic
+    if spectrum.tag == "bo" and args.index >= 8 and not periodic:
+        periodic = True
+        notes.append(
+            f"space {args.index} of bo lies outside the connective "
+            "range; returning the periodic table")
+    res = _towers.space_homology(SpaceRef(spectrum, args.index), n, periodic)
+    if res.table is None:
+        notes.append("generators of both parities; only the series is printed")
 
     for message in notes:
         _note(message, args)
@@ -356,7 +342,11 @@ def _cmd_conjecture(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return value

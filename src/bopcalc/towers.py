@@ -18,7 +18,8 @@ The BoP tower uses the rank rule and the division but no bar walk: its
 bottom spaces are products of a catalogued bo space with a rank-rule
 fiber space, and each later space is the matching BPbar space divided,
 in log-derivative space rather than by ses_quotient, by the one two
-steps below.
+steps below.  space_homology picks, for any catalogued space, which of
+these rules (or the bo catalogue) answers it.
 
 A space is stored as the generator tables presenting its homology, and
 is solved and checked in log-derivative space (L(P) = x P'/P, see
@@ -50,7 +51,6 @@ from .catalog import (
     BP,
     BPBAR,
     BO,
-    BOP,
     BU,
     F,
     X,
@@ -58,7 +58,6 @@ from .catalog import (
     SpaceRef,
     SpectrumId,
     bo_space_homology,
-    bu_space_homology,
     homotopy_profile,
 )
 from .errors import (
@@ -80,7 +79,7 @@ __all__ = [
     "bss_iterate",
     "ses_quotient",
     "bop_tower",
-    "bop_space",
+    "space_homology",
     "verify_negative_tower",
     "verify_bop_tower",
     "verify_rank_rule_bss",
@@ -195,20 +194,20 @@ def ses_quotient(middle: TruncatedSeries, sub: TruncatedSeries) -> TruncatedSeri
     return quotient
 
 
-def bop_tower(i_max: int, truncation: int) -> List[TowerResult]:
-    """Solve the BoP tower from space 2 through space i_max.
+def bop_tower(i_max: int, truncation: int) -> List[GeneratorTable]:
+    """The tables of BoP spaces 2 through i_max, in order.
 
     Spaces 2 and 3 are products of a rank-rule fiber space with the
     matching bo space.  From there each space is the SES quotient of
     the BPbar space two indices down by the BoP space two indices down:
     its log-derivative is theirs subtracted and the generator counts are
-    peeled off it.  No series is built unless one is read.
+    peeled off it.  No series is built unless a peel fails.
     A successful peel implies a nonnegative series; a failed one raises
     NegativeDimension at the series' first negative degree, else the peel's.
     """
     if i_max < 2:
         raise InvalidParameter("the solved BoP tower starts at space 2")
-    tower: List[TowerResult] = []
+    tables: List[GeneratorTable] = []
     logs: Dict[int, TruncatedSeries] = {}
     for i in range(2, i_max + 1):
         if i <= 3:
@@ -224,22 +223,33 @@ def bop_tower(i_max: int, truncation: int) -> List[TowerResult]:
                 bad = from_log_derivative(log).check_nonnegative()
                 raise peel if bad is None else NegativeDimension(bad)
         logs[i] = log
-        tower.append(TowerResult(SpaceRef(BOP, i), (table,),
-                                 "product" if i <= 3 else "ses_solved"))
-    return tower
+        tables.append(table)
+    return tables
 
 
-def bop_space(index: int, truncation: int) -> TowerResult:
-    """Homology of one BoP space, for any index up to the solved range.
+def space_homology(space: SpaceRef, truncation: int,
+                   periodic: bool = False) -> TowerResult:
+    """Homology of any catalogued space, by its spectrum's rule: the bo
+    catalogue (periodic as bo_space_homology takes it), bop_tower from
+    BoP space 2 up and the fiber-times-bo product below, else the rank
+    rule, which gives bu's classical Z x BU, U and BU tables.
 
-    From space 2 up this is bop_tower(index, truncation)[-1], errors
-    included.  Below, it is the fiber-times-bo product, presented by its
-    two factors when their kinds differ.
+    >>> res = space_homology(SpaceRef(BU, 1), 7)
+    >>> res.provenance, res.table.kind, res.table.counts
+    ('catalog', 'exterior', {1: 1, 3: 1, 5: 1, 7: 1})
     """
-    if index >= 2:
-        return bop_tower(index, truncation)[-1]
-    return TowerResult(SpaceRef(BOP, index),
-                       _fiber_times_bo(index, truncation), "product")
+    tag, i, n = space.spectrum.tag, space.index, truncation
+    if tag == "bo":
+        tables, provenance = (bo_space_homology(i, n, periodic),), "catalog"
+    elif tag != "BoP":
+        tables = (rank_rule_homology(space, n),)
+        provenance = "catalog" if tag == "bu" else "rank_rule"
+    elif i >= 2:
+        tables = (bop_tower(i, n)[-1],)
+        provenance = "product" if i <= 3 else "ses_solved"
+    else:
+        tables, provenance = _fiber_times_bo(i, n), "product"
+    return TowerResult(space, tables, provenance)
 
 
 def _fiber_times_bo(index: int, truncation: int) -> tuple:
@@ -327,18 +337,16 @@ def verify_bop_tower(truncation: int = 60) -> VerificationReport:
 
     def body():
         try:
-            tower = bop_tower(i_max, truncation)
+            tables = dict(enumerate(bop_tower(i_max, truncation), 2))
         except NegativeDimension as exc:
             return exc.degree, {"stage": "tower"}
-        for res in tower:
-            i = res.space.index
-            bad = off_parity(res.table, i % 2)
+        for i, table in tables.items():
+            bad = off_parity(table, i % 2)
             if bad is not None:
                 return bad, {"stage": "parity", "index": i}
-        by_index = {res.space.index: res for res in tower}
 
         def space_log(j):
-            return poincare_log_derivative(by_index[j].table)
+            return poincare_log_derivative(tables[j])
 
         for i, right in _pair_sums(range(2, i_max - 1), space_log):
             mid = poincare_log_derivative(
@@ -347,11 +355,11 @@ def verify_bop_tower(truncation: int = 60) -> VerificationReport:
             if bad is not None:
                 return bad, {"stage": "reconstruction", "index": i}
         (product4,) = _fiber_times_bo(4, truncation)
-        bad = first_mismatch(poincare_log_derivative(by_index[4].table),
+        bad = first_mismatch(poincare_log_derivative(tables[4]),
                              poincare_log_derivative(product4))
         if bad is not None:
             return bad, {"stage": "product_crosscheck", "index": 4}
-        if truncation >= 2 and by_index[2].series.coefficient(2) != 1:
+        if truncation >= 2 and poincare_series(tables[2]).coefficient(2) != 1:
             return 2, {"stage": "hurewicz", "index": 2}
 
     return run_check("bop-tower", params, body)
@@ -443,7 +451,8 @@ def verify_bu_bo_factorization(truncation: int = 100) -> VerificationReport:
     params = {"max_degree": truncation}
 
     def body():
-        left = poincare_log_derivative(bu_space_homology(2, truncation))
+        left = poincare_log_derivative(
+            rank_rule_homology(SpaceRef(BU, 2), truncation))
         right = poincare_log_derivative(bo_space_homology(2, truncation),
                                         bo_space_homology(4, truncation))
         bad = first_mismatch(left, right)

@@ -13,11 +13,12 @@ import jsonschema
 
 from bopcalc.algebra import poincare_series, tensor
 from bopcalc.catalog import (
+    BOP,
     BPBAR,
+    BU,
     F,
     SpaceRef,
     bo_space_homology,
-    bu_space_homology,
     homotopy_profile,
 )
 from bopcalc.conjecture import (
@@ -42,6 +43,7 @@ from bopcalc.splitting import (
 from bopcalc.towers import (
     bop_tower,
     rank_rule_homology,
+    space_homology,
     verify_bo_deloopings,
     verify_bu_bo_factorization,
     verify_negative_tower,
@@ -128,7 +130,7 @@ def test_criterion_04_bo_delooping_regression():
 
 def test_criterion_05_bu_bo_factorization():
     def body():
-        lhs = poincare_series(bu_space_homology(2, 100))
+        lhs = poincare_series(rank_rule_homology(SpaceRef(BU, 2), 100))
         rhs = (poincare_series(bo_space_homology(2, 100))
                * poincare_series(bo_space_homology(4, 100)))
         assert lhs == rhs
@@ -150,21 +152,22 @@ def test_criterion_06_negative_tower():
 
 def test_criterion_07_bop_tower():
     def body():
-        tower = bop_tower(12, 60)
-        by_index = {r.space.index: r for r in tower}
-        for res in tower:
-            i = res.space.index
-            assert all(c >= 0 for c in res.table.counts.values())
-            assert all(d % 2 == i % 2 for d in res.table.counts)
+        tables = dict(enumerate(bop_tower(12, 60), 2))
+        for i, table in tables.items():
+            assert all(c >= 0 for c in table.counts.values())
+            assert all(d % 2 == i % 2 for d in table.counts)
         for i in range(2, 11):
             target = poincare_series(
                 rank_rule_homology(SpaceRef(BPBAR, i), 60))
-            assert by_index[i].series * by_index[i + 2].series == target
+            assert (poincare_series(tables[i])
+                    * poincare_series(tables[i + 2])) == target
         cross = tensor(rank_rule_homology(SpaceRef(F, 4), 60),
                        bo_space_homology(4, 60))
-        assert by_index[4].table == cross
-        assert by_index[2].table.counts[2] == 1
-        assert by_index[2].series.coefficient(2) == 1
+        assert tables[4] == cross
+        assert tables[2].counts[2] == 1
+        assert poincare_series(tables[2]).coefficient(2) == 1
+        top = space_homology(SpaceRef(BOP, 12), 60)
+        assert (top.tables, top.provenance) == ((tables[12],), "ses_solved")
 
     _criterion(7, "twelve-stage tower solves with nonnegative tables, "
                   "matching parity, and product reconstruction", body)

@@ -162,6 +162,20 @@ def test_homology_domain_errors():
         assert "error" in proc.stderr.lower()
 
 
+@pytest.mark.parametrize("value, message", [
+    ("1e3", "invalid int value: '1e3'"),
+    ("x", "invalid int value: 'x'"),
+    ("-4", "must be >= 0"),
+])
+def test_max_degree_errors_name_the_option_not_a_helper(value, message):
+    proc = run_cli("homology", "bo", "2", "-N", value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    last = proc.stderr.splitlines()[-1]
+    assert last == f"bopcalc homology: error: argument --max-degree/-N: " \
+                   f"{message}"
+
+
 def test_catalog_listing_and_profile():
     proc = run_cli("catalog")
     assert proc.returncode == 0

@@ -12,6 +12,7 @@ from bopcalc.catalog import (
     BP,
     BPBAR,
     BU,
+    CATALOGUED_SPECTRA,
     F,
     X,
     SpaceRef,
@@ -27,11 +28,11 @@ from bopcalc.errors import (
 from bopcalc.series import geometric, make_polynomial, one
 from bopcalc.towers import (
     TowerResult,
-    bop_space,
     bop_tower,
     bss_iterate,
     rank_rule_homology,
     ses_quotient,
+    space_homology,
     verify_bo_deloopings,
     verify_bop_tower,
     verify_bu_bo_factorization,
@@ -118,39 +119,83 @@ def test_ses_quotient():
 
 
 def test_bop_tower_shape_and_products():
-    tower = bop_tower(6, 24)
-    assert [r.space.index for r in tower] == [2, 3, 4, 5, 6]
-    assert [r.provenance for r in tower] == \
+    tables = dict(enumerate(bop_tower(6, 24), 2))
+    assert list(tables) == [2, 3, 4, 5, 6]
+    assert [space_homology(SpaceRef(BOP, i), 24).provenance
+            for i in tables] == \
         ["product", "product", "ses_solved", "ses_solved", "ses_solved"]
-    by_index = {r.space.index: r for r in tower}
     # space 2 is the fiber table times the classical one
     want2 = tensor(rank_rule_homology(SpaceRef(F, 2), 24),
                    bo_space_homology(2, 24))
-    assert by_index[2].table == want2
+    assert tables[2] == want2
     # frozen low-degree generator counts of space 4, from the quotient
-    counts4 = by_index[4].table.counts
+    counts4 = tables[4].counts
     assert {d: counts4[d] for d in sorted(counts4) if d <= 16} == \
         {4: 1, 8: 1, 10: 1, 12: 2, 14: 1, 16: 3}
     # parity alternates with the space index
-    for r in tower:
-        parity = r.space.index % 2
-        assert all(d % 2 == parity for d in r.table.counts)
+    for i, table in tables.items():
+        assert all(d % 2 == i % 2 for d in table.counts)
     with pytest.raises(InvalidParameter):
         bop_tower(1, 8)
 
 
 def test_bop_space_low_indices():
-    even = bop_space(0, 12)
+    even = space_homology(SpaceRef(BOP, 0), 12)
     assert even.provenance == "product"
     assert even.table is not None
     assert even.series == poincare_series(even.table)
-    odd = bop_space(1, 12)
+    odd = space_homology(SpaceRef(BOP, 1), 12)
     assert odd.table is None
     assert odd.provenance == "product"
     assert odd.series.coefficient(0) == 1
-    solved = bop_space(4, 16)
+    solved = space_homology(SpaceRef(BOP, 4), 16)
     assert solved.provenance == "ses_solved"
     assert solved.table.counts[4] == 1
+
+
+def _expected_space(space, n, periodic):
+    """(tables, provenance) of a space, by the rule its spectrum takes."""
+    tag, i = space.spectrum.tag, space.index
+    if tag == "bo":
+        return (bo_space_homology(i, n, periodic),), "catalog"
+    if tag == "BoP" and i >= 2:
+        return (bop_tower(i, n)[-1],), "product" if i <= 3 else "ses_solved"
+    if tag == "BoP":
+        fiber = rank_rule_homology(SpaceRef(F, i), n)
+        base = bo_space_homology(i, n)
+        tables = ((tensor(fiber, base),) if fiber.kind == base.kind
+                  else (fiber, base))
+        return tables, "product"
+    provenance = "catalog" if tag == "bu" else "rank_rule"
+    return (rank_rule_homology(space, n),), provenance
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 40])
+def test_space_homology_picks_each_spectrums_rule(n):
+    assert {s.tag for s in CATALOGUED_SPECTRA} == {
+        "BP", "BPbar", "BPn", "bu", "bo", "BoP", "F", "X"}
+    for spectrum in CATALOGUED_SPECTRA:
+        for i in range(-9, 13):
+            space = SpaceRef(spectrum, i)
+            for periodic in (False, True):
+                if spectrum.tag == "bo" and i >= 8 and not periodic:
+                    with pytest.raises(InvalidParameter):
+                        space_homology(space, n, periodic)
+                    continue
+                if spectrum.tag in ("F", "X") and i > 8:
+                    with pytest.raises(RankRuleInapplicable):
+                        space_homology(space, n, periodic)
+                    continue
+                got = space_homology(space, n, periodic)
+                assert got.space == space
+                assert (got.tables, got.provenance) == \
+                    _expected_space(space, n, periodic), (space, periodic)
+    # bo at 4..7 follows the flag; the two towers differ from 4 to 6
+    for i in range(4, 8):
+        conn, per = (space_homology(SpaceRef(BO, i), 40, periodic).table
+                     for periodic in (False, True))
+        assert per == bo_space_homology(i, 40, periodic=True)
+        assert (conn != per) == (i != 7)
 
 
 def test_verifiers_pass_at_reference_scales():
@@ -185,7 +230,7 @@ def test_bu_bo_factorization_names_first_broken_degree(monkeypatch, degree):
     monkeypatch.setattr(towers_mod, "bo_space_homology", planted)
     product = oracles.naive_mul(series_dict(planted(2, n)),
                                 series_dict(planted(4, n)), n)
-    bu2 = series_dict(towers_mod.bu_space_homology(2, n))
+    bu2 = series_dict(rank_rule_homology(SpaceRef(BU, 2), n))
     want = min(d for d in range(n + 1) if product.get(d) != bu2.get(d))
     report = verify_bu_bo_factorization(n)
     assert not report.passed
@@ -239,11 +284,11 @@ def _oracle_bop_tower(n, middle_table):
 def test_bop_tower_matches_series_space_oracle(n):
     want = _oracle_bop_tower(n, rank_rule_homology)
     got = bop_tower(12, n)
-    assert [r.space.index for r in got] == list(range(2, 13))
-    for res in got:
-        coeffs, counts = want[res.space.index]
-        assert list(res.series.coefficients) == coeffs
-        assert res.table.counts == counts
+    assert len(got) == 11
+    for i, table in enumerate(got, 2):
+        coeffs, counts = want[i]
+        assert list(poincare_series(table).coefficients) == coeffs
+        assert table.counts == counts
 
 
 @settings(max_examples=40, deadline=None)
@@ -278,8 +323,8 @@ def test_perturbed_middle_fails_where_the_oracle_does(index, changes):
             assert info.value.degree == want
         else:
             got = bop_tower(12, n)
-            assert {r.space.index: (list(r.series.coefficients),
-                                    r.table.counts) for r in got} == want
+            assert {i: (list(poincare_series(t).coefficients), t.counts)
+                    for i, t in enumerate(got, 2)} == want
 
 
 def _oracle_negative_tower(n, bump, i_from=-8, i_to=5):
@@ -329,9 +374,8 @@ def test_bop_tower_reconstruction_reads_the_returned_tables(monkeypatch,
     degree = 10 if index % 2 == 0 else 9
 
     def corrupted(i_max, truncation):
-        return [TowerResult(r.space, (_plant(r.table, degree),), r.provenance)
-                if r.space.index == index else r
-                for r in real(i_max, truncation)]
+        return [_plant(t, degree) if i == index else t
+                for i, t in enumerate(real(i_max, truncation), 2)]
 
     monkeypatch.setattr(towers_mod, "bop_tower", corrupted)
     report = verify_bop_tower(32)
@@ -356,11 +400,8 @@ def test_bop_tower_parity_stage_finds_a_planted_table(monkeypatch, index,
     n = 30
 
     def planted(i_max, truncation):
-        return [TowerResult(r.space, (GeneratorTable(kind, counts,
-                                                     truncation=n),),
-                            r.provenance)
-                if r.space.index == index else r
-                for r in real(i_max, truncation)]
+        return [GeneratorTable(kind, counts, truncation=n) if i == index
+                else t for i, t in enumerate(real(i_max, truncation), 2)]
 
     monkeypatch.setattr(towers_mod, "bop_tower", planted)
     report = verify_bop_tower(n)
@@ -429,12 +470,10 @@ def test_rank_rule_bss_reports_the_differing_field(monkeypatch):
 @pytest.mark.parametrize("n", [0, 1, 2, 23, 40])
 def test_bop_space_is_the_last_space_of_the_tower(n):
     for i in range(2, 13):
-        got = bop_space(i, n)
-        want = bop_tower(i, n)[-1]
-        assert got.space == want.space == SpaceRef(BOP, i)
-        assert got.series == want.series
-        assert got.table == want.table
-        assert got.provenance == want.provenance
+        got = space_homology(SpaceRef(BOP, i), n)
+        assert got.space == SpaceRef(BOP, i)
+        assert got.tables == (bop_tower(i, n)[-1],)
+        assert got.provenance == ("product" if i <= 3 else "ses_solved")
 
 
 def test_bop_space_runs_one_euler_pass(monkeypatch):
@@ -448,7 +487,7 @@ def test_bop_space_runs_one_euler_pass(monkeypatch):
         return real(*tables)
 
     monkeypatch.setattr(towers_mod, "poincare_series", counted)
-    res = bop_space(12, 64)
+    res = space_homology(SpaceRef(BOP, 12), 64)
     assert calls == []
     assert res.series == real(res.table)
     assert calls == [(res.table,)]
@@ -463,9 +502,8 @@ def test_bop_tower_builds_no_series_until_one_is_read(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(module, name, counted)
-    tower = bop_tower(12, 64)
-    assert len(tower) == 11 and calls == []
-    tower[-1].series
+    assert len(bop_tower(12, 64)) == 11 and calls == []
+    space_homology(SpaceRef(BOP, 12), 64).series
     assert calls == ["poincare_series", "_euler"]
 
 
@@ -479,7 +517,7 @@ def test_bop_space_below_two_matches_naive_product(n):
                                           fiber.kind == "exterior", n)),
             _nonzero(oracles.table_series(base.counts,
                                           base.kind == "exterior", n)), n)
-        got = bop_space(i, n)
+        got = space_homology(SpaceRef(BOP, i), n)
         assert list(got.series.coefficients) == \
             [want.get(d, 0) for d in range(n + 1)], i
 
