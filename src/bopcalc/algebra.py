@@ -129,16 +129,6 @@ class GeneratorTable:
             "truncation": self.truncation,
         }
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "GeneratorTable":
-        try:
-            counts = {int(g["degree"]): int(g["count"])
-                      for g in data["generators"]}
-            return cls(str(data["kind"]), counts,
-                       int(data["component_rank"]), int(data["truncation"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidParameter(f"malformed table JSON: {exc}") from exc
-
     def csv_rows(self) -> Iterator[Tuple[int, int]]:
         """Rows (degree, count) in degree order."""
         return iter(sorted(self.counts.items()))

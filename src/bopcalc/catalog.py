@@ -32,12 +32,11 @@ are available (connective by default, periodic on request).
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 
-from ._record import record
 from .algebra import GeneratorTable
 from .errors import InvalidParameter, NegativeDimension, TruncationError
 from .series import (
-    TruncatedSeries,
     geometric,
     make_polynomial,
     product_over,
@@ -64,21 +63,20 @@ __all__ = [
 _TAGS = ("BP", "BPbar", "BPn", "bu", "bo", "BoP", "F", "X")
 
 
-@record
-class SpectrumId:
+class SpectrumId(namedtuple("SpectrumId", "tag level")):
     """Name of a catalogued spectrum; BPn carries its truncation level."""
 
-    tag: str
-    level: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag not in _TAGS:
-            raise InvalidParameter(f"unknown spectrum tag {self.tag!r}")
-        if self.tag == "BPn":
-            if self.level is None or self.level < 1:
+    def __new__(cls, tag: str, level: Optional[int] = None):
+        if tag not in _TAGS:
+            raise InvalidParameter(f"unknown spectrum tag {tag!r}")
+        if tag == "BPn":
+            if level is None or level < 1:
                 raise InvalidParameter("BPn needs a level k >= 1")
-        elif self.level is not None:
-            raise InvalidParameter(f"{self.tag} takes no level")
+        elif level is not None:
+            raise InvalidParameter(f"{tag} takes no level")
+        return super().__new__(cls, tag, level)
 
     def __str__(self):
         return f"BPn({self.level})" if self.tag == "BPn" else self.tag
@@ -112,21 +110,17 @@ def parse_spectrum(name: str) -> SpectrumId:
     raise InvalidParameter(f"unknown spectrum {name!r}")
 
 
-@record
-class SpaceRef:
+class SpaceRef(namedtuple("SpaceRef", "spectrum index")):
     """Space `index` in the Omega spectrum for `spectrum`."""
 
-    spectrum: SpectrumId
-    index: int
+    __slots__ = ()
 
 
-@record
-class HomotopyProfile:
+class HomotopyProfile(namedtuple("HomotopyProfile",
+                                 "spectrum free_ranks torsion_z2")):
     """Free ranks (as a series) and Z/2 counts per degree, through N."""
 
-    spectrum: SpectrumId
-    free_ranks: TruncatedSeries
-    torsion_z2: Mapping[int, int]
+    __slots__ = ()
 
     @property
     def truncation(self) -> int:

@@ -22,11 +22,11 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 
 from . import conjecture as _conjecture
 from . import splitting as _splitting
 from . import towers as _towers
-from ._record import record
 from .catalog import (
     CATALOGUED_SPECTRA,
     SpaceRef,
@@ -43,18 +43,16 @@ __all__ = ["build_parser", "main", "CHECK_NAMES"]
 
 # -- check registry ----------------------------------------------------------
 
-@record
-class _CheckSpec:
+class _CheckSpec(namedtuple("_CheckSpec",
+                             "name verifier faults scale_cap",
+                             defaults=(None, None))):
     """One named check.  `verifier` takes one size argument, its scale
     (a degree bound for most, a level or index bound for the
     combinatorial ones), and under --inject-fault also `faults`; a
     check without faults cannot be made to fail on purpose.  A check
     with a `scale_cap` runs at most at that scale, whatever -N asks for."""
 
-    name: str
-    verifier: Callable[..., VerificationReport]
-    faults: Optional[Mapping[str, object]] = None
-    scale_cap: Optional[int] = None
+    __slots__ = ()
 
     @property
     def pinned_scale(self) -> int:
@@ -109,7 +107,7 @@ def _emit(text: str, args) -> None:
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text + "\n" if text else "")
         except OSError as exc:
             raise InvalidParameter(
                 f"cannot write {args.output}: {exc.strerror or exc}") from exc
@@ -269,7 +267,7 @@ def _run_reports(reports: List[VerificationReport], args) -> int:
     else:
         lines = [r.one_line() for r in reports
                  if not (args.quiet and r.passed)]
-        if lines:
+        if lines or args.output:  # leave no earlier run's file behind
             _emit("\n".join(lines), args)
     return 0 if passed else 1
 
@@ -352,19 +350,21 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-degree", "-N", type=_nonnegative,
+def _add_options(parser: argparse.ArgumentParser, max_degree: str) -> None:
+    """The options every subcommand takes; `max_degree` is the -N help,
+    which says what -N bounds under that subcommand."""
+    parser.add_argument("--max-degree", "-N", type=_nonnegative,
                         default=argparse.SUPPRESS, metavar="N",
-                        help="degree bound for series and tables "
-                             "(default 256)")
-    common.add_argument("--format", choices=("table", "json", "csv"),
+                        help=max_degree)
+    parser.add_argument("--format", choices=("table", "json", "csv"),
                         default="table", help="output format")
-    common.add_argument("--output", metavar="FILE",
+    parser.add_argument("--output", metavar="FILE",
                         help="write the result to FILE instead of stdout")
-    common.add_argument("--quiet", action="store_true",
+    parser.add_argument("--quiet", action="store_true",
                         help="suppress notes and passing check lines")
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bopcalc",
         description="Homology and homotopy bookkeeping for the BoP "
@@ -372,8 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_hom = sub.add_parser(
-        "homology", parents=[common],
+        "homology",
         help="homology of one space in a spectrum's Omega tower")
+    _add_options(p_hom, "degree bound for the series and tables "
+                        "(default 256)")
     p_hom.add_argument("spectrum",
                        help="BP, BPbar, BPn:k, bu, bo, BoP, F, or X")
     p_hom.add_argument("index", type=int, help="space index, may be negative")
@@ -383,15 +385,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.set_defaults(func=_cmd_homology)
 
     p_cat = sub.add_parser(
-        "catalog", parents=[common],
+        "catalog",
         help="list catalogued spectra or print one homotopy profile")
+    _add_options(p_cat, "degree bound for the homotopy profile "
+                        "(default 256)")
     p_cat.add_argument("spectrum", nargs="?",
                        help="spectrum name; omit to list all")
     p_cat.set_defaults(func=_cmd_catalog)
 
     p_ver = sub.add_parser(
-        "verify", parents=[common],
+        "verify",
         help="run one named consistency check, or all of them")
+    _add_options(p_ver, "the check's scale, by default its pinned one: "
+                        "a degree bound, except a level bound for "
+                        "irreducibility, a height bound for "
+                        "epsilon-partition and an index bound for "
+                        "index-bijection, first-appearance and squares; "
+                        "under 'all', a cap on each pinned scale")
     p_ver.add_argument("check", choices=CHECK_NAMES + ("all",),
                        metavar="CHECK",
                        help="one of: " + ", ".join(CHECK_NAMES + ("all",)))
@@ -403,9 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=_cmd_verify)
 
     p_con = sub.add_parser(
-        "conjecture", parents=[common],
+        "conjecture",
         help="conjectured cohomology series for a truncation height, "
              "or one of the conjecture-side checks")
+    _add_options(p_con, "degree bound for the series (default 256); "
+                        "with --check, the check's scale as under "
+                        "verify, by default its pinned one")
     p_con.add_argument("height", nargs="?", type=int,
                        help="truncation height n > 2")
     p_con.add_argument("--check", choices=tuple(_CONJECTURE_CHECKS),

@@ -15,7 +15,8 @@ computation.  One chain of quotients per truncation serves every index.
 
 from __future__ import annotations
 
-from ._record import record
+from collections import namedtuple
+
 from .errors import ConjectureShapeError, InvalidParameter, NotApplicable
 from .reports import VerificationReport, first_mismatch, run_check
 from .series import TruncatedSeries, make_polynomial, one
@@ -203,14 +204,12 @@ def first_appearance(q: int) -> int:
 
 # -- Sq^2-annihilated monomial decompositions --------------------------------
 
-@record
-class SquareMonomial:
+class SquareMonomial(namedtuple("SquareMonomial", "index factors")):
     """Decomposition of the j-th squared polynomial generator, j not a
     2-power, into generators b(m) of degree 2^(m+1): factors pairs each
     exponent base m with its multiplicity."""
 
-    index: int
-    factors: Tuple[Tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def source_degree(self) -> int:

@@ -17,15 +17,16 @@ NegativeDimension) and 0 otherwise, and ``detail.error`` holds
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 
-from ._record import record
 from .series import TruncatedSeries
 
 __all__ = ["VerificationReport", "run_check", "first_mismatch"]
 
 
-@record
-class VerificationReport:
+class VerificationReport(namedtuple(
+        "VerificationReport",
+        "check parameters passed first_failure_degree elapsed_ms detail")):
     """Outcome of one named check.
 
     first_failure_degree is present exactly when the check failed; for
@@ -33,18 +34,17 @@ class VerificationReport:
     failing sweep position, and detail says what that position means.
     """
 
-    check: str
-    parameters: Mapping
-    passed: bool
-    first_failure_degree: Optional[int] = None
-    elapsed_ms: float = 0.0
-    detail: Optional[Mapping] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.passed and self.first_failure_degree is not None:
+    def __new__(cls, check: str, parameters: Mapping, passed: bool,
+                first_failure_degree: Optional[int] = None,
+                elapsed_ms: float = 0.0, detail: Optional[Mapping] = None):
+        if passed and first_failure_degree is not None:
             raise ValueError("a passing report cannot carry a failure degree")
-        if not self.passed and self.first_failure_degree is None:
+        if not passed and first_failure_degree is None:
             raise ValueError("a failing report must locate its first failure")
+        return super().__new__(cls, check, parameters, passed,
+                               first_failure_degree, elapsed_ms, detail)
 
     def to_json(self) -> dict:
         out = {

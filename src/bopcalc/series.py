@@ -254,15 +254,6 @@ class TruncatedSeries:
             "coefficients": [str(c) for c in self.coefficients],
         }
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "TruncatedSeries":
-        try:
-            n = int(data["truncation"])
-            coeffs = [int(c) for c in data["coefficients"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TruncationError(f"malformed series JSON: {exc}") from exc
-        return cls(coeffs, n)
-
     def csv_rows(self) -> Iterator[Tuple[int, int]]:
         """Rows (degree, coefficient), one per stored degree."""
         return iter(enumerate(self.coefficients))

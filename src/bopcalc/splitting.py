@@ -20,9 +20,9 @@ every free summand exactly once.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import add
 
-from ._record import record
 from .catalog import BO, BOP, bpn, homotopy_profile
 from .errors import InvalidParameter
 from .reports import VerificationReport, first_mismatch, run_check
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-@record
-class SplittingIndex:
+class SplittingIndex(namedtuple("SplittingIndex", "level offset")):
     """One summand of the splitting: level k >= 2, offset u < 2^(k-2).
 
     connectivity is the space index 2^(k+1) + 8u + 4 at which the
@@ -54,16 +53,16 @@ class SplittingIndex:
     (2^(k+1) - 2, 2^(k+2) - 2].
     """
 
-    level: int
-    offset: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.level < 2:
-            raise InvalidParameter(f"level {self.level} must be >= 2")
-        if not 0 <= self.offset < 2 ** (self.level - 2):
+    def __new__(cls, level: int, offset: int):
+        if level < 2:
+            raise InvalidParameter(f"level {level} must be >= 2")
+        if not 0 <= offset < 2 ** (level - 2):
             raise InvalidParameter(
-                f"offset {self.offset} outside 0..{2 ** (self.level - 2) - 1} "
-                f"at level {self.level}")
+                f"offset {offset} outside 0..{2 ** (level - 2) - 1} "
+                f"at level {level}")
+        return super().__new__(cls, level, offset)
 
     @property
     def connectivity(self) -> int:

@@ -34,9 +34,8 @@ checks compare L's built from the tables: two series with constant term
 
 from __future__ import annotations
 
-from functools import cached_property
+from collections import namedtuple
 
-from ._record import record
 from .algebra import (
     GeneratorTable,
     off_parity,
@@ -98,27 +97,26 @@ _RANK_RULE_TAGS = ("BP", "BPbar", "BPn", "bu", "F", "X")
 _FIBER_TAGS = ("F", "X")
 
 
-@record
-class TowerResult:
+class TowerResult(namedtuple("TowerResult", "space tables provenance")):
     """One solved space: its one generator table, or two factors of
     different kinds (then `table` is None).  Its Poincare series is not
-    a field; it is built from the tables when first read."""
+    a field; it is built from the tables on each read."""
 
-    space: SpaceRef
-    tables: Tuple[GeneratorTable, ...]
-    provenance: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise InvalidParameter(f"unknown provenance {self.provenance!r}")
-        if not self.tables:
+    def __new__(cls, space: SpaceRef, tables: Tuple[GeneratorTable, ...],
+                provenance: str):
+        if provenance not in PROVENANCES:
+            raise InvalidParameter(f"unknown provenance {provenance!r}")
+        if not tables:
             raise InvalidParameter("a tower result needs a table")
+        return super().__new__(cls, space, tables, provenance)
 
     @property
     def table(self) -> Optional[GeneratorTable]:
         return self.tables[0] if len(self.tables) == 1 else None
 
-    @cached_property
+    @property
     def series(self) -> TruncatedSeries:
         return poincare_series(*self.tables)
 

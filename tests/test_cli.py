@@ -11,6 +11,7 @@ import pytest
 
 from bopcalc import series as series_mod
 from bopcalc import towers as towers_mod
+from bopcalc.catalog import X, SpaceRef
 from bopcalc.cli import (
     _FAULT_CHECKS,
     _REGISTRY,
@@ -18,7 +19,6 @@ from bopcalc.cli import (
     build_parser,
     main,
 )
-from bopcalc.series import TruncatedSeries
 
 SERIES_SCHEMA = {
     "type": "object",
@@ -88,8 +88,8 @@ def test_homology_json_schema_and_roundtrip():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     jsonschema.validate(doc, HOMOLOGY_SCHEMA)
-    series = TruncatedSeries.from_json(doc["series"])
-    assert series.truncation == 20
+    want = towers_mod.space_homology(SpaceRef(X, -2), 20).series
+    assert doc["series"] == want.to_json()
     assert doc["provenance"] == "rank_rule"
 
 
@@ -186,8 +186,8 @@ def test_catalog_listing_and_profile():
     assert doc["command"] == "catalog" and doc["max_degree"] == 12
     profile = doc["profile"]
     jsonschema.validate(profile["free_ranks"], SERIES_SCHEMA)
-    free = TruncatedSeries.from_json(profile["free_ranks"])
-    assert free.coefficient(4) == 1 and free.coefficient(6) == 0
+    free = profile["free_ranks"]["coefficients"]
+    assert free[4] == "1" and free[6] == "0"
     torsion = {row["degree"]: row["count"] for row in profile["torsion_z2"]}
     assert torsion == {1: 1, 2: 1, 9: 1, 10: 1}
 
@@ -265,6 +265,23 @@ def test_inject_fault_help_names_each_first_degree():
     assert sorted(_FAULT_CHECKS) == sorted(name for name, _ in FAULT_DEGREES)
     for name, degree in FAULT_DEGREES:
         assert f"{name}: {degree}" in action.help
+
+
+@pytest.mark.parametrize("command, text", [
+    ("homology", "degree bound for the series and tables (default 256)"),
+    ("verify", "the check's scale, by default its pinned one: a degree "
+               "bound, except a level bound for irreducibility, a height "
+               "bound for epsilon-partition and an index bound for "
+               "index-bijection, first-appearance and squares; under 'all', "
+               "a cap on each pinned scale"),
+])
+def test_max_degree_help_says_what_it_bounds(monkeypatch, capsys, command,
+                                            text):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per option
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert text in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)
@@ -385,6 +402,16 @@ def test_output_file(tmp_path):
     assert proc.stdout == ""
     doc = json.loads(target.read_text())
     assert doc["command"] == "conjecture" and doc["height"] == 4
+
+
+def test_quiet_output_file_replaces_a_stale_one(tmp_path, capsys):
+    # every check passes and --quiet drops its line, so the file is empty
+    target = tmp_path / "out.txt"
+    target.write_text("FAIL rhs-one first_failure_degree=8 (1.0 ms)\n")
+    status = main(["verify", "rhs-one", "-N", "16", "--quiet",
+                   "--output", str(target)])
+    assert status == 0 and capsys.readouterr() == ("", "")
+    assert target.read_text() == ""
 
 
 @pytest.mark.parametrize("target", ["missing/dir/out.txt", "."])
