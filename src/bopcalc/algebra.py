@@ -48,6 +48,7 @@ from .errors import (
 from .series import (
     TruncatedSeries,
     _add_log_derivative,
+    _from_ints,
     _peel,
     from_log_derivative,
     log_derivative,
@@ -165,7 +166,7 @@ def poincare_log_derivative(*tables: GeneratorTable) -> TruncatedSeries:
         sign = 1 if table.kind == "exterior" else -1
         for d, c in table.counts.items():
             _add_log_derivative(b, d, c, sign)
-    return TruncatedSeries(b, tables[0].truncation)
+    return _from_ints(b, tables[0].truncation)
 
 
 def tor_suspend(table: GeneratorTable, next_component_rank: int = 0) -> GeneratorTable:

@@ -18,7 +18,10 @@ The spectra tracked here are the usual connective suspects at the prime 2:
 A homotopy profile records, degree by degree, the rank of the free part
 and the number of Z/2 summands.  None of the catalogued spectra carries
 any other torsion, so this is a complete description through the
-truncation degree.
+truncation degree.  homotopy_profile builds each (spectrum, truncation)
+pair once per process and hands every later caller the same profile;
+a profile is read-only (its torsion map is a mappingproxy), so sharing
+it is safe.
 
 Space homology uses Omega-spectrum indexing: space i of a spectrum E has
 pi_d = E_(d-i).  The bo spaces have classical tables, recorded here;
@@ -31,8 +34,10 @@ are available (connective by default, periodic on request).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
+from types import MappingProxyType
 
 from .algebra import GeneratorTable
 from .errors import InvalidParameter, NegativeDimension, TruncationError
@@ -118,9 +123,15 @@ class SpaceRef(namedtuple("SpaceRef", "spectrum index")):
 
 class HomotopyProfile(namedtuple("HomotopyProfile",
                                  "spectrum free_ranks torsion_z2")):
-    """Free ranks (as a series) and Z/2 counts per degree, through N."""
+    """Free ranks (as a series) and Z/2 counts per degree, through N.
+    torsion_z2 is kept as a read-only copy of the mapping passed in."""
 
     __slots__ = ()
+
+    def __new__(cls, spectrum: SpectrumId, free_ranks: TruncatedSeries,
+                torsion_z2: Mapping[int, int]):
+        return super().__new__(cls, spectrum, free_ranks,
+                               MappingProxyType(dict(torsion_z2)))
 
     @property
     def truncation(self) -> int:
@@ -174,12 +185,21 @@ def _bo_torsion(truncation: int) -> Dict[int, int]:
     return out
 
 
+# More than the 49 distinct profiles `verify all` reads, the most any
+# one command reads.
+_PROFILE_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_PROFILE_CACHE_SIZE)
 def homotopy_profile(spectrum: SpectrumId, truncation: int) -> HomotopyProfile:
-    """Homotopy groups of a catalogued spectrum through the truncation.
+    """Homotopy groups of a catalogued spectrum through the truncation,
+    built once per (spectrum, truncation) and shared after that.
 
     >>> prof = homotopy_profile(BP, 8)
     >>> [prof.free_rank(d) for d in (2, 4, 6, 8)]
     [1, 1, 2, 2]
+    >>> homotopy_profile(BP, 8) is prof
+    True
     >>> homotopy_profile(BOP, 12).torsion(9)
     1
     """

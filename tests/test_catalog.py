@@ -126,6 +126,24 @@ def test_profile_accessors_and_json():
     assert len(rows) == 13
 
 
+def test_profiles_are_shared_and_read_only():
+    # each (spectrum, truncation) is built once and then shared, so no
+    # caller may change it
+    prof = homotopy_profile(BO, 20)
+    assert homotopy_profile(BO, 20) is prof
+    assert homotopy_profile(BO, 21) is not prof
+    with pytest.raises(TypeError):
+        prof.torsion_z2[1] = 5
+    with pytest.raises(TypeError):
+        del prof.torsion_z2[1]
+    assert prof.torsion(1) == 1
+    # a profile keeps its own copy of the map it was given
+    torsion = {3: 1}
+    planted = HomotopyProfile(BO, prof.free_ranks, torsion)
+    torsion[3] = 7
+    assert planted.torsion_z2 == {3: 1}
+
+
 def test_catalogued_spectra_listing():
     names = [str(s) for s in CATALOGUED_SPECTRA]
     assert names == ["BP", "BPbar", "BPn(1)", "BPn(2)", "BPn(3)", "BPn(4)",

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bopcalc import catalog as catalog_mod
 from bopcalc import series as series_mod
 from bopcalc import towers as towers_mod
 from bopcalc.algebra import GeneratorTable, poincare_series, tensor
@@ -23,6 +26,7 @@ from bopcalc.errors import (
     InvalidParameter,
     NegativeDimension,
     RankRuleInapplicable,
+    TruncationError,
     UnresolvedExtension,
 )
 from bopcalc.series import geometric, make_polynomial, one
@@ -57,6 +61,40 @@ def test_rank_rule_negative_index_components():
     assert table.component_rank == prof.free_rank(2) == 1
     assert table.counts == {d: prof.free_rank(d + 2)
                             for d in range(1, 9) if prof.free_rank(d + 2)}
+
+
+RANK_RULE_SPECTRA = [s for s in CATALOGUED_SPECTRA
+                     if s.tag in towers_mod._RANK_RULE_TAGS]
+
+
+def test_rank_rule_spectra_cover_every_tag():
+    assert {s.tag for s in RANK_RULE_SPECTRA} == \
+        set(towers_mod._RANK_RULE_TAGS)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 64])
+@pytest.mark.parametrize("spectrum", RANK_RULE_SPECTRA, ids=str)
+def test_rank_rule_table_is_a_slice_of_the_profile(spectrum, n):
+    # the sliced counts are the per-degree reading of the profile, from
+    # a profile exactly as deep as the table needs and from a deeper one
+    for i in range(-8, 9):
+        depth = max(n, n - i, -i, 0)
+        for extra in (0, 3):
+            prof = homotopy_profile(spectrum, depth + extra)
+            got = towers_mod._rank_rule_table(spectrum, i, n, prof)
+            want = {d: prof.free_rank(d - i) for d in range(1, n + 1)
+                    if prof.free_rank(d - i)}
+            assert (got.counts, got.component_rank, got.truncation) == \
+                (want, prof.free_rank(-i), n), (i, extra)
+
+
+@pytest.mark.parametrize("n, index", [(10, 0), (10, 3), (10, -3), (0, -2),
+                                      (1, -2)])
+def test_rank_rule_table_rejects_a_short_profile(n, index):
+    # one degree short of truncation - index, the deepest degree read
+    short = homotopy_profile(BP, n - index - 1)
+    with pytest.raises(TruncationError):
+        towers_mod._rank_rule_table(BP, index, n, short)
 
 
 def test_rank_rule_kind_by_index_parity():
@@ -535,6 +573,62 @@ def test_bop_tower_check_builds_only_the_hurewicz_series(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     assert verify_bop_tower(64).passed
     assert calls == ["poincare_series"]
+
+
+def test_bop_tower_check_builds_each_profile_once(monkeypatch):
+    # the BPbar middles and the fiber spaces share one profile per
+    # spectrum: BP's product (under BPbar) and BoP's (under F) run once
+    firsts = []
+    real = catalog_mod.product_over
+
+    def counted(degrees, truncation):
+        degrees = iter(degrees)
+        first = next(degrees)
+        firsts.append(first)
+        return real(itertools.chain([first], degrees), truncation)
+
+    monkeypatch.setattr(catalog_mod, "product_over", counted)
+    homotopy_profile.cache_clear()
+    assert verify_bop_tower(64).passed
+    assert sorted(firsts) == [2, 4]  # BP's v_1 degree, BoP's first
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 32])
+def test_bop_tower_hurewicz_stage_finds_a_planted_series(monkeypatch, n):
+    # a Poincare series with two classes in degree 2: the probe, the one
+    # series the check builds, must fail there once N reaches 2
+    real = towers_mod.poincare_series
+
+    def planted(*tables):
+        return real(*tables) + make_polynomial({2: 1}, tables[0].truncation)
+
+    monkeypatch.setattr(towers_mod, "poincare_series", planted)
+    report = verify_bop_tower(n)
+    if n < 2:
+        assert report.passed
+    else:
+        assert not report.passed
+        assert report.first_failure_degree == 2
+        assert report.detail == {"stage": "hurewicz", "index": 2}
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1024])
+def test_bop_tower_hurewicz_probe_agrees_with_the_full_table(monkeypatch, n):
+    # the probe keeps the generators of degree <= 2 at truncation 2; its
+    # H_2 is the full space-2 table's
+    probes = []
+    real = towers_mod.poincare_series
+
+    def recorded(*tables):
+        probes.append(tables)
+        return real(*tables)
+
+    monkeypatch.setattr(towers_mod, "poincare_series", recorded)
+    assert verify_bop_tower(n).passed
+    (probe,) = probes
+    assert [t.truncation for t in probe] == [2]
+    (space2,) = bop_tower(2, n)
+    assert real(*probe).coefficient(2) == real(space2).coefficient(2) == 1
 
 
 @pytest.mark.parametrize("degree", [2, 4, 6, 8, 14, 20, 32])
