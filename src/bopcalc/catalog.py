@@ -185,7 +185,7 @@ def _bo_torsion(truncation: int) -> Dict[int, int]:
     return out
 
 
-# More than the 49 distinct profiles `verify all` reads, the most any
+# More than the 37 distinct profiles `verify all` reads, the most any
 # one command reads.
 _PROFILE_CACHE_SIZE = 64
 

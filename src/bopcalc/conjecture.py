@@ -16,10 +16,11 @@ computation.  One chain of quotients per truncation serves every index.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import add
 
 from .errors import ConjectureShapeError, InvalidParameter, NotApplicable
 from .reports import VerificationReport, first_mismatch, run_check
-from .series import TruncatedSeries, make_polynomial, one
+from .series import TruncatedSeries, one
 
 __all__ = [
     "steenrod_series",
@@ -171,14 +172,16 @@ def conjectured_bopn_cohomology(n: int, truncation: int) -> TruncatedSeries:
 
 def _conjectured(n: int, truncation: int,
                  chain: List[TruncatedSeries]) -> TruncatedSeries:
-    quotients: Dict[int, TruncatedSeries] = {}
-    acc = make_polynomial({}, truncation)
+    # Each summand is added in place from its suspension up; the series
+    # is built once, at the end.
+    quotients: Dict[int, Tuple[int, ...]] = {}
+    acc = [0] * (truncation + 1)
     for s, level, eps, suspension in summand_suspensions(n, truncation):
         index = level + 2 + eps
         if index not in quotients:
-            quotients[index] = _nonnegative(_entry(chain, index))
-        acc = acc + quotients[index].shift(suspension)
-    return acc
+            quotients[index] = _nonnegative(_entry(chain, index)).coefficients
+        acc[suspension:] = map(add, acc[suspension:], quotients[index])
+    return TruncatedSeries(acc, truncation)
 
 
 def bop_cohomology_series(truncation: int) -> TruncatedSeries:
@@ -217,7 +220,7 @@ class SquareMonomial(namedtuple("SquareMonomial", "index factors")):
 
     @property
     def total_degree(self) -> int:
-        return sum(count * 2 ** (m + 1) for m, count in self.factors)
+        return sum(count << (m + 1) for m, count in self.factors)
 
 
 def square_monomial(j: int) -> SquareMonomial:
@@ -234,12 +237,17 @@ def square_monomial(j: int) -> SquareMonomial:
     """
     if j <= 0:
         raise InvalidParameter(f"generator index {j} must be positive")
-    bits = [m for m in range(j.bit_length()) if j >> m & 1]
-    if len(bits) < 2:
+    if j & (j - 1) == 0:
         raise NotApplicable(
             f"index {j} is a 2-power; its square is not decomposable")
-    factors = tuple((s - i, 2 ** (i + 1)) for i, s in enumerate(bits))
-    return SquareMonomial(index=j, factors=factors)
+    factors = []
+    rest = j
+    while rest:
+        low = rest & -rest          # 2^(s_i), the lowest bit left
+        i = len(factors)
+        factors.append((low.bit_length() - 1 - i, 2 << i))
+        rest ^= low
+    return SquareMonomial(j, tuple(factors))
 
 
 # -- verifiers ---------------------------------------------------------------

@@ -169,6 +169,21 @@ def quotient_by_exterior(dims: List[int], degree: int) -> List[int]:
     return out
 
 
+def naive_square_monomial(j: int) -> Optional[Tuple[Tuple[int, int], ...]]:
+    """The monomial detecting the square of the j-th generator, as
+    (base, power) pairs: with j = 2^(s_1) + ... + 2^(s_k), s_1 < ... <
+    s_k, factor i (counted from 1) is b(s_i - (i - 1)) to the power 2^i.
+    None when k < 2 (j is a 2-power); ValueError when j <= 0."""
+    if j <= 0:
+        raise ValueError(j)
+    exponents = [s for s, digit in enumerate(reversed(bin(j)[2:]))
+                 if digit == "1"]
+    if len(exponents) < 2:
+        return None
+    return tuple((s - (i - 1), 2 ** i)
+                 for i, s in enumerate(exponents, start=1))
+
+
 # -- frozen reference values -------------------------------------------------
 
 # Multisets of even parts {2, 4, 6, 8} summing to 8.

@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from bopcalc.cli import (
     CHECK_NAMES,
     build_parser,
     main,
+    run,
 )
 
 SERIES_SCHEMA = {
@@ -427,3 +429,85 @@ def test_console_script_entry_point():
     proc = subprocess.run(["bopcalc", "catalog"], capture_output=True,
                           text=True)
     assert proc.returncode == 0 and "BoP" in proc.stdout
+
+
+def _masked(text):
+    return re.sub(r'"elapsed_ms": [^,}\n]+', '"elapsed_ms": 0', text)
+
+
+def _in_process(argv, capsys):
+    """main()'s status and its two streams, as the process would exit."""
+    try:
+        status = main(list(argv))
+    except SystemExit as exc:   # argparse usage errors
+        status = exc.code
+    out, err = capsys.readouterr()
+    return status, _masked(out), err
+
+
+@pytest.mark.parametrize("module", ["bopcalc", "bopcalc.cli"])
+@pytest.mark.parametrize("argv, status", [
+    (("verify", "all", "--format", "json"), 0),
+    (("verify", "rhs-one", "--inject-fault", "--format", "json"), 1),
+    (("homology", "Fish", "2"), 2),
+    (("verify", "no-such-check"), 2),
+])
+def test_process_exit_matches_main(module, argv, status, capsys):
+    # the process leaves through os._exit (argparse errors through
+    # SystemExit); either way it prints what main() prints and exits
+    # with its status
+    proc = subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == status
+    assert _in_process(argv, capsys) == (status, _masked(proc.stdout),
+                                         proc.stderr)
+
+
+def test_output_file_holds_the_whole_report(tmp_path, capsys):
+    target = tmp_path / "out.json"
+    argv = ("verify", "all", "--format", "json")
+    proc = run_cli(*argv, "--output", str(target))
+    assert proc.returncode == 0 and proc.stdout == proc.stderr == ""
+    text = target.read_text()
+    assert len(json.loads(text)["reports"]) == len(CHECK_NAMES)
+    assert _masked(text) == _in_process(argv, capsys)[1]
+
+
+class _Stream(io.StringIO):
+    def __init__(self, name, events, broken=False):
+        super().__init__()
+        self.name, self.events, self.broken = name, events, broken
+
+    def flush(self):
+        self.events.append(("flush", self.name))
+        if self.broken:
+            raise BrokenPipeError(32, "Broken pipe")
+        super().flush()
+
+
+@pytest.mark.parametrize("argv, status", [
+    (("verify", "rhs-one", "-N", "16"), 0),
+    (("verify", "rhs-one", "-N", "16", "--inject-fault"), 1),
+    (("homology", "Fish", "2"), 2),
+])
+def test_run_flushes_both_streams_then_exits(monkeypatch, argv, status):
+    events = []
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", events))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", events))
+    monkeypatch.setattr(os, "_exit", lambda code: events.append(("exit", code)))
+    run(argv)
+    assert events[-3:] == [("flush", "stdout"), ("flush", "stderr"),
+                           ("exit", status)]
+    assert sys.stdout.getvalue() or sys.stderr.getvalue()
+
+
+def test_run_keeps_the_status_when_the_final_flush_fails(monkeypatch):
+    # every check passes and --quiet prints nothing, so the only write
+    # to stdout is run()'s own flush, which meets a closed pipe
+    events = []
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", events, broken=True))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", events))
+    monkeypatch.setattr(os, "_exit", lambda code: events.append(("exit", code)))
+    run(["verify", "rhs-one", "-N", "16", "--quiet"])
+    assert events == [("flush", "stdout"), ("flush", "stderr"), ("exit", 0)]
+    assert sys.stderr.getvalue() == ""

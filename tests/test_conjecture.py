@@ -6,6 +6,7 @@ import oracles
 from bopcalc import conjecture as conjecture_mod
 from bopcalc.catalog import BP, homotopy_profile
 from bopcalc.conjecture import (
+    SquareMonomial,
     _band_data,
     bop_cohomology_series,
     conjectured_bopn_cohomology,
@@ -160,6 +161,53 @@ def test_square_monomial_degree_doubles(j):
     assert all(b >= 0 for b in bases)
     assert [m for _, m in mono.factors] == [2 ** i for i in
                                             range(1, len(bases) + 1)]
+
+
+def test_square_monomial_matches_oracle():
+    for j in range(-4, 8193):
+        try:
+            want = oracles.naive_square_monomial(j)
+        except ValueError:
+            with pytest.raises(InvalidParameter):
+                square_monomial(j)
+            continue
+        if want is None:
+            with pytest.raises(NotApplicable):
+                square_monomial(j)
+            continue
+        mono = square_monomial(j)
+        assert mono == (j, want), j
+        assert mono.total_degree == sum(power * 2 ** (base + 1)
+                                        for base, power in want) == 4 * j
+
+
+@pytest.mark.parametrize("planted_j, factors, stage", [
+    (2, ((1, 2),), "indecomposable"),   # a 2-power accepted
+    (3, ((0, 1), (0, 4)), "degree"),    # the first count halved
+    (3, ((1, 2), (-1, 4)), "factors"),  # the right degree, a negative base
+])
+def test_square_decompositions_fail_at_a_planted_fault(monkeypatch, planted_j,
+                                                       factors, stage):
+    real = conjecture_mod.square_monomial
+
+    def planted(j):
+        return SquareMonomial(j, factors) if j == planted_j else real(j)
+
+    monkeypatch.setattr(conjecture_mod, "square_monomial", planted)
+    report = verify_square_decompositions(64)
+    assert not report.passed
+    assert report.first_failure_degree == planted_j
+    assert report.detail == {"stage": stage}
+
+
+def test_conjectured_series_is_the_sum_of_its_suspended_summands():
+    n = 200
+    for height in range(3, 17):
+        want = make_polynomial({}, n)
+        for s, level, eps, suspension in summand_suspensions(height, n):
+            want = want + milnor_sq2_quotient_series(
+                level + 2 + eps, n).shift(suspension)
+        assert conjectured_bopn_cohomology(height, n) == want, height
 
 
 def test_verifiers_pass_at_reference_scales():

@@ -593,6 +593,13 @@ def test_bop_tower_check_builds_each_profile_once(monkeypatch):
     assert sorted(firsts) == [2, 4]  # BP's v_1 degree, BoP's first
 
 
+def test_rank_rule_bss_check_builds_one_profile_per_spectrum():
+    # one profile deep enough for index -6 serves every index it checks
+    homotopy_profile.cache_clear()
+    assert verify_rank_rule_bss(40).passed
+    assert homotopy_profile.cache_info().misses == 2
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 32])
 def test_bop_tower_hurewicz_stage_finds_a_planted_series(monkeypatch, n):
     # a Poincare series with two classes in degree 2: the probe, the one
