@@ -185,8 +185,8 @@ def _bo_torsion(truncation: int) -> Dict[int, int]:
     return out
 
 
-# More than the 37 distinct profiles `verify all` reads, the most any
-# one command reads.
+# More than the 39 distinct profiles `verify all` reads, the most any
+# one command reads (a BPn profile also caches each level below it).
 _PROFILE_CACHE_SIZE = 64
 
 
@@ -211,8 +211,16 @@ def homotopy_profile(spectrum: SpectrumId, truncation: int) -> HomotopyProfile:
         bp = homotopy_profile(BP, truncation).free_ranks
         return HomotopyProfile(spectrum, bp.times_binomial(8, -1, -1), {})
     if tag == "BPn":
-        free = product_over(itertools.islice(_vn_degrees(), spectrum.level),
-                            truncation)
+        # BPn(k) is BPn(k-1) with v_k adjoined; past the last v_k at or
+        # below the truncation every level has the same free ranks
+        level, top = spectrum.level, max((truncation + 2).bit_length() - 2, 1)
+        if level > top:
+            free = homotopy_profile(bpn(top), truncation).free_ranks
+        elif level == 1:
+            free = geometric(2, truncation)
+        else:
+            below = homotopy_profile(bpn(level - 1), truncation).free_ranks
+            free = below.times_binomial(2 * (2 ** level - 1), -1, -1)
         return HomotopyProfile(spectrum, free, {})
     if tag == "bu":
         return HomotopyProfile(spectrum, geometric(2, truncation), {})

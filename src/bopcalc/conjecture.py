@@ -16,11 +16,10 @@ computation.  One chain of quotients per truncation serves every index.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import add
 
 from .errors import ConjectureShapeError, InvalidParameter, NotApplicable
 from .reports import VerificationReport, first_mismatch, run_check
-from .series import TruncatedSeries, one
+from .series import TruncatedSeries, one, shifted_sum
 
 __all__ = [
     "steenrod_series",
@@ -59,14 +58,15 @@ def steenrod_series(truncation: int) -> TruncatedSeries:
 
 
 def _quotient_chain(truncation: int) -> List[TruncatedSeries]:
-    """Sq^2 quotients n = 0, 1, ... through the stable one.  Milnor
-    quotient n, quotient n-1 with one more factor divided out, is entry
-    n times (1 + x^2), so a nonnegative entry has a nonnegative one."""
+    """Sq^2 quotients n = 0, 1, ... through the stable one: the Steenrod
+    series over (1 + x^2), then one more exterior factor divided out per
+    entry.  Milnor quotient n is entry n times (1 + x^2), so a
+    nonnegative entry has a nonnegative one."""
     chain: List[TruncatedSeries] = []
-    acc, degree = steenrod_series(truncation), 1
+    acc, degree = steenrod_series(truncation).times_binomial(2, 1, -1), 1
     while not chain or degree <= truncation:
         acc = acc.times_binomial(degree, 1, -1)
-        chain.append(acc.times_binomial(2, 1, -1))
+        chain.append(acc)
         degree = 2 * degree + 1
     return chain
 
@@ -172,16 +172,15 @@ def conjectured_bopn_cohomology(n: int, truncation: int) -> TruncatedSeries:
 
 def _conjectured(n: int, truncation: int,
                  chain: List[TruncatedSeries]) -> TruncatedSeries:
-    # Each summand is added in place from its suspension up; the series
-    # is built once, at the end.
-    quotients: Dict[int, Tuple[int, ...]] = {}
-    acc = [0] * (truncation + 1)
+    # Each quotient is fetched and checked at its first summand and
+    # gathered with the suspensions of all its summands.
+    quotients: Dict[int, Tuple[TruncatedSeries, List[int]]] = {}
     for s, level, eps, suspension in summand_suspensions(n, truncation):
         index = level + 2 + eps
         if index not in quotients:
-            quotients[index] = _nonnegative(_entry(chain, index)).coefficients
-        acc[suspension:] = map(add, acc[suspension:], quotients[index])
-    return TruncatedSeries(acc, truncation)
+            quotients[index] = (_nonnegative(_entry(chain, index)), [])
+        quotients[index][1].append(suspension)
+    return shifted_sum(quotients.values(), truncation)
 
 
 def bop_cohomology_series(truncation: int) -> TruncatedSeries:

@@ -89,6 +89,8 @@ def run_check(check: str, parameters: Mapping,
 
 def first_mismatch(left: TruncatedSeries, right: TruncatedSeries) -> Optional[int]:
     """First degree where two series disagree, or None if equal."""
+    if left == right:
+        return None
     diff = left - right
     for d, c in enumerate(diff.coefficients):
         if c:

@@ -12,9 +12,16 @@ degrees d, one O(N) binomial pass per degree.  The family may be an
 infinite generator as long as its degrees never decrease: factors
 beyond the truncation degree are 1 up to truncation, so enumeration
 stops at the first degree above N.  times_binomial multiplies or
-divides by (1 +- x^d) with a strided pass over the coefficients instead
-of inverting a dense polynomial and convolving with it; shift
-multiplies by x^k as a slice.
+divides by (1 +- x^d) with the same pass instead of inverting a dense
+polynomial and convolving with it.  The pass (_binomial_pass) runs in
+C: multiplying is one map(add or sub) of the list against itself moved
+up d places; dividing by 1 - x^d is one itertools.accumulate per
+residue class mod d while d^2 <= 4N, else one map(add) per block of d
+degrees against the block below it; dividing by 1 + x^d multiplies by
+1 - x^d and divides by 1 - x^(2d) while 4d^2 <= N, else takes the block
+form with sub.  Those thresholds are where the forms' measured costs
+cross.  shift multiplies by x^k as a slice, and shifted_sum adds a
+series at many shifts through one division by 1 - x^8.
 
 A generator table's Poincare series (algebra.poincare_series) is built
 instead as the Euler transform of its log-derivative, whatever its kind
@@ -61,7 +68,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import (
     InvalidParameter,
@@ -75,6 +82,7 @@ __all__ = [
     "TruncatedSeries",
     "make_polynomial",
     "product_over",
+    "shifted_sum",
     "log_derivative",
     "from_log_derivative",
     "geometric",
@@ -111,6 +119,8 @@ class TruncatedSeries:
 
     def check_nonnegative(self) -> Optional[int]:
         """None if every coefficient is >= 0, else the first bad degree."""
+        if min(self.coefficients) >= 0:
+            return None
         for d, c in enumerate(self.coefficients):
             if c < 0:
                 return d
@@ -127,15 +137,13 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._match(other)
-        return _from_ints(
-            [a + b for a, b in zip(self.coefficients, other.coefficients)],
-            self.truncation)
+        return _from_ints(map(add, self.coefficients, other.coefficients),
+                          self.truncation)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._match(other)
-        return _from_ints(
-            [a - b for a, b in zip(self.coefficients, other.coefficients)],
-            self.truncation)
+        return _from_ints(map(sub, self.coefficients, other.coefficients),
+                          self.truncation)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._match(other)
@@ -317,6 +325,42 @@ def product_over(degrees: Iterable[int],
     return _from_ints(acc, truncation)
 
 
+def shifted_sum(parts: Iterable[Tuple[TruncatedSeries, Iterable[int]]],
+                truncation: int) -> TruncatedSeries:
+    """Sum of series * x^shift over each (series, shifts) pair and each
+    shift >= 0 in its shifts, truncated at N.
+
+    The shifts of a series, as a polynomial, times (1 - x^8) keep only
+    the two ends of each run in steps of 8, so the sum is built from
+    those ends and divided by 1 - x^8 once.  Any shifts give the exact
+    sum: dividing by a unit series undoes multiplying by it modulo
+    x^(N+1).
+
+    >>> print(shifted_sum([(one(20), [2, 10, 18]), (one(20), [3])], 20))
+    x^2 + x^3 + x^10 + x^18
+    """
+    acc = [0] * (truncation + 1)
+    for series, shifts in parts:
+        if series.truncation != truncation:
+            raise TruncationError(
+                f"mixed truncations {truncation} and {series.truncation}")
+        ends = {}
+        for shift in shifts:
+            if shift < 0:
+                raise TruncationError(f"shift {shift} is negative")
+            ends[shift] = ends.get(shift, 0) + 1
+            ends[shift + 8] = ends.get(shift + 8, 0) - 1
+        coeffs = series.coefficients
+        for shift, m in ends.items():
+            if m and shift <= truncation:
+                op, m = (add, m) if m > 0 else (sub, -m)
+                acc[shift:] = map(op, acc[shift:],
+                                  coeffs if m == 1 else [m * c for c in coeffs])
+    if truncation >= 8:
+        _binomial_pass(acc, 8, -1, -1)
+    return _from_ints(acc, truncation)
+
+
 def log_derivative(series: TruncatedSeries) -> TruncatedSeries:
     """x P'/P for a series P with constant term 1 (inverse Euler
     transform); the result has constant term 0.
@@ -369,20 +413,29 @@ def _from_ints(coeffs, truncation: int) -> TruncatedSeries:
 
 def _binomial_pass(coeffs, degree, sign, power):
     """Multiply the list coeffs in place by (1 + sign*x^degree)^power,
-    power +1 or -1, with degree <= N.
+    power +1 or -1, with degree <= N; the forms and their thresholds are
+    in the module docstring.
 
-    Multiplying adds sign*c[k - degree] to c[k]; walking downward reads
-    each c[k - degree] before it is overwritten.  Dividing solves
-    q[k] = c[k] - sign*q[k - degree]; walking upward makes each
-    q[k - degree] ready before it is read.
+    Multiplying adds sign*c[k - d] to every c[k] at once, from the old
+    list.  Dividing solves q[k] = c[k] - sign*q[k - d]: a running sum
+    along each residue class, or block by block upward, so each
+    q[k - d] is solved before it is read.
     """
     n = len(coeffs) - 1
+    d = degree
     if power == 1:
-        for k in range(n, degree - 1, -1):
-            coeffs[k] += sign * coeffs[k - degree]
+        coeffs[d:] = map(add if sign == 1 else sub, coeffs[d:],
+                         coeffs[:n + 1 - d])
+    elif sign == 1 and 4 * d * d <= n:
+        _binomial_pass(coeffs, d, -1, 1)
+        _binomial_pass(coeffs, 2 * d, -1, -1)
+    elif sign == -1 and d * d <= 4 * n:
+        for r in range(d):
+            coeffs[r::d] = itertools.accumulate(coeffs[r::d])
     else:
-        for k in range(degree, n + 1):
-            coeffs[k] -= sign * coeffs[k - degree]
+        op = add if sign == -1 else sub
+        for k in range(d, n + 1, d):
+            coeffs[k:k + d] = map(op, coeffs[k:k + d], coeffs[k - d:k])
 
 
 def _add_log_derivative(b, degree, count, sign):

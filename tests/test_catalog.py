@@ -3,6 +3,7 @@ import json
 import pytest
 
 import oracles
+from bopcalc import series as series_mod
 from bopcalc.catalog import (
     BP,
     BPBAR,
@@ -69,15 +70,36 @@ def test_bpbar_is_bp_with_degree8_factor():
 
 
 def test_bpn_profiles_truncate_generator_list():
-    n = 30
-    for level in (1, 2, 3):
-        prof = homotopy_profile(bpn(level), n)
-        parts = [2 * (2 ** i - 1) for i in range(1, level + 1)]
-        assert list(prof.free_ranks.coefficients) == \
-            oracles.partition_counts(parts, n)
+    for n in (0, 1, 2, 5, 6, 13, 14, 30, 100):
+        for level in range(1, 10):
+            prof = homotopy_profile(bpn(level), n)
+            parts = [2 * (2 ** i - 1) for i in range(1, level + 1)]
+            assert list(prof.free_ranks.coefficients) == \
+                oracles.partition_counts(parts, n)
+        # levels far above the truncation share the top level's ranks
+        assert homotopy_profile(bpn(5000), n).free_ranks == \
+            homotopy_profile(bpn(9), n).free_ranks
     # BPn(1) is just one degree-2 polynomial generator
     assert [homotopy_profile(bpn(1), 10).free_rank(d)
             for d in range(11)] == [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+
+
+def test_bpn_profile_makes_one_pass_per_level(monkeypatch):
+    homotopy_profile.cache_clear()
+    degrees = []
+    real = series_mod._binomial_pass
+
+    def counted(coeffs, degree, sign, power):
+        degrees.append(degree)
+        real(coeffs, degree, sign, power)
+
+    monkeypatch.setattr(series_mod, "_binomial_pass", counted)
+    homotopy_profile(bpn(10), 2048)
+    assert degrees == [2 * (2 ** k - 1) for k in range(1, 11)]
+    # every level below was built on the way up, and is shared
+    for level in range(1, 10):
+        homotopy_profile(bpn(level), 2048)
+    assert len(degrees) == 10
 
 
 def test_bu_bo_profiles():

@@ -194,6 +194,24 @@ def test_catalog_listing_and_profile():
     assert torsion == {1: 1, 2: 1, 9: 1, 10: 1}
 
 
+def test_catalog_bpn_level_far_above_the_truncation():
+    # the profile chain stops at the last level below N, so a huge
+    # level neither recurses nor changes what is printed
+    proc = run_cli("catalog", "BPn:5000", "-N", "10")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == (
+        "spectrum: BPn(5000)\n"
+        "  degree  free_rank  torsion_z2\n"
+        + "".join(f"{d:8d}{r:11d}{0:12d}\n"
+                  for d, r in [(0, 1), (2, 1), (4, 1), (6, 2), (8, 2),
+                               (10, 2)]))
+    proc = run_cli("catalog", "BPn:5000", "-N", "10", "--format", "json")
+    doc = json.loads(proc.stdout)
+    assert doc["profile"]["spectrum"] == "BPn(5000)"
+    assert doc["profile"]["free_ranks"]["coefficients"] == \
+        ["1", "0", "1", "0", "1", "0", "2", "0", "2", "0", "2"]
+
+
 def test_catalog_csv_parses():
     proc = run_cli("catalog", "BPn:2", "-N", "12", "--format", "csv")
     assert proc.returncode == 0

@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -17,6 +18,7 @@ from bopcalc.errors import (
     TruncationError,
     ZeroDegreeFactor,
 )
+from bopcalc import series as series_mod
 from bopcalc.reports import first_mismatch
 from bopcalc.series import (
     TruncatedSeries,
@@ -26,6 +28,7 @@ from bopcalc.series import (
     make_polynomial,
     one,
     product_over,
+    shifted_sum,
 )
 
 # Small sparse integer polynomials, as degree -> coefficient dicts.
@@ -120,6 +123,7 @@ def test_invert_requires_unit():
 def test_check_nonnegative():
     assert one(4).check_nonnegative() is None
     assert make_polynomial({3: -1}, 4).check_nonnegative() == 3
+    assert make_polynomial({1: -1, 3: -5}, 4).check_nonnegative() == 1
 
 
 def test_geometric_is_partition_series():
@@ -209,6 +213,60 @@ def test_times_binomial_matches_naive(a, degree, sign, power):
     got = as_dict(from_dict(a).times_binomial(degree, sign, power))
     assert got == oracles.naive_mul(
         {k: v for k, v in a.items() if v}, factor, 12)
+
+
+def test_binomial_pass_matches_naive_at_every_degree():
+    # every form of the kernel: the slice multiply, running sums per
+    # residue class (d^2 small against N), blocks of d degrees (up to
+    # d = N), and 1 + x^d through 1 - x^(2d); 80-bit coefficients keep
+    # small-int caching out of the picture
+    rng = random.Random(20)
+    for n in range(81):
+        coeffs = [rng.randrange(-2 ** 80, 2 ** 80) for _ in range(n + 1)]
+        a = {k: c for k, c in enumerate(coeffs) if c}
+        for d in range(1, n + 1):
+            for sign in (1, -1):
+                binomial = {0: 1, d: sign}
+                inverse = oracles.naive_invert(binomial, n)
+                for power, factor in ((1, binomial), (-1, inverse)):
+                    got = list(coeffs)
+                    series_mod._binomial_pass(got, d, sign, power)
+                    want = oracles.naive_mul(a, factor, n)
+                    assert got == [want.get(k, 0) for k in range(n + 1)], \
+                        (n, d, sign, power)
+
+
+shift_parts = st.lists(st.tuples(coeff_dicts,
+                                 st.lists(st.integers(0, 20), max_size=8)),
+                       max_size=4)
+
+
+@given(shift_parts)
+def test_shifted_sum_matches_naive(parts):
+    # repeated shifts, shifts past N and gaps other than 8 included
+    want = {}
+    for a, shifts in parts:
+        for shift in shifts:
+            term = oracles.naive_mul({k: v for k, v in a.items() if v},
+                                     {shift: 1}, 12)
+            for k, v in term.items():
+                want[k] = want.get(k, 0) + v
+    got = shifted_sum([(from_dict(a), shifts) for a, shifts in parts], 12)
+    assert as_dict(got) == {k: v for k, v in want.items() if v}
+
+
+def test_shifted_sum_runs_and_domain():
+    q = make_polynomial({0: 1, 1: -2, 5: 3}, 40)
+    shifts = list(range(3, 41, 8)) + [7, 7]
+    want = make_polynomial({}, 40)
+    for shift in shifts:
+        want = want + q.shift(shift)
+    assert shifted_sum([(q, shifts)], 40) == want
+    assert shifted_sum([], 3) == make_polynomial({}, 3)
+    with pytest.raises(TruncationError):
+        shifted_sum([(one(4), [1])], 5)
+    with pytest.raises(TruncationError):
+        shifted_sum([(one(4), [-1])], 4)
 
 
 def test_times_binomial_rejects_bad_factors():

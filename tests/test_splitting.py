@@ -152,6 +152,25 @@ def test_head_induction_builds_each_head_and_layer_once(monkeypatch):
     assert heads == list(range(2, 11))
     assert layers == list(range(2, 10))
 
+
+def test_rhs_one_builds_each_level_product_once(monkeypatch):
+    # each level product is the one above it times one factor, and every
+    # head and layer reads the shared products
+    splitting_mod._level_product.cache_clear()
+    calls = []
+    real = TruncatedSeries.times_binomial
+
+    def counted(series, degree, sign, power):
+        calls.append(degree)
+        return real(series, degree, sign, power)
+
+    monkeypatch.setattr(TruncatedSeries, "times_binomial", counted)
+    assert verify_rhs_one(2048).passed
+    assert len(calls) <= 30
+    # a level whose factor lies above N adds none, so no deep recursion
+    assert head_series(5000, 10) == one(10)
+
+
 def test_irreducibility_scale_cap():
     with pytest.raises(InvalidParameter):
         verify_irreducibility(22)
@@ -211,3 +230,54 @@ def test_bop6_splitting_finds_a_planted_bpn_rank(monkeypatch, level, degree):
     assert not want.passed and not report.passed
     assert report.first_failure_degree == want.first_failure_degree + 6
     assert report.detail == {"side": "free"}
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("n", [0, 5, 6, 7, 13, 40, 100, 257, 1031])
+def test_rational_splitting_rhs_is_the_per_index_sum(monkeypatch, n, planted):
+    # the right-hand side compared with BoP is bo plus one shifted BPn
+    # profile per splitting index, however the sum is organised
+    if planted:
+        _plant_bpn_rank(monkeypatch, 2, 0)
+    read = splitting_mod.homotopy_profile
+    compared = []
+    real = splitting_mod.first_mismatch
+
+    def spy(left, right):
+        compared.append(right)
+        return real(left, right)
+
+    monkeypatch.setattr(splitting_mod, "first_mismatch", spy)
+    report = verify_rational_splitting(n)
+    want = read(BO, n).free_ranks
+    for idx in splitting_indices(n + 6):
+        ranks = read(bpn(idx.level), n).free_ranks
+        want = want + ranks.shift(idx.suspension)
+    assert compared == [want]
+    assert report.passed is (not planted or n < 6)
+
+
+def _plant_torsion(monkeypatch, torsion):
+    real = splitting_mod.homotopy_profile
+
+    def planted(spectrum, truncation):
+        profile = real(spectrum, truncation)
+        if spectrum != BO:
+            return profile
+        return type(profile)(spectrum, profile.free_ranks,
+                             {**profile.torsion_z2, **torsion})
+
+    monkeypatch.setattr(splitting_mod, "homotopy_profile", planted)
+
+
+@pytest.mark.parametrize("torsion, failure", [
+    ({5: 1, 9: 0, 17: 2}, 5),
+    # an explicit zero count differs as a map but not as a count
+    ({4: 0}, None),
+])
+def test_rational_splitting_torsion_stage(monkeypatch, torsion, failure):
+    _plant_torsion(monkeypatch, torsion)
+    report = verify_rational_splitting(64)
+    assert report.first_failure_degree == failure
+    if failure is not None:
+        assert report.detail == {"side": "torsion"}
