@@ -43,14 +43,12 @@ __all__ = ["build_parser", "main", "run", "CHECK_NAMES"]
 
 # -- check registry ----------------------------------------------------------
 
-class _CheckSpec(namedtuple("_CheckSpec",
-                             "name verifier faults scale_cap",
-                             defaults=(None, None))):
+class _CheckSpec(namedtuple("_CheckSpec", "name verifier faults",
+                             defaults=(None,))):
     """One named check.  `verifier` takes one size argument, its scale
     (a degree bound for most, a level or index bound for the
     combinatorial ones), and under --inject-fault also `faults`; a
-    check without faults cannot be made to fail on purpose.  A check
-    with a `scale_cap` runs at most at that scale, whatever -N asks for."""
+    check without faults cannot be made to fail on purpose."""
 
     __slots__ = ()
 
@@ -80,10 +78,7 @@ _REGISTRY = {spec.name: spec for spec in (
     _CheckSpec("bpn-rank-recursion", _splitting.verify_bpn_rank_recursion),
     _CheckSpec("bop6-splitting", _splitting.verify_bop6_homotopy_splitting),
     _CheckSpec("epsilon-partition", _conjecture.verify_epsilon_partition),
-    # The stable-limit identity itself stops holding past degree 64
-    # (height 16 first breaks at degree 127), so -N is capped there.
-    _CheckSpec("conjecture-limit", _conjecture.verify_stable_limit,
-               scale_cap=64),
+    _CheckSpec("conjecture-limit", _conjecture.verify_stable_limit),
     _CheckSpec("first-appearance", _conjecture.verify_first_appearance),
     _CheckSpec("squares", _conjecture.verify_square_decompositions),
     _CheckSpec("conjecture-shape", _conjecture.verify_conjecture_shape),
@@ -273,16 +268,8 @@ def _run_reports(reports: List[VerificationReport], args) -> int:
 
 
 def _single_scale(spec: _CheckSpec, args) -> int:
-    """Scale for a check run on its own: -N if given, else pinned,
-    clamped to the check's cap with a note."""
-    if not args.max_degree_given:
-        return spec.pinned_scale
-    scale = args.max_degree
-    if spec.scale_cap is not None and scale > spec.scale_cap:
-        _note(f"{spec.name} is capped at {spec.scale_cap}; checked through "
-              f"degree {spec.scale_cap}, not {scale}", args)
-        scale = spec.scale_cap
-    return scale
+    """Scale for a check run on its own: -N if given, else pinned."""
+    return args.max_degree if args.max_degree_given else spec.pinned_scale
 
 
 def _cmd_verify(args) -> int:

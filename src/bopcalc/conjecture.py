@@ -287,17 +287,23 @@ def verify_epsilon_partition(n_max: int = 64) -> VerificationReport:
 
 def verify_stable_limit(limit_degree: int = 64) -> VerificationReport:
     """At heights 16, 20, 24, 33, 48 and 64 the conjectured series
-    agrees with the cohomology of BoP through the limit degree."""
+    agrees with the cohomology of BoP exactly below the edge
+    e(n) = 2^(p+4) - 1, p the band power of n: it agrees through
+    min(e(n) - 1, limit degree), and differs at e(n) when e(n) is
+    within the limit degree (stage "edge" if it agrees there)."""
     heights = (16, 20, 24, 33, 48, 64)
     params = {"heights": list(heights), "max_degree": limit_degree}
 
     def body():
         target = bop_cohomology_series(limit_degree)
+        chain = _quotient_chain(limit_degree)
         for n in heights:
-            got = conjectured_bopn_cohomology(n, limit_degree)
-            bad = first_mismatch(got, target)
-            if bad is not None:
+            edge = 2 ** (_band_data(n)[0] + 4) - 1
+            bad = first_mismatch(_conjectured(n, limit_degree, chain), target)
+            if bad is not None and bad < edge:
                 return bad, {"height": n}
+            if edge <= limit_degree and bad != edge:
+                return edge, {"height": n, "stage": "edge"}
 
     return run_check("conjecture-limit", params, body)
 

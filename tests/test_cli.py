@@ -363,20 +363,18 @@ def test_every_check_reports_at_every_small_scale(capsys):
                 (0, name, True), (name, n)
 
 
-def test_conjecture_limit_notes_its_cap():
-    capped = run_cli("verify", "conjecture-limit", "-N", "100",
-                     "--format", "json")
-    pinned = run_cli("verify", "conjecture-limit", "-N", "64",
-                     "--format", "json")
-    assert capped.returncode == pinned.returncode == 0
-    assert "checked through degree 64, not 100" in capped.stderr
-    assert pinned.stderr == ""
-    reports = [json.loads(p.stdout)["report"] for p in (capped, pinned)]
-    for report in reports:
-        report.pop("elapsed_ms")
-    assert reports[0] == reports[1]
-    quiet = run_cli("verify", "conjecture-limit", "-N", "100", "--quiet")
-    assert quiet.returncode == 0 and quiet.stderr == ""
+def test_conjecture_limit_runs_at_the_scale_asked_for():
+    # no clamp: -N reaches the edges of agreement at 127, 255 and 511
+    for command in (("verify", "conjecture-limit"),
+                    ("conjecture", "--check", "limit")):
+        proc = run_cli(*command, "-N", "100", "--format", "json")
+        assert (proc.returncode, proc.stderr) == (0, ""), command
+        report = json.loads(proc.stdout)["report"]
+        assert report["pass"] is True
+        assert report["parameters"]["max_degree"] == 100
+    for n in ("126", "127", "4096"):
+        proc = run_cli("verify", "conjecture-limit", "-N", n)
+        assert (proc.returncode, proc.stderr) == (0, ""), n
 
 
 def test_verify_quiet_table_hides_passes():

@@ -24,6 +24,7 @@ from bopcalc.conjecture import (
     verify_stable_limit,
 )
 from bopcalc.errors import InvalidParameter, NotApplicable
+from bopcalc.reports import first_mismatch
 from bopcalc.series import TruncatedSeries, make_polynomial
 
 
@@ -278,3 +279,79 @@ def test_square_decompositions_build_each_monomial_once(monkeypatch):
     monkeypatch.setattr(conjecture_mod, "square_monomial", counted)
     assert verify_square_decompositions(64).passed
     assert calls == list(range(2, 65))
+
+
+def test_conjectured_series_first_differs_at_the_edge():
+    # height n first differs from H^*(BoP) at 2^(p+4) - 1, p its band power
+    n = 600
+    target = bop_cohomology_series(n)
+    for height in range(3, 65):
+        edge = 2 ** (_band_data(height)[0] + 4) - 1
+        got = conjectured_bopn_cohomology(height, n)
+        assert first_mismatch(got, target) == (edge if edge <= n else None), \
+            height
+
+
+def test_stable_limit_fails_at_the_edge_a_chain_offset_moves(monkeypatch):
+    real = conjecture_mod._entry
+
+    def one_up(chain, n):
+        return real(chain, n if n is None else n + 1)
+
+    monkeypatch.setattr(conjecture_mod, "_entry", one_up)
+    # the offset moves the first mismatch of heights 16, 20, 24 past
+    # their edges 127, 255, 255, so only the edge stage sees it
+    target = bop_cohomology_series(300)
+    assert [first_mismatch(conjectured_bopn_cohomology(n, 300), target)
+            for n in (16, 20, 24)] == [128, 256, 256]
+    for scale in (64, 126):
+        assert verify_stable_limit(scale).passed, scale
+    report = verify_stable_limit(256)
+    assert not report.passed
+    assert report.first_failure_degree == 127
+    assert report.detail == {"height": 16, "stage": "edge"}
+
+
+def test_stable_limit_fails_below_the_edge(monkeypatch):
+    real = conjecture_mod.bop_cohomology_series
+
+    def bumped(truncation):
+        return real(truncation) + make_polynomial({100: 1}, truncation)
+
+    monkeypatch.setattr(conjecture_mod, "bop_cohomology_series", bumped)
+    report = verify_stable_limit(256)
+    assert not report.passed
+    assert report.first_failure_degree == 100
+    assert report.detail == {"height": 16}
+
+
+def test_first_appearance_fails_at_a_planted_off_by_one(monkeypatch):
+    real = conjecture_mod.first_appearance
+
+    def planted(q):
+        return real(q) + (q == 5)
+
+    monkeypatch.setattr(conjecture_mod, "first_appearance", planted)
+    report = verify_first_appearance(64)
+    assert not report.passed
+    assert report.first_failure_degree == 5
+    assert report.detail == {"scanned": 4, "formula": 5}
+
+
+def test_conjecture_shape_fails_at_a_planted_negative_quotient(monkeypatch):
+    real = conjecture_mod._quotient_chain
+
+    def planted(truncation):
+        chain = real(truncation)
+        coefficients = list(chain[5].coefficients)
+        coefficients[40] = -1
+        chain[5] = TruncatedSeries(coefficients, truncation)
+        return chain
+
+    monkeypatch.setattr(conjecture_mod, "_quotient_chain", planted)
+    report = verify_conjecture_shape(128)
+    assert not report.passed
+    # height 3 is the first to read entry 5
+    assert report.first_failure_degree == 3
+    assert report.detail == {
+        "height": 3, "error": "quotient series negative at degree 40"}

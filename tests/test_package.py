@@ -122,11 +122,11 @@ VALUE_CLASSES = {
         (("x", {}, False), ValueError,
          "a failing report must locate its first failure"),
     ]),
-    _CheckSpec: (("name", "verifier", "faults", "scale_cap"), [
+    _CheckSpec: (("name", "verifier", "faults"), [
         ((("rhs-one", verify_rhs_one), {}),
-         ("rhs-one", verify_rhs_one, None, None)),
-        ((("rhs-one", verify_rhs_one), {"scale_cap": 64}),
-         ("rhs-one", verify_rhs_one, None, 64)),
+         ("rhs-one", verify_rhs_one, None)),
+        ((("rhs-one", verify_rhs_one), {"faults": {"inject_fault": True}}),
+         ("rhs-one", verify_rhs_one, {"inject_fault": True})),
     ], []),
     SquareMonomial: (("index", "factors"), [
         (((3, ((0, 2), (0, 4))), {}), (3, ((0, 2), (0, 4)))),
