@@ -25,18 +25,32 @@ divided-power answer is actually polynomial is a genuine extension
 question; resolve_extensions commits a table to polynomial once the
 caller has settled it.
 
-A table also has a direct route to and from the log-derivative L(P) =
-x P'/P of its Poincare series P (series.log_derivative):
-poincare_log_derivative adds d*c at the multiples of each generator
-degree d, O(N log N) with no Euler pass, and table_from_log_derivative
-reads the counts back off.  poincare_series is the one Euler pass on
-that L.  The tower solver and the tower checks stay in that space, where
-a tensor product of tables is a sum and a short exact sequence a
-difference; series.py says why a comparison there names the same first
-failing degree as one of the series.
+A table also has a direct route to its Euler exponents: the unique
+integers v_d with P = prod_d (1 - x^d)^(-v_d) for its Poincare series P
+(Metropolis & Rota, "Witt vectors and the algebra of necklaces", 1983).
+exponents reads them off the counts as a relabelling: a polynomial-type
+generator of degree d adds 1 to v_d, and an exterior one, since
+1 + x^d = (1 - x^(2d))/(1 - x^d), adds 1 to v_d and -1 to v_(2d).
+table_from_exponents inverts it: the exterior count at d is v_d plus the
+count at d/2, filled in by doubling blocks of degrees.  A tensor product
+of tables is a sum of exponent vectors and a short exact sequence a
+difference, each an O(N) pass; the tower solver and the tower checks
+work there.
+
+log_from_exponents is the one pass from exponents to the log-derivative
+L(P) = x P'/P (series.log_derivative), L_n = sum over d | n of d*v_d,
+and poincare_series is the Euler pass on that L.  table_from_log_derivative
+reads the counts back off an L.  Two exponent vectors first differ where
+their L's, and so their series, do: if they agree below m, the L's agree
+below m and differ at m by m times the exponents' difference (series.py
+says why L's first differ where the series do).
 """
 
 from __future__ import annotations
+
+import itertools
+from math import isqrt
+from operator import add, mul, sub
 
 from .errors import (
     InvalidKind,
@@ -47,7 +61,6 @@ from .errors import (
 )
 from .series import (
     TruncatedSeries,
-    _add_log_derivative,
     _from_ints,
     _peel,
     from_log_derivative,
@@ -59,6 +72,9 @@ __all__ = [
     "GeneratorTable",
     "poincare_series",
     "poincare_log_derivative",
+    "exponents",
+    "table_from_exponents",
+    "log_from_exponents",
     "tor_suspend",
     "resolve_extensions",
     "extract_generators",
@@ -150,9 +166,8 @@ def poincare_series(*tables: GeneratorTable) -> TruncatedSeries:
 
 def poincare_log_derivative(*tables: GeneratorTable) -> TruncatedSeries:
     """Log-derivative of the tables' tensored Poincare series, straight
-    from the counts: the sum of each table's terms, with the sign of its
-    own kind, at the first table's truncation.  Like poincare_series, it
-    ignores the component rank.
+    from the counts through their exponents, at the first table's
+    truncation.  Like poincare_series, it ignores the component rank.
 
     >>> t = GeneratorTable("exterior", {3: 1, 5: 1}, component_rank=2,
     ...                    truncation=8)
@@ -161,12 +176,94 @@ def poincare_log_derivative(*tables: GeneratorTable) -> TruncatedSeries:
     >>> poincare_log_derivative(t) == log_derivative(poincare_series(t))
     True
     """
-    b = [0] * (tables[0].truncation + 1)
+    return log_from_exponents(exponents(*tables))
+
+
+def exponents(*tables: GeneratorTable) -> TruncatedSeries:
+    """Euler exponents of the tables' tensored Poincare series, as the
+    coefficients of a series with constant term 0: v_d with
+    P = prod_d (1 - x^d)^(-v_d), at the first table's truncation.
+    Generators above it are dropped, and the component rank is ignored.
+
+    >>> t = GeneratorTable("exterior", {1: 1, 3: 2}, truncation=6)
+    >>> print(exponents(t))
+    x - x^2 + 2*x^3 - 2*x^6
+    """
+    n = tables[0].truncation
+    v = None
     for table in tables:
-        sign = 1 if table.kind == "exterior" else -1
-        for d, c in table.counts.items():
-            _add_log_derivative(b, d, c, sign)
-    return _from_ints(b, tables[0].truncation)
+        counts = list(map(table.counts.get, range(n + 1),
+                          itertools.repeat(0)))
+        term = _dense_exponents(table.kind, counts)
+        v = term if v is None else list(map(add, v, term))
+    return _from_ints(v, n)
+
+
+def _dense_exponents(kind: str, counts: List[int]) -> List[int]:
+    """Exponents of generators of one kind, counts[d] of them in each
+    degree d (counts[0] unused): the counts, less the exterior counts
+    at d/2 for an exterior kind."""
+    v = list(counts)
+    if kind == "exterior":
+        v[2::2] = map(sub, v[2::2], counts[1:len(counts) // 2 + 1])
+    return v
+
+
+def table_from_exponents(v: TruncatedSeries, kind: str) -> GeneratorTable:
+    """The table of a kind whose Poincare series has exponents v.
+
+    Polynomial-type counts are the exponents; an exterior count at d is
+    v_d plus the count at d/2, added in doubling blocks: the counts on
+    lo..2lo-1 are final once those below lo are, and feed the even
+    degrees 2lo..4lo-2.  A negative count raises NegativeDimension at
+    its degree, the lowest one.  It is the degree where the ascending
+    peel of table_from_log_derivative stops, as what the peel has left
+    of L at d is d times v_d plus the count at d/2.
+
+    >>> t = GeneratorTable("exterior", {1: 1, 3: 2}, truncation=6)
+    >>> table_from_exponents(exponents(t), "exterior") == t
+    True
+    """
+    if kind not in KINDS:
+        raise InvalidKind(f"unknown kind {kind!r}")
+    counts = list(v.coefficients)
+    n = v.truncation
+    if kind == "exterior":
+        lo = 1
+        while 2 * lo <= n:
+            hi = min(2 * lo, n // 2 + 1)
+            counts[2 * lo:2 * hi:2] = map(add, counts[2 * lo:2 * hi:2],
+                                          counts[lo:hi])
+            lo *= 2
+    if min(counts) < 0:
+        raise NegativeDimension(next(d for d, c in enumerate(counts)
+                                     if c < 0))
+    return GeneratorTable(kind, dict(zip(itertools.compress(
+        range(n + 1), counts), filter(None, counts))), 0, n)
+
+
+def log_from_exponents(v: TruncatedSeries) -> TruncatedSeries:
+    """The log-derivative whose exponents are v: L_n = sum over d | n of
+    d*v_d.  Each d up to r = isqrt(N) adds to all its multiples in one
+    slice; the degrees d > r have fewer than N/r multiples, so one slice
+    per multiplier j adds d*v_d at j*d for all of them at once.
+
+    >>> from .series import make_polynomial
+    >>> print(log_from_exponents(make_polynomial({2: 1, 3: -1}, 6)))
+    2*x^2 - 3*x^3 + 2*x^4 - x^6
+    """
+    n = v.truncation
+    w = list(map(mul, range(n + 1), v.coefficients))
+    b = [0] * (n + 1)
+    r = isqrt(n)
+    for d in range(1, r + 1):
+        if w[d]:
+            b[d::d] = map(add, b[d::d], itertools.repeat(w[d]))
+    for j in range(1, n // (r + 1) + 1):
+        top = n // j
+        b[j * (r + 1):j * top + 1:j] = map(
+            add, b[j * (r + 1):j * top + 1:j], w[r + 1:top + 1])
+    return _from_ints(b, n)
 
 
 def tor_suspend(table: GeneratorTable, next_component_rank: int = 0) -> GeneratorTable:

@@ -10,11 +10,13 @@ the lead terms escape any fixed degree range, and the sums stabilize to
 the known cohomology of BoP itself; the verifiers pin down that shape,
 the stabilization, the first-appearance bookkeeping for each summand,
 and the Sq^2-annihilated monomial decompositions feeding the whole
-computation.  One chain of quotients per truncation serves every index.
+computation.  One chain of quotients per truncation serves every index,
+and each entry a run reads is checked for nonnegativity once.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 from .errors import ConjectureShapeError, InvalidParameter, NotApplicable
@@ -76,6 +78,14 @@ def _entry(chain: List[TruncatedSeries], n: Optional[int]) -> TruncatedSeries:
     if n is not None and n < 0:
         raise InvalidParameter(f"subalgebra index {n} must be >= 0")
     return chain[-1 if n is None else min(n, len(chain) - 1)]
+
+
+def _checked_reader(chain: List[TruncatedSeries],
+                    ) -> Callable[[Optional[int]], TruncatedSeries]:
+    """Reads the chain's entries by index, as _entry does, checking each
+    index's entry for nonnegativity on its first read only: the entries
+    are immutable, so one check serves every height that reads it."""
+    return functools.cache(lambda n: _nonnegative(_entry(chain, n)))
 
 
 def _nonnegative(quotient: TruncatedSeries) -> TruncatedSeries:
@@ -167,18 +177,21 @@ def conjectured_bopn_cohomology(n: int, truncation: int) -> TruncatedSeries:
     suspended by 2^(level + 3 + eps) - 8s, for each summand."""
     if n <= 2:
         raise InvalidParameter(f"truncation height {n} must exceed 2")
-    return _conjectured(n, truncation, _quotient_chain(truncation))
+    return _conjectured(n, truncation,
+                        _checked_reader(_quotient_chain(truncation)))
 
 
 def _conjectured(n: int, truncation: int,
-                 chain: List[TruncatedSeries]) -> TruncatedSeries:
-    # Each quotient is fetched and checked at its first summand and
-    # gathered with the suspensions of all its summands.
+                 read: Callable[[Optional[int]], TruncatedSeries],
+                 ) -> TruncatedSeries:
+    # Each quotient is read (and checked, the first time any height
+    # reads it) at its first summand and gathered with the suspensions
+    # of all its summands.
     quotients: Dict[int, Tuple[TruncatedSeries, List[int]]] = {}
     for s, level, eps, suspension in summand_suspensions(n, truncation):
         index = level + 2 + eps
         if index not in quotients:
-            quotients[index] = (_nonnegative(_entry(chain, index)), [])
+            quotients[index] = (read(index), [])
         quotients[index][1].append(suspension)
     return shifted_sum(quotients.values(), truncation)
 
@@ -186,8 +199,12 @@ def _conjectured(n: int, truncation: int,
 def bop_cohomology_series(truncation: int) -> TruncatedSeries:
     """Graded dimensions of the cohomology of BoP itself: the stable
     quotient suspended by each multiple of 8, i.e. over (1 - x^8)."""
-    stable = milnor_sq2_quotient_series(None, truncation)
-    return stable.times_binomial(8, -1, -1)
+    return _bop_cohomology(_checked_reader(_quotient_chain(truncation)))
+
+
+def _bop_cohomology(read: Callable[[Optional[int]], TruncatedSeries],
+                    ) -> TruncatedSeries:
+    return read(None).times_binomial(8, -1, -1)
 
 
 def first_appearance(q: int) -> int:
@@ -295,11 +312,11 @@ def verify_stable_limit(limit_degree: int = 64) -> VerificationReport:
     params = {"heights": list(heights), "max_degree": limit_degree}
 
     def body():
-        target = bop_cohomology_series(limit_degree)
-        chain = _quotient_chain(limit_degree)
+        read = _checked_reader(_quotient_chain(limit_degree))
+        target = _bop_cohomology(read)
         for n in heights:
             edge = 2 ** (_band_data(n)[0] + 4) - 1
-            bad = first_mismatch(_conjectured(n, limit_degree, chain), target)
+            bad = first_mismatch(_conjectured(n, limit_degree, read), target)
             if bad is not None and bad < edge:
                 return bad, {"height": n}
             if edge <= limit_degree and bad != edge:
@@ -358,10 +375,10 @@ def verify_conjecture_shape(truncation: int = 128) -> VerificationReport:
     params = {"n_max": n_max, "max_degree": truncation}
 
     def body():
-        chain = _quotient_chain(truncation)
+        read = _checked_reader(_quotient_chain(truncation))
         for n in range(3, n_max + 1):
             try:
-                series = _conjectured(n, truncation, chain)
+                series = _conjectured(n, truncation, read)
             except ConjectureShapeError as exc:
                 return n, {"height": n, "error": str(exc)}
             bad = series.check_nonnegative()

@@ -53,15 +53,17 @@ restricted recurrence; invert is division of 1.
 
 log_derivative and from_log_derivative expose the pair as series: the
 log-derivative L(P) = x P'/P of a series with constant term 1 is a
-series with constant term 0, and L(P*Q) = L(P) + L(Q).  The solvers
-work in that space: a short exact sequence of free algebras divides
-series, which is a subtraction of log-derivatives, and a product
-identity P = Q*R is the sum L(P) = L(Q) + L(R), with no convolution.
-Comparing there names the same first failing degree as comparing the
-series: two series with constant term 1 agree through degree m-1
-exactly when their log-derivatives do, since n*p_n - b_n depends only
-on lower degrees; at degree m the log-derivatives then differ by
-m*(p_m - q_m).
+series with constant term 0, and L(P*Q) = L(P) + L(Q).  A short exact
+sequence of free algebras divides series, which is a subtraction of
+log-derivatives, and a product identity P = Q*R is the sum
+L(P) = L(Q) + L(R), with no convolution.  Comparing there names the
+same first failing degree as comparing the series: two series with
+constant term 1 agree through degree m-1 exactly when their
+log-derivatives do, since n*p_n - b_n depends only on lower degrees; at
+degree m the log-derivatives then differ by m*(p_m - q_m).  The tower
+solvers go one step further, to the Euler exponents of a series
+(algebra.exponents), where the same sums and differences need no pass
+over the multiples of each degree.
 """
 
 from __future__ import annotations

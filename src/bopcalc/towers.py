@@ -17,34 +17,44 @@ Three mechanisms produce the homology of a space in a connective tower:
 The BoP tower uses the rank rule and the division but no bar walk: its
 bottom spaces are products of a catalogued bo space with a rank-rule
 fiber space, and each later space is the matching BPbar space divided,
-in log-derivative space rather than by ses_quotient, by the one two
-steps below.  space_homology picks, for any catalogued space, which of
+in exponent space rather than by ses_quotient, by the one two steps
+below.  space_homology picks, for any catalogued space, which of
 these rules (or the bo catalogue) answers it.  A rank-rule table is one
 slice of its spectrum's homotopy profile, which the catalog builds once
 per truncation, so the tower's many BPbar middles share one profile.
 
 A space is stored as the generator tables presenting its homology, and
-is solved and checked in log-derivative space (L(P) = x P'/P, see
-series.py), where the quotient is a difference and a product a sum.  The
-solver subtracts the sub's L from the middle's and peels the table off
-it.  A successful peel implies a nonnegative series (free on nonnegative
-counts); when the peel raises NegativeDimension, the series is built
-and the error names its first negative degree, else the peel's.  The
-checks compare L's built from the tables: two series with constant term
-1 first differ where their L's do, so failure degrees match the series'.
+is solved and checked in exponent space: the Euler exponents v of its
+Poincare series P = prod_d (1 - x^d)^(-v_d) (algebra.exponents), where
+the quotient is a difference and a product a sum, each one O(N) pass.
+The solver subtracts the sub's v from the middle's and reads the table
+off the difference (algebra.table_from_exponents).  Counts that come out
+nonnegative give a nonnegative series (free on them); when one is
+negative, the series is built from v through its log-derivative and the
+error names its first negative degree, else the lowest negative count's.
+
+The checks compare exponent vectors built from the tables, and name the
+degree where they first differ.  That is where the series first differ:
+if the v's agree below m, their log-derivatives L_n = sum over d | n of
+d*v_d agree below m and differ at m by m times the v's difference, and
+two series with constant term 1 first differ where their L's do
+(series.py).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 
 from .algebra import (
     GeneratorTable,
+    _dense_exponents,
+    exponents,
+    log_from_exponents,
     off_parity,
-    poincare_log_derivative,
     poincare_series,
     resolve_extensions,
-    table_from_log_derivative,
+    table_from_exponents,
     tensor,
     tor_suspend,
 )
@@ -69,6 +79,7 @@ from .errors import (
 from .reports import VerificationReport, first_mismatch, run_check
 from .series import (
     TruncatedSeries,
+    _from_ints,
     from_log_derivative,
     make_polynomial,
 )
@@ -123,8 +134,12 @@ class TowerResult(namedtuple("TowerResult", "space tables provenance")):
         return poincare_series(*self.tables)
 
 
-def _rank_rule_table(spectrum: SpectrumId, index: int, truncation: int,
-                     profile: HomotopyProfile) -> GeneratorTable:
+def _rank_rule(spectrum: SpectrumId, index: int, truncation: int,
+               profile: HomotopyProfile) -> Tuple[str, int, tuple]:
+    """The rank rule for space index of a spectrum, read off its profile:
+    (kind, first, ranks), ranks[k] generators of the kind in degree
+    first + k, for the degrees first..truncation (none when first is
+    above it)."""
     if spectrum.tag in _FIBER_TAGS:
         if index > 8:
             raise RankRuleInapplicable(
@@ -137,9 +152,25 @@ def _rank_rule_table(spectrum: SpectrumId, index: int, truncation: int,
     # free_rank raises TruncationError when it is not.
     profile.free_rank(truncation - index)
     first = max(index, 1)
-    ranks = profile.free_ranks.coefficients[first - index:]
-    counts = {d: r for d, r in zip(range(first, truncation + 1), ranks) if r}
+    ranks = profile.free_ranks.coefficients[
+        first - index:max(truncation - index + 1, 0)]
+    return kind, first, ranks
+
+
+def _rank_rule_table(spectrum: SpectrumId, index: int, truncation: int,
+                     profile: HomotopyProfile) -> GeneratorTable:
+    kind, first, ranks = _rank_rule(spectrum, index, truncation, profile)
+    counts = dict(zip(itertools.compress(itertools.count(first), ranks),
+                      filter(None, ranks)))
     return GeneratorTable(kind, counts, profile.free_rank(-index), truncation)
+
+
+def _rank_rule_exponents(spectrum: SpectrumId, index: int, truncation: int,
+                         profile: HomotopyProfile) -> TruncatedSeries:
+    """exponents(_rank_rule_table(...)), without building the table."""
+    kind, first, ranks = _rank_rule(spectrum, index, truncation, profile)
+    counts = [0] * min(first, truncation + 1) + list(ranks)
+    return _from_ints(_dense_exponents(kind, counts), truncation)
 
 
 def rank_rule_homology(space: SpaceRef, truncation: int) -> GeneratorTable:
@@ -201,29 +232,30 @@ def bop_tower(i_max: int, truncation: int) -> List[GeneratorTable]:
     Spaces 2 and 3 are products of a rank-rule fiber space with the
     matching bo space.  From there each space is the SES quotient of
     the BPbar space two indices down by the BoP space two indices down:
-    its log-derivative is theirs subtracted and the generator counts are
-    peeled off it.  No series is built unless a peel fails.
-    A successful peel implies a nonnegative series; a failed one raises
-    NegativeDimension at the series' first negative degree, else the peel's.
+    its exponents are theirs subtracted and the generator counts are
+    read off them.  No series is built unless a count is negative; then
+    it raises NegativeDimension at the series' first negative degree,
+    else at the lowest negative count's.
     """
     if i_max < 2:
         raise InvalidParameter("the solved BoP tower starts at space 2")
     tables: List[GeneratorTable] = []
-    logs: Dict[int, TruncatedSeries] = {}
+    exps: Dict[int, TruncatedSeries] = {}
     for i in range(2, i_max + 1):
         if i <= 3:
             (table,) = _fiber_times_bo(i, truncation)
-            log = poincare_log_derivative(table)
+            v = exponents(table)
         else:
             mid = rank_rule_homology(SpaceRef(BPBAR, i - 2), truncation)
-            log = poincare_log_derivative(mid) - logs.pop(i - 2)
+            v = exponents(mid) - exps.pop(i - 2)
             try:
-                table = table_from_log_derivative(
-                    log, "polynomial" if i % 2 == 0 else "exterior")
-            except NegativeDimension as peel:
-                bad = from_log_derivative(log).check_nonnegative()
-                raise peel if bad is None else NegativeDimension(bad)
-        logs[i] = log
+                table = table_from_exponents(
+                    v, "polynomial" if i % 2 == 0 else "exterior")
+            except NegativeDimension as negative:
+                bad = from_log_derivative(
+                    log_from_exponents(v)).check_nonnegative()
+                raise negative if bad is None else NegativeDimension(bad)
+        exps[i] = v
         tables.append(table)
     return tables
 
@@ -266,19 +298,20 @@ def _fiber_times_bo(index: int, truncation: int) -> tuple:
 # -- verifiers ---------------------------------------------------------------
 
 def _pair_sums(indices: Sequence[int],
-               log_of: Callable[[int], TruncatedSeries],
+               exponents_of: Callable[[int], TruncatedSeries],
                ) -> Iterator[Tuple[int, TruncatedSeries]]:
-    """(i, log_of(i) + log_of(i + 2)) for each i in ascending order.
+    """(i, exponents_of(i) + exponents_of(i + 2)) for each i in
+    ascending order.
 
     Index i + 2 comes back as the first term two steps later, so each
-    log_of(j) runs once and is dropped after its last use.
+    exponents_of(j) runs once and is dropped after its last use.
     """
-    logs: Dict[int, TruncatedSeries] = {}
+    exps: Dict[int, TruncatedSeries] = {}
     for i in indices:
         for j in (i, i + 2):
-            if j not in logs:
-                logs[j] = log_of(j)
-        yield i, logs.pop(i) + logs[i + 2]
+            if j not in exps:
+                exps[j] = exponents_of(j)
+        yield i, exps.pop(i) + exps[i + 2]
 
 
 def verify_negative_tower(truncation: int = 64,
@@ -287,9 +320,11 @@ def verify_negative_tower(truncation: int = 64,
     """series(X_i) = series(F_i) * series(F_(i+2)) for i = -8..5.
 
     The fibration behind it splits in homotopy, so the identity is exact
-    at every degree.  It is checked as L(X_i) = L(F_i) + L(F_(i+2)) on
-    log-derivatives built from the tables.  corrupt_f_degree plants an
-    extra free rank in the F profile to demonstrate the check has teeth.
+    at every degree.  It is checked as v(X_i) = v(F_i) + v(F_(i+2)) on
+    exponent vectors read straight off the profiles by the rank rule;
+    they first differ where the series do (module docstring).
+    corrupt_f_degree plants an extra free rank in the F profile to
+    demonstrate the check has teeth.
     """
     # i_to + 2 = 7 stays within the fiber tower's labels, which end at 8
     i_from, i_to = -8, 5
@@ -305,13 +340,11 @@ def verify_negative_tower(truncation: int = 64,
             bump = make_polynomial({corrupt_f_degree: 1}, depth)
             f_prof = HomotopyProfile(F, f_prof.free_ranks + bump, {})
 
-        def f_log(j):
-            return poincare_log_derivative(
-                _rank_rule_table(F, j, truncation, f_prof))
+        def f_exponents(j):
+            return _rank_rule_exponents(F, j, truncation, f_prof)
 
-        for i, right in _pair_sums(range(i_from, i_to + 1), f_log):
-            left = poincare_log_derivative(
-                _rank_rule_table(X, i, truncation, x_prof))
+        for i, right in _pair_sums(range(i_from, i_to + 1), f_exponents):
+            left = _rank_rule_exponents(X, i, truncation, x_prof)
             bad = first_mismatch(left, right)
             if bad is not None:
                 return bad, {"index": i}
@@ -328,11 +361,13 @@ def verify_bop_tower(truncation: int = 60) -> VerificationReport:
     H_2 of space 2 is one-dimensional (probed only when N >= 2, from the
     generators of degree <= 2, the only ones H_2 depends on).
 
-    The reconstruction compares L(BPbar_i) with the sum of the L's of
-    the two tables bop_tower returned, each built afresh from the table
-    rather than taken from the solver.  The product cross-check compares
-    L of the solved space 4 with the product's.  Every L is built from a
-    table; only the Hurewicz probe builds a series.
+    The reconstruction compares the exponents of BPbar_i, read off its
+    profile by the rank rule, with the sum of the exponents of the two
+    tables bop_tower returned, each built afresh from the table rather
+    than taken from the solver.  The product cross-check compares the
+    exponents of the solved space 4 with the product's.  Exponent
+    vectors first differ where the series do (module docstring); only
+    the Hurewicz probe builds a series.
     """
     i_max = 12
     params = {"i_max": i_max, "max_degree": truncation}
@@ -347,18 +382,17 @@ def verify_bop_tower(truncation: int = 60) -> VerificationReport:
             if bad is not None:
                 return bad, {"stage": "parity", "index": i}
 
-        def space_log(j):
-            return poincare_log_derivative(tables[j])
+        def space_exponents(j):
+            return exponents(tables[j])
 
-        for i, right in _pair_sums(range(2, i_max - 1), space_log):
-            mid = poincare_log_derivative(
-                rank_rule_homology(SpaceRef(BPBAR, i), truncation))
+        bpbar = homotopy_profile(BPBAR, truncation)
+        for i, right in _pair_sums(range(2, i_max - 1), space_exponents):
+            mid = _rank_rule_exponents(BPBAR, i, truncation, bpbar)
             bad = first_mismatch(mid, right)
             if bad is not None:
                 return bad, {"stage": "reconstruction", "index": i}
         (product4,) = _fiber_times_bo(4, truncation)
-        bad = first_mismatch(poincare_log_derivative(tables[4]),
-                             poincare_log_derivative(product4))
+        bad = first_mismatch(exponents(tables[4]), exponents(product4))
         if bad is not None:
             return bad, {"stage": "product_crosscheck", "index": 4}
         if truncation >= 2:
@@ -420,7 +454,10 @@ _BO_STEPS_SERIES = (0, 1, 3, 5)
 
 
 def verify_bo_deloopings(truncation: int = 64) -> VerificationReport:
-    """One bar step reproduces each catalogued bo table along the tower."""
+    """One bar step reproduces each catalogued bo table along the tower:
+    exactly, or up to series, where the exponent vectors of the two
+    tables are compared; they first differ where the series do (module
+    docstring)."""
     params = {"max_degree": truncation,
               "exact_steps": list(_BO_STEPS_EXACT),
               "series_steps": list(_BO_STEPS_SERIES)}
@@ -438,8 +475,7 @@ def verify_bo_deloopings(truncation: int = 64) -> VerificationReport:
                     return bad, {"step": f"{i}->{i + 1}",
                                  "mode": "exact", "field": field}
             else:
-                bad = first_mismatch(poincare_log_derivative(stepped),
-                                     poincare_log_derivative(target))
+                bad = first_mismatch(exponents(stepped), exponents(target))
                 if bad is not None:
                     return bad, {"step": f"{i}->{i + 1}",
                                  "mode": "series"}
@@ -451,15 +487,14 @@ def verify_bu_bo_factorization(truncation: int = 100) -> VerificationReport:
     """series(bu_2) = series(bo_2) * series(bo_4), the homology shadow of
     the classical fibration relating BU to BO and BSp.
 
-    It is checked as L(bu_2) = L(bo_2) + L(bo_4) on log-derivatives
+    It is checked as v(bu_2) = v(bo_2) + v(bo_4) on exponent vectors
     built from the tables, as verify_negative_tower does."""
     params = {"max_degree": truncation}
 
     def body():
-        left = poincare_log_derivative(
-            rank_rule_homology(SpaceRef(BU, 2), truncation))
-        right = poincare_log_derivative(bo_space_homology(2, truncation),
-                                        bo_space_homology(4, truncation))
+        left = exponents(rank_rule_homology(SpaceRef(BU, 2), truncation))
+        right = exponents(bo_space_homology(2, truncation),
+                          bo_space_homology(4, truncation))
         bad = first_mismatch(left, right)
         if bad is not None:
             return bad, None

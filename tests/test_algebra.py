@@ -3,14 +3,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bopcalc import series as series_mod
 from bopcalc.algebra import (
     KINDS,
     GeneratorTable,
+    exponents,
     extract_generators,
+    log_from_exponents,
     off_parity,
     poincare_log_derivative,
     poincare_series,
     resolve_extensions,
+    table_from_exponents,
     table_from_log_derivative,
     tensor,
     tor_suspend,
@@ -22,7 +26,14 @@ from bopcalc.errors import (
     TruncationError,
     UnresolvedExtension,
 )
-from bopcalc.series import log_derivative, make_polynomial, one
+from bopcalc.reports import first_mismatch
+from bopcalc.series import (
+    TruncatedSeries,
+    from_log_derivative,
+    log_derivative,
+    make_polynomial,
+    one,
+)
 
 count_dicts = st.dictionaries(st.integers(1, 10), st.integers(1, 4),
                               max_size=5)
@@ -236,3 +247,129 @@ def test_table_from_log_derivative_rejects_bad_input():
     # 3*c_3 = 1 has no integer solution
     with pytest.raises(InvalidParameter):
         table_from_log_derivative(make_polynomial({3: 1}, 4), "exterior")
+
+
+def _sparse_log_derivative(*tables):
+    """L of the tables' tensored series, added generator by generator at
+    the multiples of each degree (the form exponents replaces)."""
+    b = [0] * (tables[0].truncation + 1)
+    for table in tables:
+        sign = 1 if table.kind == "exterior" else -1
+        for d, c in table.counts.items():
+            series_mod._add_log_derivative(b, d, c, sign)
+    return TruncatedSeries(b, tables[0].truncation)
+
+
+def _oracle_series(tables):
+    """The tables' tensored Poincare series through the first table's
+    truncation, as subset and multiset counts multiplied naively."""
+    n = tables[0].truncation
+    out = {0: 1}
+    for table in tables:
+        coeffs = oracles.table_series(table.counts, table.kind == "exterior",
+                                      n)
+        out = oracles.naive_mul(out, {d: c for d, c in enumerate(coeffs)
+                                      if c}, n)
+    return out
+
+
+@st.composite
+def table_lists(draw, n=None):
+    """One to three tables of any kinds: the first at truncation n (or
+    0..80), the others at mixed truncations around it."""
+    n = draw(st.integers(0, 80)) if n is None else n
+    tables = []
+    for k in range(draw(st.integers(1, 3))):
+        top = n if k == 0 else draw(st.integers(0, 90))
+        counts = draw(st.dictionaries(st.integers(1, max(top, 1)),
+                                      st.integers(0, 3), max_size=8))
+        tables.append(GeneratorTable(
+            draw(st.sampled_from(KINDS)),
+            {d: c for d, c in counts.items() if d <= top}, 0, top))
+    return tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_lists())
+def test_exponents_match_the_oracle_series(tables):
+    # every kind, N = 0..80, later tables at other truncations: the L
+    # of the exponents is the generator-by-generator L and the naive
+    # series' L, and its Euler transform is the naive series
+    n = tables[0].truncation
+    v = exponents(*tables)
+    assert v.truncation == n and v.coefficients[0] == 0
+    log = log_from_exponents(v)
+    assert log == poincare_log_derivative(*tables)
+    assert log == _sparse_log_derivative(*tables)
+    want = _oracle_series(tables)
+    assert {d: c for d, c in enumerate(log.coefficients) if c} == \
+        oracles.naive_log_derivative(want, n)
+    assert list(poincare_series(*tables).coefficients) == \
+        [want.get(d, 0) for d in range(n + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 80))
+def test_exponents_first_differ_where_the_series_do(data, n):
+    # two presentations at one truncation: their exponents, their L's
+    # and their naive series first differ at the same degree
+    left = data.draw(table_lists(n))
+    right = data.draw(table_lists(n))
+    if data.draw(st.booleans()):  # a near miss: one count moved
+        t = left[-1]
+        d = data.draw(st.integers(1, max(t.truncation, 1)))
+        if d <= t.truncation:
+            counts = dict(t.counts)
+            counts[d] = counts.get(d, 0) + 1
+            right = left[:-1] + [GeneratorTable(t.kind, counts, 0,
+                                                t.truncation)]
+    a, b = _oracle_series(left), _oracle_series(right)
+    want = next((d for d in range(n + 1) if a.get(d, 0) != b.get(d, 0)),
+                None)
+    assert first_mismatch(exponents(*left), exponents(*right)) == want
+    assert first_mismatch(_sparse_log_derivative(*left),
+                          _sparse_log_derivative(*right)) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_lists(), st.sampled_from(KINDS), st.data())
+def test_table_from_exponents_matches_the_peel(tables, kind, data):
+    # exponents of a presentation, often moved at a few degrees: the
+    # same table as peeling L or the naive series, or NegativeDimension
+    # at the degree where the peels stop
+    n = tables[0].truncation
+    v = list(exponents(*tables).coefficients)
+    for _ in range(data.draw(st.integers(0, 3))):
+        if n:
+            v[data.draw(st.integers(1, n))] += data.draw(st.integers(-2, 2))
+    v = TruncatedSeries(v, n)
+    log = log_from_exponents(v)
+    try:
+        want, peel_error = table_from_log_derivative(log, kind), None
+    except NegativeDimension as exc:
+        want, peel_error = None, exc.degree
+    coeffs = list(from_log_derivative(log).coefficients)
+    naive, bad = oracles.naive_peel(coeffs, kind == "exterior")
+    assert bad == peel_error
+    if peel_error is None:
+        assert table_from_exponents(v, kind) == want
+        assert want.counts == naive
+        assert exponents(want) == v
+    else:
+        with pytest.raises(NegativeDimension) as info:
+            table_from_exponents(v, kind)
+        assert info.value.degree == peel_error
+
+
+def test_exterior_exponents_double_up():
+    # 1 + x^d = (1 - x^(2d))/(1 - x^d); counts at d/2, d/4, ... feed d
+    t = GeneratorTable("exterior", {1: 1, 2: 1, 3: 2, 8: 1}, truncation=16)
+    v = exponents(t)
+    assert {d: c for d, c in enumerate(v.coefficients) if c} == \
+        {1: 1, 3: 2, 4: -1, 6: -2, 8: 1, 16: -1}
+    assert table_from_exponents(v, "exterior") == t
+    with pytest.raises(NegativeDimension) as info:
+        table_from_exponents(v, "polynomial")
+    assert info.value.degree == 4
+    with pytest.raises(InvalidKind):
+        table_from_exponents(v, "bogus")

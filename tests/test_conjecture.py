@@ -268,6 +268,38 @@ def test_conjecture_shape_builds_one_steenrod_series(monkeypatch):
     assert calls == [128]
 
 
+def test_stable_limit_builds_one_steenrod_series(monkeypatch):
+    # the target and every height read one quotient chain
+    calls = []
+    real = conjecture_mod.steenrod_series
+
+    def counted(truncation):
+        calls.append(truncation)
+        return real(truncation)
+
+    monkeypatch.setattr(conjecture_mod, "steenrod_series", counted)
+    assert verify_stable_limit(4096).passed
+    assert calls == [4096]
+
+
+@pytest.mark.parametrize("n, entries", [(128, 4), (1024, 7)])
+def test_conjecture_shape_checks_each_chain_entry_once(monkeypatch, n,
+                                                       entries):
+    # heights 3..16 read 36 (N=128) and 78 (N=1024) quotients from the
+    # chain, but only 4 and 7 distinct entries, each checked once
+    checked = []
+    real = conjecture_mod._nonnegative
+
+    def counted(quotient):
+        checked.append(quotient)
+        return real(quotient)
+
+    monkeypatch.setattr(conjecture_mod, "_nonnegative", counted)
+    assert verify_conjecture_shape(n).passed
+    assert len(checked) == entries
+    assert len({id(q) for q in checked}) == entries
+
+
 def test_square_decompositions_build_each_monomial_once(monkeypatch):
     calls = []
     real = conjecture_mod.square_monomial
@@ -313,12 +345,13 @@ def test_stable_limit_fails_at_the_edge_a_chain_offset_moves(monkeypatch):
 
 
 def test_stable_limit_fails_below_the_edge(monkeypatch):
-    real = conjecture_mod.bop_cohomology_series
+    real = conjecture_mod._bop_cohomology
 
-    def bumped(truncation):
-        return real(truncation) + make_polynomial({100: 1}, truncation)
+    def bumped(read):
+        target = real(read)
+        return target + make_polynomial({100: 1}, target.truncation)
 
-    monkeypatch.setattr(conjecture_mod, "bop_cohomology_series", bumped)
+    monkeypatch.setattr(conjecture_mod, "_bop_cohomology", bumped)
     report = verify_stable_limit(256)
     assert not report.passed
     assert report.first_failure_degree == 100

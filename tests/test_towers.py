@@ -8,7 +8,13 @@ import oracles
 from bopcalc import catalog as catalog_mod
 from bopcalc import series as series_mod
 from bopcalc import towers as towers_mod
-from bopcalc.algebra import GeneratorTable, poincare_series, tensor
+from bopcalc.algebra import (
+    GeneratorTable,
+    exponents,
+    poincare_series,
+    table_from_log_derivative,
+    tensor,
+)
 from bopcalc.catalog import (
     BO,
     BOP,
@@ -406,7 +412,7 @@ def test_negative_tower_fault_sweep_matches_oracle(n):
 def test_bop_tower_reconstruction_reads_the_returned_tables(monkeypatch,
                                                             index):
     # one returned table gains a generator of its space's parity while
-    # the solver's own log-derivatives stay right: the reconstruction
+    # the solver's own exponents stay right: the reconstruction
     # must see it, at that degree, at the first pair holding that space
     real = towers_mod.bop_tower
     degree = 10 if index % 2 == 0 else 9
@@ -561,7 +567,7 @@ def test_bop_space_below_two_matches_naive_product(n):
 
 
 def test_bop_tower_check_builds_only_the_hurewicz_series(monkeypatch):
-    # every log-derivative comes from a table; the one series built is
+    # every exponent vector comes from a table; the one series built is
     # space 2's, for the Hurewicz probe
     calls = []
     for module, name in ((series_mod, "_log_derivative"),
@@ -716,8 +722,8 @@ def test_tower_result_repr_eq_and_hash_build_no_series(monkeypatch):
 @pytest.mark.parametrize("target", [1, 2, 4, 6])
 def test_bo_deloopings_series_mode_finds_a_planted_generator(monkeypatch,
                                                              target, degree):
-    # a series-mode step compares L's; a generator planted in its target
-    # shows at its degree, before any later step reads that table
+    # a series-mode step compares exponents; a generator planted in its
+    # target shows at its degree, before any later step reads that table
     real = towers_mod.bo_space_homology
 
     def planted(index, truncation):
@@ -738,3 +744,46 @@ def test_bo_deloopings_builds_no_series(monkeypatch):
                         lambda *tables: calls.append(tables))
     assert verify_bo_deloopings(64).passed
     assert calls == []
+
+
+@pytest.mark.parametrize("spectrum", RANK_RULE_SPECTRA, ids=str)
+def test_rank_rule_exponents_are_the_tables(spectrum):
+    # one rule behind both readers, at every index around 0..N, index
+    # above N included; F and X refuse index 9 either way
+    for n in range(21):
+        for index in range(-9, 10):
+            profile = homotopy_profile(spectrum,
+                                       max(n, n - index, -index, 0))
+            args = (spectrum, index, n, profile)
+            try:
+                table = towers_mod._rank_rule_table(*args)
+            except RankRuleInapplicable:
+                with pytest.raises(RankRuleInapplicable):
+                    towers_mod._rank_rule_exponents(*args)
+                continue
+            assert towers_mod._rank_rule_exponents(*args) == \
+                exponents(table), (n, index)
+
+
+def test_tower_ops_make_no_generator_by_generator_log_derivative(
+        monkeypatch):
+    # the solver, its checks and the output series of space 12 work from
+    # exponents; the peel of an L still takes the generator-by-generator
+    # route, which shows the counter is live
+    calls = []
+    real = series_mod._add_log_derivative
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(series_mod, "_add_log_derivative", counted)
+    assert len(bop_tower(12, 1024)) == 11
+    assert verify_negative_tower(1024).passed
+    assert verify_bop_tower(1024).passed
+    assert not verify_negative_tower(1024, corrupt_f_degree=7).passed
+    space_homology(SpaceRef(BOP, 12), 1024).series
+    assert calls == []
+    log = make_polynomial({2: 2, 4: 2}, 4)  # L of 1/(1 - x^2)
+    assert table_from_log_derivative(log, "polynomial").counts == {2: 1}
+    assert calls == [2]
