@@ -13,16 +13,24 @@ Four subcommands:
   truncation height, or runs one of the conjecture-side checks.
 
 Exit status: 0 on success, 1 when a verification fails, 2 for usage or
-domain errors (bad spectrum names, indices outside a rule's range).
+domain errors (bad spectrum names, indices outside a rule's range) and
+when a command runs out of memory.
+
+The grammar is one table, `_GRAMMAR`.  A valid command is parsed from
+it directly and prints its JSON through `_json_text`, so it imports
+neither argparse nor json, which would cost a short process several
+milliseconds of start-up.  Help and usage errors go through argparse:
+`build_parser` builds its parser from the same table, so the help text
+and every error message are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 from collections import namedtuple
+from math import isfinite
+from types import SimpleNamespace
 
 from . import conjecture as _conjecture
 from . import splitting as _splitting
@@ -133,6 +141,45 @@ def _csv_text(header: Sequence[str], rows) -> str:
     return buf.getvalue().rstrip("\n")
 
 
+def _json_text(doc, pad: str = "\n") -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for what a document
+    holds: dicts with str keys, lists, tuples, str, int, float, bool and
+    None; anything else raises TypeError.  json itself, start-up time
+    every process would otherwise pay, is imported only for a string
+    that needs escaping or a float that is not finite."""
+    if isinstance(doc, str):
+        if (doc.isascii() and doc.isprintable()
+                and '"' not in doc and "\\" not in doc):
+            return '"' + doc + '"'
+    elif doc is None or doc is True or doc is False:
+        return "null" if doc is None else "true" if doc else "false"
+    elif isinstance(doc, int):
+        return int.__repr__(doc)
+    elif isinstance(doc, float):
+        if isfinite(doc):
+            return float.__repr__(doc)
+    elif isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        inner = pad + "  "
+        items = (_json_text(item, inner) for item in doc)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    elif isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        if not all(isinstance(key, str) for key in doc):
+            raise TypeError("keys must be str")
+        inner = pad + "  "
+        items = (_json_text(key) + ": " + _json_text(value, inner)
+                 for key, value in doc.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    else:
+        raise TypeError(
+            f"Object of type {type(doc).__name__} is not JSON serializable")
+    import json
+    return json.dumps(doc)
+
+
 def _series_lines(series: TruncatedSeries, label: str) -> List[str]:
     lines = [f"{'degree':>8}  {label}"]
     for d, c in series.csv_rows():
@@ -191,7 +238,7 @@ def _cmd_homology(args) -> int:
             "series": res.series.to_json(),
             "notes": notes,
         }
-        _emit(json.dumps(doc, indent=2), args)
+        _emit(_json_text(doc), args)
     elif args.format == "csv":
         label = "count" if table is not None else "coefficient"
         rows = (table if table is not None else res.series).csv_rows()
@@ -212,8 +259,7 @@ def _cmd_catalog(args) -> int:
     if args.spectrum is None:
         names = [str(s) for s in CATALOGUED_SPECTRA]
         if args.format == "json":
-            _emit(json.dumps({"command": "catalog", "spectra": names},
-                             indent=2), args)
+            _emit(_json_text({"command": "catalog", "spectra": names}), args)
         elif args.format == "csv":
             _emit(_csv_text(("spectrum",), ((n,) for n in names)), args)
         else:
@@ -228,7 +274,7 @@ def _cmd_catalog(args) -> int:
             "max_degree": args.max_degree,
             "profile": profile.to_json(),
         }
-        _emit(json.dumps(doc, indent=2), args)
+        _emit(_json_text(doc), args)
     elif args.format == "csv":
         _emit(_csv_text(("spectrum", "degree", "free_rank", "torsion_z2"),
                         profile.csv_rows()), args)
@@ -250,7 +296,7 @@ def _run_reports(reports: List[VerificationReport], args) -> int:
         else:
             doc = {"command": "verify", "pass": passed,
                    "reports": [r.to_json() for r in reports]}
-        _emit(json.dumps(doc, indent=2), args)
+        _emit(_json_text(doc), args)
     elif args.format == "csv":
         rows = [(r.check, "pass" if r.passed else "fail",
                  "" if r.first_failure_degree is None
@@ -314,7 +360,7 @@ def _cmd_conjecture(args) -> int:
             "max_degree": args.max_degree,
             "series": series.to_json(),
         }
-        _emit(json.dumps(doc, indent=2), args)
+        _emit(_json_text(doc), args)
     elif args.format == "csv":
         _emit(_csv_text(("degree", "coefficient"), series.csv_rows()), args)
     else:
@@ -324,100 +370,175 @@ def _cmd_conjecture(args) -> int:
     return 0
 
 
-# -- parser ------------------------------------------------------------------
+# -- grammar -----------------------------------------------------------------
+#
+# The command line in one table: per subcommand its handler, its help
+# and its arguments in add_argument order, each as (flags, add_argument
+# keywords).  `_parse` reads a valid argv from the table without
+# argparse; `build_parser` builds the argparse parser from it, which
+# main() needs only for what `_parse` declines: help and usage errors.
+
+_ABSENT = object()  # -N's default: argparse.SUPPRESS, no attribute at all
+
 
 def _nonnegative(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+        message = f"invalid int value: {text!r}"
+    else:
+        if value >= 0:
+            return value
+        message = "must be >= 0"
+    import argparse  # argparse reports a bad value anyway
+    raise argparse.ArgumentTypeError(message)
 
 
-def _add_options(parser: argparse.ArgumentParser, max_degree: str) -> None:
+def _options(max_degree: str) -> list:
     """The options every subcommand takes; `max_degree` is the -N help,
     which says what -N bounds under that subcommand."""
-    parser.add_argument("--max-degree", "-N", type=_nonnegative,
-                        default=argparse.SUPPRESS, metavar="N",
-                        help=max_degree)
-    parser.add_argument("--format", choices=("table", "json", "csv"),
-                        default="table", help="output format")
-    parser.add_argument("--output", metavar="FILE",
-                        help="write the result to FILE instead of stdout")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress notes and passing check lines")
+    return [
+        (("--max-degree", "-N"), dict(type=_nonnegative, default=_ABSENT,
+                                      metavar="N", help=max_degree)),
+        (("--format",), dict(choices=("table", "json", "csv"),
+                             default="table", help="output format")),
+        (("--output",), dict(metavar="FILE", help="write the result to FILE "
+                                                  "instead of stdout")),
+        (("--quiet",), dict(action="store_true",
+                            help="suppress notes and passing check lines")),
+    ]
+
+
+_GRAMMAR = {
+    "homology": (_cmd_homology,
+                 "homology of one space in a spectrum's Omega tower", [
+        *_options("degree bound for the series and tables (default 256)"),
+        (("spectrum",), dict(help="BP, BPbar, BPn:k, bu, bo, BoP, F, or X")),
+        (("index",), dict(type=int, help="space index, may be negative")),
+        (("--periodic",), dict(action="store_true",
+                               help="for bo: use the periodic table in the "
+                                    "range where the connective one "
+                                    "differs")),
+    ]),
+    "catalog": (_cmd_catalog,
+                "list catalogued spectra or print one homotopy profile", [
+        *_options("degree bound for the homotopy profile (default 256)"),
+        (("spectrum",), dict(nargs="?", help="spectrum name; omit to list "
+                                             "all")),
+    ]),
+    "verify": (_cmd_verify,
+               "run one named consistency check, or all of them", [
+        *_options("the check's scale, by default its pinned one: a degree "
+                  "bound, except a level bound for irreducibility, a height "
+                  "bound for epsilon-partition and an index bound for "
+                  "index-bijection, first-appearance and squares; under "
+                  "'all', a cap on each pinned scale"),
+        (("check",), dict(choices=CHECK_NAMES + ("all",), metavar="CHECK",
+                          help="one of: "
+                               + ", ".join(CHECK_NAMES + ("all",)))),
+        (("--inject-fault",), dict(action="store_true",
+                                   help="corrupt the computation on purpose; "
+                                        "a run whose -N reaches the fault's "
+                                        "first failing degree (rhs-one: 8, "
+                                        "head-induction: 8, negative-tower: "
+                                        "1) fails there, and one below it "
+                                        "passes")),
+    ]),
+    "conjecture": (_cmd_conjecture,
+                   "conjectured cohomology series for a truncation height, "
+                   "or one of the conjecture-side checks", [
+        *_options("degree bound for the series (default 256); with --check, "
+                  "the check's scale as under verify, by default its pinned "
+                  "one"),
+        (("height",), dict(nargs="?", type=int,
+                           help="truncation height n > 2")),
+        (("--check",), dict(choices=tuple(_CONJECTURE_CHECKS),
+                            help="run a check instead of printing a series")),
+    ]),
+}
+
+
+def _parse(argv: List[str]) -> Optional[dict]:
+    """The attributes argparse would set for `argv`, or None to leave it
+    to argparse.  Read here: the subcommand first, then exact option
+    names (a long one also as --name=value) with their values, and the
+    positionals in order, a negative integer among them as for argparse.
+    Declined: -h, an abbreviated or unknown option, "--", an option
+    value that is empty or starts with "-", a bad value, and a missing
+    or surplus positional."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    func, _, arguments = _GRAMMAR[argv[0]]
+    values = {"command": argv[0], "func": func}
+    options, positionals = {}, []
+    for flags, spec in arguments:
+        dest = flags[0].lstrip("-").replace("-", "_")
+        if flags[0].startswith("-"):
+            options.update(dict.fromkeys(flags, (dest, spec)))
+        else:
+            positionals.append((dest, spec))
+        default = spec.get("default", False if "action" in spec else None)
+        if default is not _ABSENT:
+            values[dest] = default
+
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        if not token.startswith("-") or (token[1:].isdigit()
+                                         and token.isascii()):
+            if not positionals:
+                return None
+            dest, spec = positionals.pop(0)
+            text = token
+        elif name in options and (not eq or name.startswith("--")):
+            dest, spec = options[name]
+            if "action" in spec:  # a flag
+                if eq:
+                    return None
+                values[dest] = True
+                continue
+            if not eq:
+                text = next(tokens, "")
+            if text[:1] in ("", "-"):
+                return None
+        else:
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except Exception:  # argparse reports it
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        values[dest] = value
+    if any(spec.get("nargs") != "?" for _, spec in positionals):
+        return None
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser for `_GRAMMAR`."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bopcalc",
         description="Homology and homotopy bookkeeping for the BoP "
                     "Omega spectrum and its relatives.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_hom = sub.add_parser(
-        "homology",
-        help="homology of one space in a spectrum's Omega tower")
-    _add_options(p_hom, "degree bound for the series and tables "
-                        "(default 256)")
-    p_hom.add_argument("spectrum",
-                       help="BP, BPbar, BPn:k, bu, bo, BoP, F, or X")
-    p_hom.add_argument("index", type=int, help="space index, may be negative")
-    p_hom.add_argument("--periodic", action="store_true",
-                       help="for bo: use the periodic table in the range "
-                            "where the connective one differs")
-    p_hom.set_defaults(func=_cmd_homology)
-
-    p_cat = sub.add_parser(
-        "catalog",
-        help="list catalogued spectra or print one homotopy profile")
-    _add_options(p_cat, "degree bound for the homotopy profile "
-                        "(default 256)")
-    p_cat.add_argument("spectrum", nargs="?",
-                       help="spectrum name; omit to list all")
-    p_cat.set_defaults(func=_cmd_catalog)
-
-    p_ver = sub.add_parser(
-        "verify",
-        help="run one named consistency check, or all of them")
-    _add_options(p_ver, "the check's scale, by default its pinned one: "
-                        "a degree bound, except a level bound for "
-                        "irreducibility, a height bound for "
-                        "epsilon-partition and an index bound for "
-                        "index-bijection, first-appearance and squares; "
-                        "under 'all', a cap on each pinned scale")
-    p_ver.add_argument("check", choices=CHECK_NAMES + ("all",),
-                       metavar="CHECK",
-                       help="one of: " + ", ".join(CHECK_NAMES + ("all",)))
-    p_ver.add_argument("--inject-fault", action="store_true",
-                       help="corrupt the computation on purpose; a run "
-                            "whose -N reaches the fault's first failing degree "
-                            "(rhs-one: 8, head-induction: 8, negative-tower: "
-                            "1) fails there, and one below it passes")
-    p_ver.set_defaults(func=_cmd_verify)
-
-    p_con = sub.add_parser(
-        "conjecture",
-        help="conjectured cohomology series for a truncation height, "
-             "or one of the conjecture-side checks")
-    _add_options(p_con, "degree bound for the series (default 256); "
-                        "with --check, the check's scale as under "
-                        "verify, by default its pinned one")
-    p_con.add_argument("height", nargs="?", type=int,
-                       help="truncation height n > 2")
-    p_con.add_argument("--check", choices=tuple(_CONJECTURE_CHECKS),
-                       help="run a check instead of printing a series")
-    p_con.set_defaults(func=_cmd_conjecture)
-
+    for name, (func, help_text, arguments) in _GRAMMAR.items():
+        command = sub.add_parser(name, help=help_text)
+        for flags, spec in arguments:
+            if spec.get("default") is _ABSENT:
+                spec = {**spec, "default": argparse.SUPPRESS}
+            command.add_argument(*flags, **spec)
+        command.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    values = _parse(argv)
+    args = (build_parser().parse_args(argv) if values is None
+            else SimpleNamespace(**values))
     args.max_degree_given = hasattr(args, "max_degree")
     if not args.max_degree_given:
         args.max_degree = 256
@@ -425,6 +546,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except BopcalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory at -N {args.max_degree}",
+              file=sys.stderr)
         return 2
 
 

@@ -527,3 +527,15 @@ def test_run_keeps_the_status_when_the_final_flush_fails(monkeypatch):
     run(["verify", "rhs-one", "-N", "16", "--quiet"])
     assert events == [("flush", "stdout"), ("flush", "stderr"), ("exit", 0)]
     assert sys.stderr.getvalue() == ""
+
+
+def test_out_of_memory_exits_2_and_names_the_scale(monkeypatch, capsys):
+    # homology BoP 12 -N 300000000 runs out of memory in the series it
+    # allocates; the seam raises as that allocation would
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(towers_mod, "space_homology", exhausted)
+    assert main(["homology", "BoP", "12", "-N", "300000000"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: out of memory at -N 300000000\n")

@@ -388,3 +388,41 @@ def test_conjecture_shape_fails_at_a_planted_negative_quotient(monkeypatch):
     assert report.first_failure_degree == 3
     assert report.detail == {
         "height": 3, "error": "quotient series negative at degree 40"}
+
+
+@pytest.mark.parametrize("height, s, stage", [
+    (5, 2, "value"),    # a middle-band index given epsilon 1
+    (6, 5, "value"),    # an upper-band index given epsilon 0
+    (7, 7, "range"),    # the index n itself accepted
+    (3, 0, "range"),    # the index 0 accepted, at the first height
+])
+def test_epsilon_partition_finds_a_planted_epsilon(monkeypatch, height, s,
+                                                   stage):
+    real = conjecture_mod.epsilon
+
+    def planted(n, index):
+        if (n, index) != (height, s):
+            return real(n, index)
+        return 1 - real(n, index) if stage == "value" else 0
+
+    monkeypatch.setattr(conjecture_mod, "epsilon", planted)
+    report = verify_epsilon_partition()
+    assert not report.passed
+    assert report.first_failure_degree == s
+    assert report.detail == {"height": height, "stage": stage}
+
+
+def test_epsilon_partition_finds_overlapping_bands(monkeypatch):
+    # at height 6 an offset of 4 puts s = 2 in the lower band and the
+    # upper band (s >= 6 - 4) at once
+    real = conjecture_mod._band_data
+
+    def planted(n):
+        power, offset = real(n)
+        return (power, 4) if n == 6 else (power, offset)
+
+    monkeypatch.setattr(conjecture_mod, "_band_data", planted)
+    report = verify_epsilon_partition()
+    assert not report.passed
+    assert report.first_failure_degree == 2
+    assert report.detail == {"height": 6, "stage": "overlap"}

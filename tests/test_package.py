@@ -49,7 +49,8 @@ def test_cli_import_loads_no_heavy_stdlib_modules():
     # each bopcalc run is a short process, so start-up time is part of
     # every check's cost; these modules alone cost more than most checks
     probe = ("import sys; before = set(sys.modules); import bopcalc.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'csv'} "
+             "print(sorted({'dataclasses', 'inspect', 'csv', 'argparse', "
+             "'json'} "
              "& (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True)

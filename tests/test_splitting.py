@@ -281,3 +281,82 @@ def test_rational_splitting_torsion_stage(monkeypatch, torsion, failure):
     assert report.first_failure_degree == failure
     if failure is not None:
         assert report.detail == {"side": "torsion"}
+
+
+@pytest.mark.parametrize("level, offset, degree", [(2, 0, 12), (4, 1, 44),
+                                                   (7, 31, 508)])
+def test_irreducibility_finds_a_planted_window_miss(monkeypatch, level,
+                                                    offset, degree):
+    # one summand reported outside its window fails at its connectivity
+    real = SplittingIndex.in_window
+
+    def planted(idx):
+        return idx != (level, offset) and real(idx)
+
+    monkeypatch.setattr(SplittingIndex, "in_window", planted)
+    report = verify_irreducibility()
+    assert not report.passed
+    assert report.first_failure_degree == degree
+    assert report.detail == {"level": level, "offset": offset}
+
+
+def test_irreducibility_finds_a_planted_boundary_offset(monkeypatch):
+    # level 3 accepts the offset just past its last one, 2^(3-2) = 2; the
+    # check fails at the bottom of level 4's window, 2^(3+2) + 4
+    class Planted(SplittingIndex):
+        __slots__ = ()
+
+        def __new__(cls, level, offset):
+            if (level, offset) == (3, 2):
+                return tuple.__new__(cls, (level, offset))
+            return super().__new__(cls, level, offset)
+
+    monkeypatch.setattr(splitting_mod, "SplittingIndex", Planted)
+    report = verify_irreducibility()
+    assert not report.passed
+    assert report.first_failure_degree == 36
+    assert report.detail == {"level": 3, "offset": 2, "stage": "boundary"}
+
+
+def _plant_indices(monkeypatch, change):
+    real = splitting_mod.splitting_indices
+    monkeypatch.setattr(splitting_mod, "splitting_indices",
+                        lambda limit: change(list(real(limit))))
+
+
+@pytest.mark.parametrize("change, degree, detail", [
+    # a dropped summand: 44 is missing from the connectivities
+    (lambda indices: [i for i in indices if i != (4, 1)], 44, None),
+    # a repeated summand: 12 twice, where the progression has 20
+    (lambda indices: indices[:1] + indices, 12, None),
+    # the last summand lost: the progression runs one further
+    (lambda indices: indices[:-1], 100,
+     {"progression": 12, "connectivities": 11}),
+    # a summand past the bound: the connectivities run one further
+    (lambda indices: indices + [SplittingIndex(5, 5)], 108,
+     {"progression": 12, "connectivities": 13}),
+])
+def test_index_bijection_finds_a_planted_enumeration(monkeypatch, change,
+                                                     degree, detail):
+    _plant_indices(monkeypatch, change)
+    report = verify_index_bijection(100)
+    assert not report.passed
+    assert report.first_failure_degree == degree
+    assert report.detail == detail
+
+
+@pytest.mark.parametrize("level, degree, failing_level", [
+    (1, 10, 2),   # BPn(1) is the level below the first step
+    (2, 0, 2),
+    (3, 40, 3),
+    (6, 127, 6),
+])
+def test_bpn_rank_recursion_finds_a_planted_bpn_rank(monkeypatch, level,
+                                                     degree, failing_level):
+    # the first level whose recursion reads the planted profile fails
+    # at the planted degree
+    _plant_bpn_rank(monkeypatch, level, degree)
+    report = verify_bpn_rank_recursion(128)
+    assert not report.passed
+    assert report.first_failure_degree == degree
+    assert report.detail == {"level": failing_level}
