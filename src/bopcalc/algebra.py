@@ -39,18 +39,20 @@ work there.
 
 log_from_exponents is the one pass from exponents to the log-derivative
 L(P) = x P'/P (series.log_derivative), L_n = sum over d | n of d*v_d,
-and poincare_series is the Euler pass on that L.  table_from_log_derivative
-reads the counts back off an L.  Two exponent vectors first differ where
-their L's, and so their series, do: if they agree below m, the L's agree
-below m and differ at m by m times the exponents' difference (series.py
-says why L's first differ where the series do).
+and poincare_series is the Euler pass on that L.  extract_generators
+goes the other way, from a series through its L and back to exponents
+by an ascending sieve, so a series and a table meet only in exponent
+space.  Two exponent vectors first differ where their L's, and so their
+series, do: if they agree below m, the L's agree below m and differ at
+m by m times the exponents' difference (series.py says why L's first
+differ where the series do).
 """
 
 from __future__ import annotations
 
 import itertools
 from math import isqrt
-from operator import add, mul, sub
+from operator import add, floordiv, mul, sub
 
 from .errors import (
     InvalidKind,
@@ -62,7 +64,6 @@ from .errors import (
 from .series import (
     TruncatedSeries,
     _from_ints,
-    _peel,
     from_log_derivative,
     log_derivative,
 )
@@ -78,7 +79,6 @@ __all__ = [
     "tor_suspend",
     "resolve_extensions",
     "extract_generators",
-    "table_from_log_derivative",
     "tensor",
     "off_parity",
 ]
@@ -216,9 +216,9 @@ def table_from_exponents(v: TruncatedSeries, kind: str) -> GeneratorTable:
     v_d plus the count at d/2, added in doubling blocks: the counts on
     lo..2lo-1 are final once those below lo are, and feed the even
     degrees 2lo..4lo-2.  A negative count raises NegativeDimension at
-    its degree, the lowest one.  It is the degree where the ascending
-    peel of table_from_log_derivative stops, as what the peel has left
-    of L at d is d times v_d plus the count at d/2.
+    its degree, the lowest one, which is where dividing the factors out
+    of the series one degree at a time would first leave a negative
+    coefficient.
 
     >>> t = GeneratorTable("exterior", {1: 1, 3: 2}, truncation=6)
     >>> table_from_exponents(exponents(t), "exterior") == t
@@ -266,6 +266,26 @@ def log_from_exponents(v: TruncatedSeries) -> TruncatedSeries:
     return _from_ints(b, n)
 
 
+def _exponents_from_log(log: TruncatedSeries) -> TruncatedSeries:
+    """The exponents whose log-derivative is log, the inverse of
+    log_from_exponents: in ascending d, what is left of log at d once
+    the lower exponents are taken off is d*v_d, and it comes off every
+    multiple of d.  The log-derivative of an integer series with
+    constant term 1 has integer exponents, so each division is exact.
+
+    >>> from .series import make_polynomial
+    >>> v = make_polynomial({2: 1, 3: -1}, 6)
+    >>> _exponents_from_log(log_from_exponents(v)) == v
+    True
+    """
+    n = log.truncation
+    w = list(log.coefficients)
+    for d in range(1, n // 2 + 1):
+        if w[d]:
+            w[2 * d::d] = map(sub, w[2 * d::d], itertools.repeat(w[d]))
+    return _from_ints([0, *map(floordiv, w[1:], range(1, n + 1))], n)
+
+
 def tor_suspend(table: GeneratorTable, next_component_rank: int = 0) -> GeneratorTable:
     """One bar-construction step: generators move up one degree.
 
@@ -307,37 +327,18 @@ def resolve_extensions(table: GeneratorTable) -> GeneratorTable:
 def extract_generators(series: TruncatedSeries, kind: str) -> GeneratorTable:
     """Recover generator counts from a series known to be free of a kind.
 
-    The series must have constant term 1.  Its log-derivative is peeled
-    by table_from_log_derivative.
+    The series must have constant term 1.  Its exponents, read off its
+    log-derivative, give the table (table_from_exponents); a series not
+    free of the kind raises NegativeDimension at the lowest degree
+    whose count is negative.
 
     >>> from .series import geometric
     >>> t = extract_generators(geometric(2, 8), "polynomial")
     >>> t.counts
     {2: 1}
     """
-    return table_from_log_derivative(log_derivative(series), kind)
-
-
-def table_from_log_derivative(log: TruncatedSeries,
-                              kind: str) -> GeneratorTable:
-    """The table of a kind whose Poincare series has log-derivative log.
-
-    Peels ascending degrees (series._peel): what is left of log at
-    degree d once lower generators are taken off is d times the count
-    there.  Integer series factor uniquely, so this is the same table as
-    dividing the factors out of the series one by one.  A negative count
-    means the series is not free of this kind, reported as
-    NegativeDimension at the offending degree.
-
-    >>> t = GeneratorTable("polynomial", {2: 1, 3: 4}, truncation=9)
-    >>> log = poincare_log_derivative(t)
-    >>> table_from_log_derivative(log, "polynomial") == t
-    True
-    """
-    if kind not in KINDS:
-        raise InvalidKind(f"unknown kind {kind!r}")
-    counts = _peel(log.coefficients, 1 if kind == "exterior" else -1)
-    return GeneratorTable(kind, counts, 0, log.truncation)
+    return table_from_exponents(_exponents_from_log(log_derivative(series)),
+                                kind)
 
 
 def tensor(left: GeneratorTable, right: GeneratorTable) -> GeneratorTable:

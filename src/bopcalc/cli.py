@@ -107,7 +107,7 @@ _CONJECTURE_CHECKS = {
 # -- output helpers ----------------------------------------------------------
 
 def _emit(text: str, args) -> None:
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n" if text else "")
@@ -308,7 +308,7 @@ def _run_reports(reports: List[VerificationReport], args) -> int:
     else:
         lines = [r.one_line() for r in reports
                  if not (args.quiet and r.passed)]
-        if lines or args.output:  # leave no earlier run's file behind
+        if lines or args.output is not None:  # leave no stale file behind
             _emit("\n".join(lines), args)
     return 0 if passed else 1
 

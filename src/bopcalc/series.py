@@ -31,10 +31,9 @@ x P'/P = sum b_k x^k, is additive over factors: 1/(1-x^d)^c adds d*c at
 every multiple of d and (1+x^d)^c adds (-1)^(j+1)*d*c at j*d.  The
 recurrence n*p_n = sum_k b_k*p_(n-k) (_euler) rebuilds P from b with
 exact divisions, and its inverse b_n = n*p_n - sum_(k<n) b_k*p_(n-k)
-(_log_derivative) recovers b from P; _peel then reads the generator
-counts off b degree by degree.  Either way a whole family costs one
-O(N^2) pass whose inner sums run in C, instead of one convolution per
-generator degree.
+(_log_derivative) recovers b from P.  Either way a whole family costs
+one O(N^2) pass whose inner sums run in C, instead of one convolution
+per generator degree.
 
 Both passes first compress by the stride g, the gcd of the degrees where
 their input (b for _euler, P for _log_derivative) is nonzero.  When P is
@@ -74,7 +73,6 @@ from operator import add, mul, sub
 
 from .errors import (
     InvalidParameter,
-    NegativeDimension,
     NotInvertible,
     TruncationError,
     ZeroDegreeFactor,
@@ -440,19 +438,6 @@ def _binomial_pass(coeffs, degree, sign, power):
             coeffs[k:k + d] = map(op, coeffs[k:k + d], coeffs[k - d:k])
 
 
-def _add_log_derivative(b, degree, count, sign):
-    """Add the log-derivative of 1/(1-x^d)^c (sign -1) or (1+x^d)^c
-    (sign +1) to b: d*c at every multiple j*d, times (-1)^(j+1) for +1."""
-    step = degree * count
-    if sign == -1:
-        for k in range(degree, len(b), degree):
-            b[k] += step
-    else:
-        for k in range(degree, len(b), degree):
-            b[k] += step
-            step = -step
-
-
 def _stride(seq):
     """The gcd g of the degrees k >= 1 where seq is nonzero, or len(seq)
     when there are none: seq[k] is 0 unless g divides k."""
@@ -498,25 +483,3 @@ def _log_derivative(p):
         rev.insert(0, b_m)
     return _spread(b, g, len(p))
 
-
-def _peel(b, sign):
-    """Counts c_d of the product prod_d 1/(1-x^d)^c_d (sign -1) or
-    prod_d (1+x^d)^c_d (sign +1) whose log-derivative is b.
-
-    In ascending d, what is left of b_d once lower degrees are taken off
-    is d*c_d; a negative c_d raises NegativeDimension(d), and a remainder
-    (b is not the log-derivative of an integer series) InvalidParameter.
-    """
-    rest = list(b)
-    counts = {}
-    for d in range(1, len(rest)):
-        c, r = divmod(rest[d], d)
-        if r:
-            raise InvalidParameter(
-                f"not the log-derivative of an integer series at degree {d}")
-        if c < 0:
-            raise NegativeDimension(d)
-        if c:
-            counts[d] = c
-            _add_log_derivative(rest, d, -c, sign)
-    return counts

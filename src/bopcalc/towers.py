@@ -21,7 +21,9 @@ in exponent space rather than by ses_quotient, by the one two steps
 below.  space_homology picks, for any catalogued space, which of
 these rules (or the bo catalogue) answers it.  A rank-rule table is one
 slice of its spectrum's homotopy profile, which the catalog builds once
-per truncation, so the tower's many BPbar middles share one profile.
+per truncation.  The tower reads each BPbar middle straight off one
+BPbar profile as the exponents of such a slice, and builds tables only
+for the spaces it returns.
 
 A space is stored as the generator tables presenting its homology, and
 is solved and checked in exponent space: the Euler exponents v of its
@@ -217,7 +219,7 @@ def ses_quotient(middle: TruncatedSeries, sub: TruncatedSeries) -> TruncatedSeri
     Exactness of the division is part of the claim: a negative
     coefficient in the quotient means the alleged sub does not embed,
     and is reported as NegativeDimension at the first bad degree.
-    bop_tower divides the same way in log-derivative space.
+    bop_tower divides the same way in exponent space.
     """
     quotient = middle / sub
     bad = quotient.check_nonnegative()
@@ -232,8 +234,9 @@ def bop_tower(i_max: int, truncation: int) -> List[GeneratorTable]:
     Spaces 2 and 3 are products of a rank-rule fiber space with the
     matching bo space.  From there each space is the SES quotient of
     the BPbar space two indices down by the BoP space two indices down:
-    its exponents are theirs subtracted and the generator counts are
-    read off them.  No series is built unless a count is negative; then
+    its exponents are theirs subtracted, the BPbar ones read off the
+    profile by the rank rule, and the generator counts are read off
+    the difference.  No series is built unless a count is negative; then
     it raises NegativeDimension at the series' first negative degree,
     else at the lowest negative count's.
     """
@@ -241,13 +244,14 @@ def bop_tower(i_max: int, truncation: int) -> List[GeneratorTable]:
         raise InvalidParameter("the solved BoP tower starts at space 2")
     tables: List[GeneratorTable] = []
     exps: Dict[int, TruncatedSeries] = {}
+    bpbar = homotopy_profile(BPBAR, truncation)
     for i in range(2, i_max + 1):
         if i <= 3:
             (table,) = _fiber_times_bo(i, truncation)
             v = exponents(table)
         else:
-            mid = rank_rule_homology(SpaceRef(BPBAR, i - 2), truncation)
-            v = exponents(mid) - exps.pop(i - 2)
+            v = (_rank_rule_exponents(BPBAR, i - 2, truncation, bpbar)
+                 - exps.pop(i - 2))
             try:
                 table = table_from_exponents(
                     v, "polynomial" if i % 2 == 0 else "exterior")

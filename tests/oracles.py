@@ -53,6 +53,21 @@ def naive_log_derivative(a: Dict[int, int], n: int) -> Dict[int, int]:
                      n)
 
 
+def sparse_log_derivative(tables) -> List[int]:
+    """x P'/P through the first table's truncation for the tensored
+    Poincare series P of generator tables, added one generator degree
+    at a time: 1/(1-x^d)^c adds d*c at every multiple j*d, and (1+x^d)^c
+    for an exterior table adds (-1)^(j+1)*d*c there."""
+    n = tables[0].truncation
+    b = [0] * (n + 1)
+    for table in tables:
+        exterior = table.kind == "exterior"
+        for d, c in table.counts.items():
+            for j in range(1, n // d + 1):
+                b[j * d] += -d * c if exterior and j % 2 == 0 else d * c
+    return b
+
+
 def naive_euler(b: Sequence[int]) -> Tuple[List[int], Optional[int]]:
     """The series p with p_0 = 1 and x p'/p = b, from n*p_n =
     sum_(k=1..n) b_k*p_(n-k) one degree at a time.  Returns (p, None),

@@ -3,10 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bopcalc import series as series_mod
 from bopcalc.algebra import (
     KINDS,
     GeneratorTable,
+    _exponents_from_log,
     exponents,
     extract_generators,
     log_from_exponents,
@@ -15,7 +15,6 @@ from bopcalc.algebra import (
     poincare_series,
     resolve_extensions,
     table_from_exponents,
-    table_from_log_derivative,
     tensor,
     tor_suspend,
 )
@@ -234,30 +233,8 @@ def test_poincare_log_derivative_matches_series(counts, kind, rank, n):
     assert {d: c for d, c in enumerate(got.coefficients) if c} == \
         oracles.naive_log_derivative({d: c for d, c in series.items() if c}, n)
     if kind in ("polynomial", "exterior"):
-        back = table_from_log_derivative(got, kind)
+        back = extract_generators(poincare_series(table), kind)
         assert back == GeneratorTable(kind, table.counts, 0, n)
-
-
-def test_table_from_log_derivative_rejects_bad_input():
-    with pytest.raises(InvalidKind):
-        table_from_log_derivative(make_polynomial({1: 1}, 4), "bogus")
-    with pytest.raises(NegativeDimension) as info:
-        table_from_log_derivative(make_polynomial({2: -2}, 4), "polynomial")
-    assert info.value.degree == 2
-    # 3*c_3 = 1 has no integer solution
-    with pytest.raises(InvalidParameter):
-        table_from_log_derivative(make_polynomial({3: 1}, 4), "exterior")
-
-
-def _sparse_log_derivative(*tables):
-    """L of the tables' tensored series, added generator by generator at
-    the multiples of each degree (the form exponents replaces)."""
-    b = [0] * (tables[0].truncation + 1)
-    for table in tables:
-        sign = 1 if table.kind == "exterior" else -1
-        for d, c in table.counts.items():
-            series_mod._add_log_derivative(b, d, c, sign)
-    return TruncatedSeries(b, tables[0].truncation)
 
 
 def _oracle_series(tables):
@@ -300,7 +277,7 @@ def test_exponents_match_the_oracle_series(tables):
     assert v.truncation == n and v.coefficients[0] == 0
     log = log_from_exponents(v)
     assert log == poincare_log_derivative(*tables)
-    assert log == _sparse_log_derivative(*tables)
+    assert list(log.coefficients) == oracles.sparse_log_derivative(tables)
     want = _oracle_series(tables)
     assert {d: c for d, c in enumerate(log.coefficients) if c} == \
         oracles.naive_log_derivative(want, n)
@@ -327,38 +304,44 @@ def test_exponents_first_differ_where_the_series_do(data, n):
     want = next((d for d in range(n + 1) if a.get(d, 0) != b.get(d, 0)),
                 None)
     assert first_mismatch(exponents(*left), exponents(*right)) == want
-    assert first_mismatch(_sparse_log_derivative(*left),
-                          _sparse_log_derivative(*right)) == want
+    assert first_mismatch(
+        TruncatedSeries(oracles.sparse_log_derivative(left), n),
+        TruncatedSeries(oracles.sparse_log_derivative(right), n)) == want
 
 
 @settings(max_examples=80, deadline=None)
 @given(table_lists(), st.sampled_from(KINDS), st.data())
 def test_table_from_exponents_matches_the_peel(tables, kind, data):
     # exponents of a presentation, often moved at a few degrees: the
-    # same table as peeling L or the naive series, or NegativeDimension
-    # at the degree where the peels stop
+    # same table as peeling the naive series, or NegativeDimension at
+    # the degree where the peel stops
     n = tables[0].truncation
     v = list(exponents(*tables).coefficients)
     for _ in range(data.draw(st.integers(0, 3))):
         if n:
             v[data.draw(st.integers(1, n))] += data.draw(st.integers(-2, 2))
     v = TruncatedSeries(v, n)
-    log = log_from_exponents(v)
-    try:
-        want, peel_error = table_from_log_derivative(log, kind), None
-    except NegativeDimension as exc:
-        want, peel_error = None, exc.degree
-    coeffs = list(from_log_derivative(log).coefficients)
+    coeffs = list(from_log_derivative(log_from_exponents(v)).coefficients)
     naive, bad = oracles.naive_peel(coeffs, kind == "exterior")
-    assert bad == peel_error
-    if peel_error is None:
-        assert table_from_exponents(v, kind) == want
-        assert want.counts == naive
-        assert exponents(want) == v
+    if bad is None:
+        got = table_from_exponents(v, kind)
+        assert got == GeneratorTable(kind, naive, 0, n)
+        assert exponents(got) == v
     else:
         with pytest.raises(NegativeDimension) as info:
             table_from_exponents(v, kind)
-        assert info.value.degree == peel_error
+        assert info.value.degree == bad
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 80).flatmap(lambda n: st.lists(
+    st.integers(-3, 3) | st.integers(-10 ** 12, 10 ** 12),
+    min_size=n, max_size=n)))
+def test_exponents_from_log_inverts_log_from_exponents(tail):
+    # signed exponents at N = 0..80: the ascending sieve takes the L
+    # back to them exactly
+    v = TruncatedSeries([0] + tail, len(tail))
+    assert _exponents_from_log(log_from_exponents(v)) == v
 
 
 def test_exterior_exponents_double_up():

@@ -441,6 +441,14 @@ def test_output_file_unwritable(tmp_path, capsys, target):
     assert err.startswith(f"error: cannot write {path}: ")
 
 
+def test_output_file_empty_name(capsys):
+    # an empty name is a file that cannot be opened, not stdout
+    status = main(["catalog", "--output", ""])
+    out, err = capsys.readouterr()
+    assert status == 2 and out == ""
+    assert err.startswith("error: cannot write : ")
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(["bopcalc", "catalog"], capture_output=True,
                           text=True)

@@ -153,9 +153,11 @@ def test_direct_parse_declines(argv):
 
 # -- what a valid command imports ---------------------------------------------
 
-# The forms argparse reads: an abbreviation, and help and usage errors,
-# which leave main() through SystemExit.
-ABBREVIATED = {("verify", "all", "--max", "64", "--format=json")}
+# The forms argparse reads: an abbreviation and an empty option value,
+# which main() then runs, and help and usage errors, which leave main()
+# through SystemExit.
+READ_BY_ARGPARSE = {("verify", "all", "--max", "64", "--format=json"),
+                    ("catalog", "--output", "")}
 EXITING = {("--help",), ("homology", "--help"), ("catalog", "--help"),
            ("verify", "--help"), ("conjecture", "--help"),
            ("verify", "nope"), ("verify", "rhs-one", "-N", "-1")}
@@ -232,7 +234,7 @@ def test_valid_commands_load_neither_argparse_nor_json(tmp_path):
         exited, _, loaded = line.partition(" ")
         if exited == "True":
             exiting.add(tuple(argv))
-        elif tuple(argv) in ABBREVIATED:
+        elif tuple(argv) in READ_BY_ARGPARSE:
             assert "argparse" in loaded.split(), argv
         else:
             assert loaded == "", argv

@@ -12,7 +12,6 @@ from bopcalc.algebra import (
     GeneratorTable,
     exponents,
     poincare_series,
-    table_from_log_derivative,
     tensor,
 )
 from bopcalc.catalog import (
@@ -358,9 +357,16 @@ def test_perturbed_middle_fails_where_the_oracle_does(index, changes):
         return GeneratorTable(table.kind, counts, table.component_rank,
                               truncation)
 
+    real = towers_mod._rank_rule_exponents
+
+    def middle_exponents(spectrum, i, truncation, profile):
+        if (spectrum, i) != (BPBAR, index):
+            return real(spectrum, i, truncation, profile)
+        return exponents(middle_table(SpaceRef(spectrum, i), truncation))
+
     want = _oracle_bop_tower(n, middle_table)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(towers_mod, "rank_rule_homology", middle_table)
+        mp.setattr(towers_mod, "_rank_rule_exponents", middle_exponents)
         if isinstance(want, int):
             with pytest.raises(NegativeDimension) as info:
                 bop_tower(12, n)
@@ -765,25 +771,16 @@ def test_rank_rule_exponents_are_the_tables(spectrum):
                 exponents(table), (n, index)
 
 
-def test_tower_ops_make_no_generator_by_generator_log_derivative(
-        monkeypatch):
-    # the solver, its checks and the output series of space 12 work from
-    # exponents; the peel of an L still takes the generator-by-generator
-    # route, which shows the counter is live
+def test_bop_tower_builds_tables_only_for_its_fiber_spaces(monkeypatch):
+    # the BPbar middles are read off the profile as exponents; only the
+    # fiber spaces of the products 2 and 3 go through rank_rule_homology
     calls = []
-    real = series_mod._add_log_derivative
+    real = towers_mod.rank_rule_homology
 
-    def counted(*args):
-        calls.append(args[1])
-        return real(*args)
+    def counted(space, truncation):
+        calls.append(space)
+        return real(space, truncation)
 
-    monkeypatch.setattr(series_mod, "_add_log_derivative", counted)
+    monkeypatch.setattr(towers_mod, "rank_rule_homology", counted)
     assert len(bop_tower(12, 1024)) == 11
-    assert verify_negative_tower(1024).passed
-    assert verify_bop_tower(1024).passed
-    assert not verify_negative_tower(1024, corrupt_f_degree=7).passed
-    space_homology(SpaceRef(BOP, 12), 1024).series
-    assert calls == []
-    log = make_polynomial({2: 2, 4: 2}, 4)  # L of 1/(1 - x^2)
-    assert table_from_log_derivative(log, "polynomial").counts == {2: 1}
-    assert calls == [2]
+    assert calls == [SpaceRef(F, 2), SpaceRef(F, 3)]
