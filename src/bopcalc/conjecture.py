@@ -149,26 +149,35 @@ def summand_suspensions(n: int,
                         cap: int) -> Iterator[Tuple[int, int, int, int]]:
     """All (s, level, eps, suspension) with suspension <= cap, where
     suspension = 2^(level + 3 + eps) - 8s and level runs upward from the
-    band power.  Heights down to 2 are accepted so scans can cover the
-    degenerate single-summand case.  A negative suspension would mean
-    the conjectured shape is broken, so it raises instead of being
-    skipped."""
+    band power, in order of s, then level.  Heights down to 2 are
+    accepted so scans can cover the degenerate single-summand case.  A
+    negative suspension would mean the conjectured shape is broken, so
+    it raises instead of being skipped.
+
+    eps is fixed on each band, and the suspension falls as s grows, so
+    the summands with a suspension <= cap at the band power, the only
+    ones with any, are the top of the band from
+    ceil((2^(power + 3 + eps) - cap) / 8) up.  Only those are visited:
+    O(cap) of them, whatever the height.
+    """
     if n < 2:
         raise InvalidParameter(f"truncation height {n} must be >= 2")
     power, offset = _band_data(n)
-    for s in range(1, n):
-        eps = 1 if s <= offset or s >= n - offset else 0
-        level = power
-        while True:
-            suspension = 2 ** (level + 3 + eps) - 8 * s
-            if suspension > cap:
-                break
-            if suspension < 0:
-                raise ConjectureShapeError(
-                    f"summand (s={s}, level={level}) suspends to "
-                    f"{suspension} < 0 at height {n}")
-            yield s, level, eps, suspension
-            level += 1
+    for lo, hi, eps in ((1, offset, 1), (offset + 1, n - offset - 1, 0),
+                        (n - offset, n - 1, 1)):
+        start = -((cap - 2 ** (power + 3 + eps)) // 8)
+        for s in range(max(lo, start), hi + 1):
+            level = power
+            while True:
+                suspension = 2 ** (level + 3 + eps) - 8 * s
+                if suspension > cap:
+                    break
+                if suspension < 0:
+                    raise ConjectureShapeError(
+                        f"summand (s={s}, level={level}) suspends to "
+                        f"{suspension} < 0 at height {n}")
+                yield s, level, eps, suspension
+                level += 1
 
 
 def conjectured_bopn_cohomology(n: int, truncation: int) -> TruncatedSeries:

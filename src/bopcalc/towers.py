@@ -23,7 +23,12 @@ these rules (or the bo catalogue) answers it.  A rank-rule table is one
 slice of its spectrum's homotopy profile, which the catalog builds once
 per truncation.  The tower reads each BPbar middle straight off one
 BPbar profile as the exponents of such a slice, and builds tables only
-for the spaces it returns.
+for the spaces it yields.  It yields each space as soon as it is solved
+and holds only the exponents of the two spaces below, so a reader that
+keeps one table at a time needs O(N) memory.  BoP_i is (i-1)-connected,
+so every space above N + 2 is empty through N: the tower solves nothing
+there, and space_homology answers such a space without walking the
+tower at all.
 
 A space is stored as the generator tables presenting its homology, and
 is solved and checked in exponent space: the Euler exponents v of its
@@ -46,7 +51,7 @@ two series with constant term 1 first differ where their L's do
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import deque, namedtuple
 
 from .algebra import (
     GeneratorTable,
@@ -136,6 +141,12 @@ class TowerResult(namedtuple("TowerResult", "space tables provenance")):
         return poincare_series(*self.tables)
 
 
+def _parity_kind(index: int) -> str:
+    """The kind of a torsion-free space of this index: polynomial when
+    it is even, exterior when it is odd."""
+    return "polynomial" if index % 2 == 0 else "exterior"
+
+
 def _rank_rule(spectrum: SpectrumId, index: int, truncation: int,
                profile: HomotopyProfile) -> Tuple[str, int, tuple]:
     """The rank rule for space index of a spectrum, read off its profile:
@@ -146,10 +157,9 @@ def _rank_rule(spectrum: SpectrumId, index: int, truncation: int,
         if index > 8:
             raise RankRuleInapplicable(
                 f"{spectrum} space {index} is beyond the torsion-free range")
-        kind = ("even_unresolved" if index == 8
-                else "polynomial" if index % 2 == 0 else "exterior")
+        kind = "even_unresolved" if index == 8 else _parity_kind(index)
     else:
-        kind = "polynomial" if index % 2 == 0 else "exterior"
+        kind = _parity_kind(index)
     # The top degree read, truncation - index, must be in the profile;
     # free_rank raises TruncationError when it is not.
     profile.free_rank(truncation - index)
@@ -228,8 +238,9 @@ def ses_quotient(middle: TruncatedSeries, sub: TruncatedSeries) -> TruncatedSeri
     return quotient
 
 
-def bop_tower(i_max: int, truncation: int) -> List[GeneratorTable]:
-    """The tables of BoP spaces 2 through i_max, in order.
+def bop_tower(i_max: int, truncation: int) -> Iterator[GeneratorTable]:
+    """The tables of BoP spaces 2 through i_max, yielded in order, each
+    as soon as it is solved.  i_max is checked on the call.
 
     Spaces 2 and 3 are products of a rank-rule fiber space with the
     matching bo space.  From there each space is the SES quotient of
@@ -238,38 +249,52 @@ def bop_tower(i_max: int, truncation: int) -> List[GeneratorTable]:
     profile by the rank rule, and the generator counts are read off
     the difference.  No series is built unless a count is negative; then
     it raises NegativeDimension at the series' first negative degree,
-    else at the lowest negative count's.
+    else at the lowest negative count's.  The tower holds the exponents
+    of the two spaces below the one it solves, and solves nothing above
+    N + 2: space i is (i-1)-connected, so each space there is the empty
+    table of its kind (_empty_bop_table).
     """
     if i_max < 2:
         raise InvalidParameter("the solved BoP tower starts at space 2")
-    tables: List[GeneratorTable] = []
-    exps: Dict[int, TruncatedSeries] = {}
+    return itertools.chain(
+        _solved_bop_tower(min(i_max, truncation + 2), truncation),
+        (_empty_bop_table(i, truncation)
+         for i in range(truncation + 3, i_max + 1)))
+
+
+def _solved_bop_tower(i_max: int,
+                      truncation: int) -> Iterator[GeneratorTable]:
+    older = newer = None  # the exponents of spaces i - 2 and i - 1
     bpbar = homotopy_profile(BPBAR, truncation)
     for i in range(2, i_max + 1):
         if i <= 3:
             (table,) = _fiber_times_bo(i, truncation)
             v = exponents(table)
         else:
-            v = (_rank_rule_exponents(BPBAR, i - 2, truncation, bpbar)
-                 - exps.pop(i - 2))
+            v = _rank_rule_exponents(BPBAR, i - 2, truncation, bpbar) - older
             try:
-                table = table_from_exponents(
-                    v, "polynomial" if i % 2 == 0 else "exterior")
+                table = table_from_exponents(v, _parity_kind(i))
             except NegativeDimension as negative:
                 bad = from_log_derivative(
                     log_from_exponents(v)).check_nonnegative()
                 raise negative if bad is None else NegativeDimension(bad)
-        exps[i] = v
-        tables.append(table)
-    return tables
+        older, newer = newer, v
+        yield table
+
+
+def _empty_bop_table(index: int, truncation: int) -> GeneratorTable:
+    """BoP space index through a truncation below index - 1: no
+    generators, component rank 0."""
+    return GeneratorTable(_parity_kind(index), {}, 0, truncation)
 
 
 def space_homology(space: SpaceRef, truncation: int,
                    periodic: bool = False) -> TowerResult:
     """Homology of any catalogued space, by its spectrum's rule: the bo
-    catalogue (periodic as bo_space_homology takes it), bop_tower from
-    BoP space 2 up and the fiber-times-bo product below, else the rank
-    rule, which gives bu's classical Z x BU, U and BU tables.
+    catalogue (periodic as bo_space_homology takes it), the last space
+    bop_tower yields from BoP space 2 up (the empty table, read without
+    the tower, above N + 2) and the fiber-times-bo product below, else
+    the rank rule, which gives bu's classical Z x BU, U and BU tables.
 
     >>> res = space_homology(SpaceRef(BU, 1), 7)
     >>> res.provenance, res.table.kind, res.table.counts
@@ -282,7 +307,8 @@ def space_homology(space: SpaceRef, truncation: int,
         tables = (rank_rule_homology(space, n),)
         provenance = "catalog" if tag == "bu" else "rank_rule"
     elif i >= 2:
-        tables = (bop_tower(i, n)[-1],)
+        tables = ((_empty_bop_table(i, n) if i > n + 2
+                   else deque(bop_tower(i, n), maxlen=1).pop()),)
         provenance = "product" if i <= 3 else "ses_solved"
     else:
         tables, provenance = _fiber_times_bo(i, n), "product"
@@ -365,45 +391,51 @@ def verify_bop_tower(truncation: int = 60) -> VerificationReport:
     H_2 of space 2 is one-dimensional (probed only when N >= 2, from the
     generators of degree <= 2, the only ones H_2 depends on).
 
-    The reconstruction compares the exponents of BPbar_i, read off its
-    profile by the rank rule, with the sum of the exponents of the two
-    tables bop_tower returned, each built afresh from the table rather
-    than taken from the solver.  The product cross-check compares the
-    exponents of the solved space 4 with the product's.  Exponent
-    vectors first differ where the series do (module docstring); only
-    the Hurewicz probe builds a series.
+    The tower is read once, holding the exponents of two spaces.  Each
+    space's parity is checked as it arrives; when space i arrives, the
+    exponents of BPbar_(i-2), read off its profile by the rank rule, are
+    compared with the sum of the exponents of the tables of spaces i-2
+    and i, each built afresh from the table rather than taken from the
+    solver; space 4 is compared with the product when it arrives.  Each
+    stage keeps its first failure, and the earliest stage in the order
+    above is reported.  Exponent vectors first differ where the series
+    do (module docstring); only the Hurewicz probe builds a series.
     """
     i_max = 12
     params = {"i_max": i_max, "max_degree": truncation}
 
     def body():
-        try:
-            tables = dict(enumerate(bop_tower(i_max, truncation), 2))
-        except NegativeDimension as exc:
-            return exc.degree, {"stage": "tower"}
-        for i, table in tables.items():
-            bad = off_parity(table, i % 2)
-            if bad is not None:
-                return bad, {"stage": "parity", "index": i}
+        first: Dict[str, Tuple[int, dict]] = {}
 
-        def space_exponents(j):
-            return exponents(tables[j])
+        def note(stage, degree, index):
+            if degree is not None and stage not in first:
+                first[stage] = degree, {"stage": stage, "index": index}
 
         bpbar = homotopy_profile(BPBAR, truncation)
-        for i, right in _pair_sums(range(2, i_max - 1), space_exponents):
-            mid = _rank_rule_exponents(BPBAR, i, truncation, bpbar)
-            bad = first_mismatch(mid, right)
-            if bad is not None:
-                return bad, {"stage": "reconstruction", "index": i}
-        (product4,) = _fiber_times_bo(4, truncation)
-        bad = first_mismatch(exponents(tables[4]), exponents(product4))
-        if bad is not None:
-            return bad, {"stage": "product_crosscheck", "index": 4}
-        if truncation >= 2:
-            low = {d: c for d, c in tables[2].counts.items() if d <= 2}
-            probe = GeneratorTable(tables[2].kind, low, truncation=2)
-            if poincare_series(probe).coefficient(2) != 1:
-                return 2, {"stage": "hurewicz", "index": 2}
+        exps: Dict[int, TruncatedSeries] = {}
+        try:
+            # only the tower raises NegativeDimension here
+            for i, table in enumerate(bop_tower(i_max, truncation), 2):
+                note("parity", off_parity(table, i % 2), i)
+                exps[i] = exponents(table)
+                if i == 2:
+                    low = {d: c for d, c in table.counts.items() if d <= 2}
+                    probe = GeneratorTable(table.kind, low, truncation=2)
+                if i >= 4:
+                    mid = _rank_rule_exponents(BPBAR, i - 2, truncation, bpbar)
+                    note("reconstruction",
+                         first_mismatch(mid, exps.pop(i - 2) + exps[i]), i - 2)
+                if i == 4:
+                    (product4,) = _fiber_times_bo(4, truncation)
+                    note("product_crosscheck",
+                         first_mismatch(exps[4], exponents(product4)), 4)
+        except NegativeDimension as exc:
+            return exc.degree, {"stage": "tower"}
+        for stage in ("parity", "reconstruction", "product_crosscheck"):
+            if stage in first:
+                return first[stage]
+        if truncation >= 2 and poincare_series(probe).coefficient(2) != 1:
+            return 2, {"stage": "hurewicz", "index": 2}
 
     return run_check("bop-tower", params, body)
 

@@ -242,3 +242,29 @@ X_RANKS_EVEN_0_16 = [0, 0, 0, 1, 2, 2, 3, 5, 6]
 # Conjectured dimensions for truncation height 5, degrees 0..10,
 # expanded by hand from the three summands visible below degree 10.
 CONJECTURED_HEIGHT5_0_10 = [1, 0, 0, 0, 1, 0, 1, 0, 2, 0, 1]
+
+
+def naive_summand_suspensions(n: int, cap: int,
+                              band: Optional[Tuple[int, int]] = None,
+                              ) -> Tuple[List[Tuple[int, int, int, int]],
+                                         Optional[Tuple[int, int]]]:
+    """The rows (s, level, eps, suspension) of a truncation height with
+    suspension <= cap, by the direct scan over s = 1..n-1 and each
+    level from the band power up, with the suspension
+    2^(level + 3 + eps) - 8s.  band is (power, offset), by default
+    2^power <= n - 1 < 2^(power + 1) and offset = n - 1 - 2^power.
+    Returns (rows, stop): stop is the (s, level) of the first negative
+    suspension, where the scan ends, or None."""
+    power, offset = band or ((n - 1).bit_length() - 1,
+                             n - 1 - 2 ** ((n - 1).bit_length() - 1))
+    rows = []
+    for s in range(1, n):
+        eps = 1 if s <= offset or s >= n - offset else 0
+        level = power
+        while 2 ** (level + 3 + eps) - 8 * s <= cap:
+            suspension = 2 ** (level + 3 + eps) - 8 * s
+            if suspension < 0:
+                return rows, (s, level)
+            rows.append((s, level, eps, suspension))
+            level += 1
+    return rows, None

@@ -1,10 +1,13 @@
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from bopcalc import conjecture as conjecture_mod
 from bopcalc.catalog import BP, homotopy_profile
+from bopcalc.cli import main
 from bopcalc.conjecture import (
     SquareMonomial,
     _band_data,
@@ -23,7 +26,11 @@ from bopcalc.conjecture import (
     verify_square_decompositions,
     verify_stable_limit,
 )
-from bopcalc.errors import InvalidParameter, NotApplicable
+from bopcalc.errors import (
+    ConjectureShapeError,
+    InvalidParameter,
+    NotApplicable,
+)
 from bopcalc.reports import first_mismatch
 from bopcalc.series import TruncatedSeries, make_polynomial
 
@@ -95,6 +102,71 @@ def test_summand_suspensions_bounds():
     assert rows and all(s == 1 for s, _, _, _ in rows)
     assert all(eps == 0 for _, _, eps, _ in rows)
     assert sorted(susp for _, _, _, susp in rows) == [0, 8, 24, 56]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 2000), st.integers(0, 600))
+@example(n=2, cap=0)
+@example(n=2000, cap=600)
+@example(n=1025, cap=600)
+@example(n=1024, cap=7)
+def test_summand_intervals_match_the_scan(n, cap):
+    # the band intervals yield exactly the direct scan's rows, in order
+    rows, stop = oracles.naive_summand_suspensions(n, cap)
+    assert stop is None
+    assert list(summand_suspensions(n, cap)) == rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 600), st.integers(0, 300))
+def test_summand_intervals_raise_where_the_scan_stops(n, cap):
+    # with the band power planted one too low, suspensions go negative:
+    # the enumeration yields the scan's rows up to the same summand and
+    # raises there
+    power, offset = _band_data(n)
+    rows, stop = oracles.naive_summand_suspensions(n, cap,
+                                                   (power - 1, offset))
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conjecture_mod, "_band_data",
+                   lambda height: (power - 1, offset))
+        if stop is None:
+            got.extend(summand_suspensions(n, cap))
+        else:
+            with pytest.raises(ConjectureShapeError,
+                               match=rf"\(s={stop[0]}, level={stop[1]}\)"):
+                got.extend(summand_suspensions(n, cap))
+    assert got == rows
+
+
+def test_huge_height_visits_summands_bounded_by_n(capsys):
+    # each summand the enumeration visits runs at least three of its
+    # lines, so a budget of 16 (N + 10) lines bounds the summands
+    # visited by 6 (N + 10), whatever the height; a scan over every s
+    # below the height would exceed it within the first 60 summands
+    n = 10
+    budget = 16 * (n + 10)
+    code = summand_suspensions.__code__
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+            if lines > budget:
+                raise AssertionError("more summands visited than budgeted")
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code is code else None)
+    try:
+        status = main(["conjecture", "100000000", "-N", str(n),
+                       "--format", "json"])
+    finally:
+        sys.settrace(previous)
+    assert status == 0 and '"height": 100000000' in capsys.readouterr().out
+    assert 0 < lines <= budget
 
 
 def test_conjectured_series_frozen_height_five():

@@ -1,4 +1,6 @@
 import itertools
+import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +29,7 @@ from bopcalc.catalog import (
     bo_space_homology,
     homotopy_profile,
 )
+from bopcalc.cli import main
 from bopcalc.errors import (
     InvalidParameter,
     NegativeDimension,
@@ -202,7 +205,8 @@ def _expected_space(space, n, periodic):
     if tag == "bo":
         return (bo_space_homology(i, n, periodic),), "catalog"
     if tag == "BoP" and i >= 2:
-        return (bop_tower(i, n)[-1],), "product" if i <= 3 else "ses_solved"
+        return ((list(bop_tower(i, n))[-1],),
+                "product" if i <= 3 else "ses_solved")
     if tag == "BoP":
         fiber = rank_rule_homology(SpaceRef(F, i), n)
         base = bo_space_homology(i, n)
@@ -297,17 +301,18 @@ def _nonzero(coeffs):
     return {d: c for d, c in enumerate(coeffs) if c}
 
 
-def _oracle_bop_tower(n, middle_table):
-    """bop_tower(12, n) in series space: index -> (series coefficients,
-    generator counts), or the degree of the first NegativeDimension.
-    Quotients are naive_mul by naive_invert, tables are naive_peel."""
+def _oracle_bop_tower(n, middle_table, i_max=12):
+    """bop_tower(i_max, n) in series space: index -> (series
+    coefficients, generator counts), or the degree of the first
+    NegativeDimension.  Quotients are naive_mul by naive_invert, tables
+    are naive_peel."""
     out = {}
     for i in (2, 3):
         table = tensor(rank_rule_homology(SpaceRef(F, i), n),
                        bo_space_homology(i, n))
         out[i] = (oracles.table_series(table.counts, i % 2 == 1, n),
                   table.counts)
-    for i in range(4, 13):
+    for i in range(4, i_max + 1):
         mid = middle_table(SpaceRef(BPBAR, i - 2), n)
         q = oracles.naive_mul(
             _nonzero(oracles.table_series(mid.counts, i % 2 == 1, n)),
@@ -323,15 +328,21 @@ def _oracle_bop_tower(n, middle_table):
     return out
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 23, 40])
+@pytest.mark.parametrize("n", range(41))
 def test_bop_tower_matches_series_space_oracle(n):
-    want = _oracle_bop_tower(n, rank_rule_homology)
-    got = bop_tower(12, n)
-    assert len(got) == 11
+    # through space N + 12, past N + 2, where the tower stops solving;
+    # each shorter tower is a prefix of the longest one
+    i_max = n + 12
+    want = _oracle_bop_tower(n, rank_rule_homology, i_max)
+    got = list(bop_tower(i_max, n))
+    assert len(got) == i_max - 1
     for i, table in enumerate(got, 2):
         coeffs, counts = want[i]
         assert list(poincare_series(table).coefficients) == coeffs
-        assert table.counts == counts
+        assert table == GeneratorTable(
+            "polynomial" if i % 2 == 0 else "exterior", counts, 0, n), i
+    for i in range(2, i_max):
+        assert list(bop_tower(i, n)) == got[:i - 1], i
 
 
 @settings(max_examples=40, deadline=None)
@@ -369,10 +380,10 @@ def test_perturbed_middle_fails_where_the_oracle_does(index, changes):
         mp.setattr(towers_mod, "_rank_rule_exponents", middle_exponents)
         if isinstance(want, int):
             with pytest.raises(NegativeDimension) as info:
-                bop_tower(12, n)
+                list(bop_tower(12, n))
             assert info.value.degree == want
         else:
-            got = bop_tower(12, n)
+            got = list(bop_tower(12, n))
             assert {i: (list(poincare_series(t).coefficients), t.counts)
                     for i, t in enumerate(got, 2)} == want
 
@@ -460,6 +471,35 @@ def test_bop_tower_parity_stage_finds_a_planted_table(monkeypatch, index,
     assert report.detail == {"stage": "parity", "index": index}
 
 
+@pytest.mark.parametrize("plants, want", [
+    # space 3 has the wrong parity (and breaks the reconstruction of
+    # BPbar_3), then the tower raises further up: the tower stage wins
+    ({3: GeneratorTable("exterior", {4: 1}, truncation=30),
+      9: NegativeDimension(7)}, (7, {"stage": "tower"})),
+    # the reconstruction of BPbar_2 breaks at space 4, and space 11
+    # arrives later with the wrong parity: the parity stage wins
+    ({4: 10, 11: GeneratorTable("exterior", {6: 1}, truncation=30)},
+     (6, {"stage": "parity", "index": 11})),
+])
+def test_bop_tower_check_reports_the_earliest_stage_of_a_stream(
+        monkeypatch, plants, want):
+    # the check reads the tower once, so a later stage can fail before
+    # an earlier one has seen every space; the report is still the
+    # earliest stage's first failure
+    real = towers_mod.bop_tower
+
+    def planted(i_max, truncation):
+        for i, table in enumerate(real(i_max, truncation), 2):
+            plant = plants.get(i, table)
+            if isinstance(plant, Exception):
+                raise plant
+            yield _plant(table, plant) if isinstance(plant, int) else plant
+
+    monkeypatch.setattr(towers_mod, "bop_tower", planted)
+    report = verify_bop_tower(30)
+    assert (report.first_failure_degree, report.detail) == want
+
+
 def test_first_table_mismatch_names_the_field():
     base = GeneratorTable("polynomial", {2: 1, 4: 3}, 1, 8)
     cases = [
@@ -522,7 +562,7 @@ def test_bop_space_is_the_last_space_of_the_tower(n):
     for i in range(2, 13):
         got = space_homology(SpaceRef(BOP, i), n)
         assert got.space == SpaceRef(BOP, i)
-        assert got.tables == (bop_tower(i, n)[-1],)
+        assert got.tables == (list(bop_tower(i, n))[-1],)
         assert got.provenance == ("product" if i <= 3 else "ses_solved")
 
 
@@ -552,7 +592,7 @@ def test_bop_tower_builds_no_series_until_one_is_read(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(module, name, counted)
-    assert len(bop_tower(12, 64)) == 11 and calls == []
+    assert len(list(bop_tower(12, 64))) == 11 and calls == []
     space_homology(SpaceRef(BOP, 12), 64).series
     assert calls == ["poincare_series", "_euler"]
 
@@ -782,5 +822,54 @@ def test_bop_tower_builds_tables_only_for_its_fiber_spaces(monkeypatch):
         return real(space, truncation)
 
     monkeypatch.setattr(towers_mod, "rank_rule_homology", counted)
-    assert len(bop_tower(12, 1024)) == 11
+    assert len(list(bop_tower(12, 1024))) == 11
     assert calls == [SpaceRef(F, 2), SpaceRef(F, 3)]
+
+
+def test_bop_tower_solves_nothing_above_n_plus_two(monkeypatch, capsys):
+    # space i is (i-1)-connected, so past N + 2 every space is the empty
+    # table of its kind; neither a huge index nor a long tower solves one
+    n = 10
+    calls = []
+    real = towers_mod.table_from_exponents
+
+    def counted(v, kind):
+        calls.append(kind)
+        if len(calls) > n + 2:
+            raise AssertionError("a space above N + 2 was solved")
+        return real(v, kind)
+
+    walked = []
+    real_tower = towers_mod.bop_tower
+
+    def recorded(i_max, truncation):
+        walked.append(i_max)
+        return real_tower(i_max, truncation)
+
+    monkeypatch.setattr(towers_mod, "table_from_exponents", counted)
+    monkeypatch.setattr(towers_mod, "bop_tower", recorded)
+    assert main(["homology", "BoP", "1000000", "-N", str(n),
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["table"]["generators"] == []
+    assert len(calls) <= n + 2 and walked == []
+    calls.clear()
+    tables = list(bop_tower(10 * n, n))
+    assert len(calls) <= n + 2
+    for i, table in enumerate(tables[n + 1:], n + 3):
+        assert table == GeneratorTable(
+            "polynomial" if i % 2 == 0 else "exterior", {}, 0, n), i
+
+
+def test_bop_space_memory_does_not_grow_with_the_index():
+    # the tower holds two exponent vectors whatever the index, so with
+    # the profiles built, space 60's solve peaks where space 12's does
+    def peak(i):
+        space_homology(SpaceRef(BOP, i), 256)
+        tracemalloc.start()
+        try:
+            space_homology(SpaceRef(BOP, i), 256)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(60) <= 1.1 * peak(12)
