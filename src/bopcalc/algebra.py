@@ -64,6 +64,7 @@ from .errors import (
 from .series import (
     TruncatedSeries,
     _from_ints,
+    _listed,
     from_log_derivative,
     log_derivative,
 )
@@ -134,17 +135,20 @@ class GeneratorTable:
                 f"component_rank={self.component_rank}, "
                 f"truncation={self.truncation})")
 
-    def to_json(self) -> dict:
-        """Schema: kind, component_rank, generators (sorted), truncation."""
+    def lazy_json(self) -> dict:
+        """Schema: kind, component_rank, generators (sorted), truncation;
+        the generator rows an iterator, each made as it is read."""
         return {
             "kind": self.kind,
             "component_rank": self.component_rank,
-            "generators": [
-                {"degree": d, "count": self.counts[d]}
-                for d in sorted(self.counts)
-            ],
+            "generators": ({"degree": d, "count": self.counts[d]}
+                           for d in sorted(self.counts)),
             "truncation": self.truncation,
         }
+
+    def to_json(self) -> dict:
+        """lazy_json() with its rows listed."""
+        return _listed(self.lazy_json())
 
     def csv_rows(self) -> Iterator[Tuple[int, int]]:
         """Rows (degree, count) in degree order."""
@@ -184,11 +188,14 @@ def exponents(*tables: GeneratorTable) -> TruncatedSeries:
     coefficients of a series with constant term 0: v_d with
     P = prod_d (1 - x^d)^(-v_d), at the first table's truncation.
     Generators above it are dropped, and the component rank is ignored.
+    With no table there is no truncation, and InvalidParameter is raised.
 
     >>> t = GeneratorTable("exterior", {1: 1, 3: 2}, truncation=6)
     >>> print(exponents(t))
     x - x^2 + 2*x^3 - 2*x^6
     """
+    if not tables:
+        raise InvalidParameter("need at least one generator table")
     n = tables[0].truncation
     v = None
     for table in tables:

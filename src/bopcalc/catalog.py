@@ -42,6 +42,7 @@ from types import MappingProxyType
 from .algebra import GeneratorTable
 from .errors import InvalidParameter, NegativeDimension, TruncationError
 from .series import (
+    _listed,
     geometric,
     make_polynomial,
     product_over,
@@ -151,15 +152,19 @@ class HomotopyProfile(namedtuple("HomotopyProfile",
                 f"degree {degree} beyond truncation {self.truncation}")
         return self.torsion_z2.get(degree, 0)
 
-    def to_json(self) -> dict:
+    def lazy_json(self) -> dict:
+        """Schema: spectrum, free_ranks (a series), torsion_z2 (sorted
+        rows); its arrays iterators, each item made as it is read."""
         return {
             "spectrum": str(self.spectrum),
-            "free_ranks": self.free_ranks.to_json(),
-            "torsion_z2": [
-                {"degree": d, "count": self.torsion_z2[d]}
-                for d in sorted(self.torsion_z2)
-            ],
+            "free_ranks": self.free_ranks.lazy_json(),
+            "torsion_z2": ({"degree": d, "count": self.torsion_z2[d]}
+                           for d in sorted(self.torsion_z2)),
         }
+
+    def to_json(self) -> dict:
+        """lazy_json() with its arrays listed."""
+        return _listed(self.lazy_json())
 
     def csv_rows(self) -> Iterator[Tuple[str, int, int, int]]:
         """Rows (spectrum, degree, free_rank, torsion_count), all degrees."""

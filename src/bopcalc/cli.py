@@ -17,11 +17,15 @@ domain errors (bad spectrum names, indices outside a rule's range) and
 when a command runs out of memory.
 
 The grammar is one table, `_GRAMMAR`.  A valid command is parsed from
-it directly and prints its JSON through `_json_text`, so it imports
+it directly and writes its JSON through `_json_chunks`, so it imports
 neither argparse nor json, which would cost a short process several
 milliseconds of start-up.  Help and usage errors go through argparse:
 `build_parser` builds its parser from the same table, so the help text
 and every error message are argparse's own.
+
+Output is streamed: `_emit` writes each piece, a JSON array item or a
+line of CSV or text, as it is made, so a command holds one row of its
+output at a time, never the whole document.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import os
 import sys
 from collections import namedtuple
+from itertools import chain
 from math import isfinite
 from types import SimpleNamespace
 
@@ -106,21 +111,33 @@ _CONJECTURE_CHECKS = {
 
 # -- output helpers ----------------------------------------------------------
 
-def _emit(text: str, args) -> None:
+def _emit(pieces, args) -> None:
+    """Write the output that `pieces` make up, newline included, each
+    piece as it is made: to the --output file, which no pieces leave
+    empty, or to stdout, where no pieces print an empty line.  A command
+    runs whatever can raise before it calls this; the pieces only
+    format."""
     if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n" if text else "")
+                fh.writelines(pieces)
         except OSError as exc:
             raise InvalidParameter(
                 f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
+        pieces = iter(pieces)
         try:
-            print(text, flush=True)
+            sys.stdout.write(next(pieces, "\n"))
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
         except BrokenPipeError:
             # the reader left (`| head`): drop the rest of the output so
             # the exit-time flush cannot fail, and keep the exit status
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _emit_json(doc, args) -> None:
+    _emit(chain(_json_chunks(doc), "\n"), args)
 
 
 def _note(message: str, args) -> None:
@@ -128,25 +145,57 @@ def _note(message: str, args) -> None:
         print(f"note: {message}", file=sys.stderr)
 
 
-def _csv_text(header: Sequence[str], rows) -> str:
-    # Imported here: most runs print JSON or text, and csv is start-up
-    # time every process would otherwise pay.
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+def _csv_lines(header: Sequence[str], rows) -> Iterator[str]:
+    """The lines csv.writer(lineterminator="\n") writes for a header and
+    rows whose fields are ints, rounded floats, names with no comma,
+    quote or newline, and "" beside other fields, as every row a command
+    prints is: for those, a plain join of the fields is what it writes."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
 
 
-def _json_text(doc, pad: str = "\n") -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte, for what a document
-    holds: dicts with str keys, lists, tuples, str, int, float, bool and
-    None; anything else raises TypeError.  json itself, start-up time
-    every process would otherwise pay, is imported only for a string
-    that needs escaping or a float that is not finite."""
+def _json_chunks(doc, pad: str = "\n") -> Iterator[str]:
+    """``json.dumps(doc, indent=2)``, byte for byte, in pieces: one per
+    array item and one per dict key.  A document holds dicts with str
+    keys; lists, tuples and iterators, each written as an array; str,
+    int, float, bool and None.  Anything else raises TypeError."""
+    inner = pad + "  "
+    if isinstance(doc, dict):
+        sep = "{" + inner
+        for key, value in doc.items():
+            if not isinstance(key, str):
+                raise TypeError("keys must be str")
+            head = sep + _json_scalar(key) + ": "
+            text = _json_scalar(value)
+            if text is None:
+                yield head
+                yield from _json_chunks(value, inner)
+            else:
+                yield head + text
+            sep = "," + inner
+        yield "{}" if sep[0] == "{" else pad + "}"
+    elif isinstance(doc, (list, tuple)) or hasattr(doc, "__next__"):
+        sep = "[" + inner
+        for item in doc:
+            text = _json_scalar(item)
+            yield sep + (text if text is not None
+                         else "".join(_json_chunks(item, inner)))
+            sep = "," + inner
+        yield "[]" if sep[0] == "[" else pad + "]"
+    else:
+        text = _json_scalar(doc)
+        if text is None:
+            raise TypeError(f"Object of type {type(doc).__name__} "
+                            "is not JSON serializable")
+        yield text
+
+
+def _json_scalar(doc) -> Optional[str]:
+    """The JSON text of a str, int, float, bool or None, else None.  json
+    itself, start-up time every process would otherwise pay, is imported
+    only for a string that needs escaping or a float that is not
+    finite."""
     if isinstance(doc, str):
         if (doc.isascii() and doc.isprintable()
                 and '"' not in doc and "\\" not in doc):
@@ -158,50 +207,30 @@ def _json_text(doc, pad: str = "\n") -> str:
     elif isinstance(doc, float):
         if isfinite(doc):
             return float.__repr__(doc)
-    elif isinstance(doc, (list, tuple)):
-        if not doc:
-            return "[]"
-        inner = pad + "  "
-        items = (_json_text(item, inner) for item in doc)
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    elif isinstance(doc, dict):
-        if not doc:
-            return "{}"
-        if not all(isinstance(key, str) for key in doc):
-            raise TypeError("keys must be str")
-        inner = pad + "  "
-        items = (_json_text(key) + ": " + _json_text(value, inner)
-                 for key, value in doc.items())
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
     else:
-        raise TypeError(
-            f"Object of type {type(doc).__name__} is not JSON serializable")
+        return None
     import json
     return json.dumps(doc)
 
 
-def _series_lines(series: TruncatedSeries, label: str) -> List[str]:
-    lines = [f"{'degree':>8}  {label}"]
+def _series_lines(series: TruncatedSeries, label: str) -> Iterator[str]:
+    yield f"{'degree':>8}  {label}\n"
     for d, c in series.csv_rows():
         if c:
-            lines.append(f"{d:>8}  {c}")
-    if len(lines) == 1:
-        lines.append("  (all coefficients are 0)")
-    return lines
+            yield f"{d:>8}  {c}\n"
+    if not any(series.coefficients):
+        yield "  (all coefficients are 0)\n"
 
 
-def _table_lines(table: GeneratorTable) -> List[str]:
-    lines = [
-        f"kind: {table.kind}",
-        f"component_rank: {table.component_rank}",
-        f"max_degree: {table.truncation}",
-        f"{'degree':>8}  count",
-    ]
+def _table_lines(table: GeneratorTable) -> Iterator[str]:
+    yield f"kind: {table.kind}\n"
+    yield f"component_rank: {table.component_rank}\n"
+    yield f"max_degree: {table.truncation}\n"
+    yield f"{'degree':>8}  count\n"
     for d, c in table.csv_rows():
-        lines.append(f"{d:>8}  {c}")
+        yield f"{d:>8}  {c}\n"
     if not table.counts:
-        lines.append("  (no generators)")
-    return lines
+        yield "  (no generators)\n"
 
 
 # -- subcommands -------------------------------------------------------------
@@ -221,37 +250,38 @@ def _cmd_homology(args) -> int:
             f"space {args.index} of bo lies outside the connective "
             "range; returning the periodic table")
     res = _towers.space_homology(SpaceRef(spectrum, args.index), n, periodic)
-    if res.table is None:
+    table = res.table
+    if table is None:
         notes.append("generators of both parities; only the series is printed")
 
     for message in notes:
         _note(message, args)
-    table = res.table
+    # res.series runs an Euler pass on each read: read it once, and only
+    # where it is printed
     if args.format == "json":
-        doc = {
+        _emit_json({
             "command": "homology",
             "spectrum": str(spectrum),
             "index": args.index,
             "max_degree": n,
             "provenance": res.provenance,
-            "table": table.to_json() if table is not None else None,
-            "series": res.series.to_json(),
+            "table": table.lazy_json() if table is not None else None,
+            "series": res.series.lazy_json(),
             "notes": notes,
-        }
-        _emit(_json_text(doc), args)
+        }, args)
     elif args.format == "csv":
         label = "count" if table is not None else "coefficient"
         rows = (table if table is not None else res.series).csv_rows()
-        _emit(_csv_text(("degree", label), rows), args)
+        _emit(_csv_lines(("degree", label), rows), args)
     else:
-        head = [f"space: {spectrum}_{args.index}",
-                f"provenance: {res.provenance}"]
+        head = (f"space: {spectrum}_{args.index}\n",
+                f"provenance: {res.provenance}\n")
         if table is not None:
             body = _table_lines(table)
         else:
-            body = [f"max_degree: {n}",
-                    *_series_lines(res.series, "coefficient")]
-        _emit("\n".join(head + body), args)
+            body = chain((f"max_degree: {n}\n",),
+                         _series_lines(res.series, "coefficient"))
+        _emit(chain(head, body), args)
     return 0
 
 
@@ -259,32 +289,31 @@ def _cmd_catalog(args) -> int:
     if args.spectrum is None:
         names = [str(s) for s in CATALOGUED_SPECTRA]
         if args.format == "json":
-            _emit(_json_text({"command": "catalog", "spectra": names}), args)
+            _emit_json({"command": "catalog", "spectra": names}, args)
         elif args.format == "csv":
-            _emit(_csv_text(("spectrum",), ((n,) for n in names)), args)
+            _emit(_csv_lines(("spectrum",), ((n,) for n in names)), args)
         else:
-            _emit("\n".join(names), args)
+            _emit((name + "\n" for name in names), args)
         return 0
 
     spectrum = parse_spectrum(args.spectrum)
     profile = homotopy_profile(spectrum, args.max_degree)
     if args.format == "json":
-        doc = {
+        _emit_json({
             "command": "catalog",
             "max_degree": args.max_degree,
-            "profile": profile.to_json(),
-        }
-        _emit(_json_text(doc), args)
+            "profile": profile.lazy_json(),
+        }, args)
     elif args.format == "csv":
-        _emit(_csv_text(("spectrum", "degree", "free_rank", "torsion_z2"),
-                        profile.csv_rows()), args)
+        _emit(_csv_lines(("spectrum", "degree", "free_rank", "torsion_z2"),
+                         profile.csv_rows()), args)
     else:
-        lines = [f"spectrum: {spectrum}",
-                 f"{'degree':>8}  free_rank  torsion_z2"]
-        for _, d, free, torsion in profile.csv_rows():
-            if free or torsion:
-                lines.append(f"{d:>8}  {free:>9}  {torsion:>10}")
-        _emit("\n".join(lines), args)
+        head = (f"spectrum: {spectrum}\n",
+                f"{'degree':>8}  free_rank  torsion_z2\n")
+        rows = (f"{d:>8}  {free:>9}  {torsion:>10}\n"
+                for _, d, free, torsion in profile.csv_rows()
+                if free or torsion)
+        _emit(chain(head, rows), args)
     return 0
 
 
@@ -296,20 +325,20 @@ def _run_reports(reports: List[VerificationReport], args) -> int:
         else:
             doc = {"command": "verify", "pass": passed,
                    "reports": [r.to_json() for r in reports]}
-        _emit(_json_text(doc), args)
+        _emit_json(doc, args)
     elif args.format == "csv":
-        rows = [(r.check, "pass" if r.passed else "fail",
+        rows = ((r.check, "pass" if r.passed else "fail",
                  "" if r.first_failure_degree is None
                  else r.first_failure_degree,
                  round(r.elapsed_ms, 3))
-                for r in reports]
-        _emit(_csv_text(("check", "result", "first_failure_degree",
-                         "elapsed_ms"), rows), args)
+                for r in reports)
+        _emit(_csv_lines(("check", "result", "first_failure_degree",
+                          "elapsed_ms"), rows), args)
     else:
-        lines = [r.one_line() for r in reports
+        lines = [r.one_line() + "\n" for r in reports
                  if not (args.quiet and r.passed)]
         if lines or args.output is not None:  # leave no stale file behind
-            _emit("\n".join(lines), args)
+            _emit(lines, args)
     return 0 if passed else 1
 
 
@@ -354,19 +383,17 @@ def _cmd_conjecture(args) -> int:
     series = _conjecture.conjectured_bopn_cohomology(args.height,
                                                      args.max_degree)
     if args.format == "json":
-        doc = {
+        _emit_json({
             "command": "conjecture",
             "height": args.height,
             "max_degree": args.max_degree,
-            "series": series.to_json(),
-        }
-        _emit(_json_text(doc), args)
+            "series": series.lazy_json(),
+        }, args)
     elif args.format == "csv":
-        _emit(_csv_text(("degree", "coefficient"), series.csv_rows()), args)
+        _emit(_csv_lines(("degree", "coefficient"), series.csv_rows()), args)
     else:
-        lines = [f"height: {args.height}"]
-        lines += _series_lines(series, "dimension")
-        _emit("\n".join(lines), args)
+        _emit(chain((f"height: {args.height}\n",),
+                    _series_lines(series, "dimension")), args)
     return 0
 
 

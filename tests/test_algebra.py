@@ -66,6 +66,14 @@ def test_table_equality_and_json():
     assert list(t.csv_rows()) == [(3, 2)]
 
 
+@pytest.mark.parametrize("read", [poincare_series, poincare_log_derivative,
+                                  exponents])
+def test_reading_no_table_is_an_invalid_parameter(read):
+    # with no table there is no truncation to read the series at
+    with pytest.raises(InvalidParameter, match="at least one"):
+        read()
+
+
 def test_poincare_polynomial_matches_partitions():
     t = GeneratorTable("polynomial", {2: 1, 4: 2}, truncation=20)
     parts = [2] + oracles.repeated([4], 2)

@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
 
 from bopcalc import series as series_mod
 from bopcalc import towers as towers_mod
-from bopcalc.catalog import X, SpaceRef
+from bopcalc.catalog import BOP, X, SpaceRef
 from bopcalc.cli import (
     _FAULT_CHECKS,
     _REGISTRY,
@@ -134,10 +135,86 @@ def test_homology_builds_a_series_only_to_print_it(monkeypatch, capsys,
     assert capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("index, calls", [
+    # space 12's csv and text print its table, and build no series
+    ("12", {"json": 1, "csv": 0, "table": 0}),
+    # space 1 has generators of both parities and prints only its series
+    ("1", {"json": 1, "csv": 1, "table": 1}),
+])
+def test_homology_reads_its_series_once(monkeypatch, capsys, fmt, index,
+                                        calls):
+    # each read of TowerResult.series runs one Euler pass
+    passes = []
+
+    def counted(*args, real=series_mod._euler):
+        passes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series_mod, "_euler", counted)
+    assert main(["homology", "BoP", index, "-N", "64", "--format", fmt]) == 0
+    assert len(passes) == calls[fmt]
+    assert capsys.readouterr().out
+
+
+def test_homology_json_holds_one_row_at_a_time(monkeypatch, tmp_path):
+    # with the output streamed, printing space 12 costs about what its
+    # solve and series cost; a document built whole costs half as much
+    # again
+    def peak(work):
+        work()  # the profiles the solve reads are built once per process
+        tracemalloc.start()
+        try:
+            work()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with open(tmp_path / "out.json", "w", encoding="utf-8") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        printed = peak(lambda: main(["homology", "BoP", "12", "-N", "1032",
+                                     "--format", "json"]))
+    solved = peak(lambda: towers_mod.space_homology(SpaceRef(BOP, 12),
+                                                    1032).series)
+    assert printed <= 1.15 * solved
+
+
+@pytest.mark.parametrize("argv", [
+    ("homology", "BoP", "12", "-N", "40"),
+    ("homology", "BoP", "1", "-N", "40"),
+    ("catalog",),
+    ("catalog", "BPn:3", "-N", "40"),
+    ("conjecture", "16", "-N", "40"),
+])
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_output_file_holds_what_stdout_prints(tmp_path, capsys, argv, fmt):
+    target = tmp_path / "out"
+    argv = [*argv, "--format", fmt]
+    status = main(argv)
+    printed = capsys.readouterr().out
+    assert main([*argv, "--output", str(target)]) == status
+    assert capsys.readouterr().out == ""
+    assert _masked(target.read_text(encoding="utf-8")) == _masked(printed)
+    assert printed.endswith("\n") and "\n\n" not in printed
+
+
+def test_output_write_failing_midway_exits_2(capsys):
+    # /dev/full opens, and then every write to it fails
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    status = main(["homology", "BoP", "12", "-N", "1024", "--format", "json",
+                   "--output", "/dev/full"])
+    assert status == 2
+    assert capsys.readouterr() == (
+        "", "error: cannot write /dev/full: No space left on device\n")
+
+
 @pytest.mark.parametrize("argv, status", [
     (("homology", "BoP", "12", "-N", "400", "--format", "csv"), 0),
     (("verify", "rhs-one", "-N", "64", "--inject-fault", "--format", "json"),
      1),
+    (("homology", "BoP", "12", "-N", "2048", "--format", "json"), 0),
+    (("homology", "BoP", "12", "-N", "2048", "--format", "table"), 0),
 ])
 def test_closed_stdout_keeps_the_exit_status(argv, status):
     # the read end is closed before the child starts, so its first
@@ -152,6 +229,22 @@ def test_closed_stdout_keeps_the_exit_status(argv, status):
         os.close(write)
     assert proc.returncode == status
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_reader_leaving_midway_keeps_the_printed_prefix(fmt):
+    # space 1's series prints over 300 KB in every format, more than a
+    # pipe holds, so the writer is still writing when the reader leaves
+    # after its first bytes
+    argv = ["homology", "BoP", "1", "-N", "4096", "--format", fmt, "--quiet"]
+    with subprocess.Popen([sys.executable, "-m", "bopcalc", *argv],
+                          stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(4096)
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 0 and err == b""
+    assert run_cli(*argv).stdout.encode().startswith(head) and head
 
 
 def test_homology_domain_errors():

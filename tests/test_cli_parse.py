@@ -1,11 +1,12 @@
-"""The CLI's own parse and JSON writer against argparse and json.
+"""The CLI's own parse and output writers against argparse, json and csv.
 
 A valid command is parsed from the grammar table and printed through
-`_json_text`, without importing argparse or json; argparse and json stay
-the reference for what they must produce.
+`_json_chunks` or `_csv_lines`, without importing argparse, json or csv;
+argparse, json and csv stay the reference for what they must produce.
 """
 
 import contextlib
+import csv
 import importlib.util
 import io
 import json
@@ -20,9 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bopcalc.cli import _json_text, _parse, build_parser
+from bopcalc.catalog import CATALOGUED_SPECTRA
+from bopcalc.cli import CHECK_NAMES, _csv_lines, _json_chunks, _parse, \
+    build_parser
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def _json_text(doc):
+    return "".join(_json_chunks(doc))
+
 
 # -- the JSON writer ----------------------------------------------------------
 
@@ -47,6 +55,34 @@ def test_json_text_is_json_dumps_indent_2(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2)
 
 
+def _generated(items):
+    yield from items
+
+
+# Pairs (lazy, plain) of one document: in the lazy one some arrays are
+# iterators (a list's, map's or a generator's), empty ones included; the
+# plain one is what json.dumps reads.
+_ARRAYS = (list, tuple, iter, _generated, lambda items: map(str, items))
+_document_pairs = st.recursive(
+    _scalars.map(lambda x: (x, x)),
+    lambda inner: (
+        st.tuples(st.sampled_from(_ARRAYS), st.lists(inner, max_size=4)).map(
+            lambda t: (t[0]([lazy for lazy, _ in t[1]]),
+                       [plain if t[0] is not _ARRAYS[-1] else str(lazy)
+                        for lazy, plain in t[1]]))
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4).map(
+            lambda d: ({k: lazy for k, (lazy, _) in d.items()},
+                       {k: plain for k, (_, plain) in d.items()}))),
+    max_leaves=20)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_document_pairs)
+def test_json_chunks_write_iterators_as_arrays(pair):
+    lazy, plain = pair
+    assert _json_text(lazy) == json.dumps(plain, indent=2)
+
+
 @pytest.mark.parametrize("doc", [
     {}, [], (), {"a": []}, [{}], {"": ""}, 0, -0.0, 1e300, 2 ** 200,
     float("nan"), float("-inf"), True, None, "é\"\\\n",
@@ -55,13 +91,66 @@ def test_json_text_edge_cases(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2)
 
 
+@pytest.mark.parametrize("lazy, plain", [
+    (lambda: iter([]), []),
+    (lambda: {"a": map(str, [])}, {"a": []}),
+    (lambda: [iter(()), (x for x in ())], [[], []]),
+    (lambda: {"rows": ({"degree": d} for d in (1, 2))},
+     {"rows": [{"degree": 1}, {"degree": 2}]}),
+])
+def test_json_chunks_empty_and_nested_iterators(lazy, plain):
+    assert _json_text(lazy()) == json.dumps(plain, indent=2)
+
+
+def test_json_chunks_yield_one_piece_per_array_item():
+    doc = {"series": {"truncation": 2, "coefficients": map(str, [1, 0, 7])}}
+    assert list(_json_chunks(doc)) == [
+        '{\n  "series": ', '{\n    "truncation": 2', ',\n    "coefficients": ',
+        '[\n      "1"', ',\n      "0"', ',\n      "7"', "\n    ]", "\n  }",
+        "\n}"]
+
+
 @pytest.mark.parametrize("doc", [
     {1, 2}, b"bytes", object(), complex(1, 2), [{"k": {3}}],
-    {1: "int key"}, {None: "null key"},
+    {1: "int key"}, {None: "null key"}, iter([{2}]), {"a": 1, 2: "b"},
 ])
 def test_json_text_rejects_what_it_does_not_write(doc):
     with pytest.raises(TypeError):
         _json_text(doc)
+
+
+# -- the CSV writer -----------------------------------------------------------
+
+# The rows the commands print: (degree, count or coefficient), a
+# spectrum name alone, (spectrum, degree, free rank, torsion), and
+# (check, result, first failure degree or "", rounded elapsed ms).
+_ints = st.integers(min_value=-2 ** 800, max_value=2 ** 800)
+_names = (st.sampled_from([str(s) for s in CATALOGUED_SPECTRA])
+          | st.integers(min_value=0, max_value=10 ** 9).map(
+              lambda k: f"BPn:{k}"))
+_elapsed = st.floats(min_value=0, allow_nan=False,
+                     allow_infinity=False).map(lambda ms: round(ms, 3))
+_csv_tables = st.sampled_from([
+    (("degree", "count"), st.tuples(_ints, _ints)),
+    (("degree", "coefficient"), st.tuples(_ints, _ints)),
+    (("spectrum",), st.tuples(_names)),
+    (("spectrum", "degree", "free_rank", "torsion_z2"),
+     st.tuples(_names, _ints, _ints, _ints)),
+    (("check", "result", "first_failure_degree", "elapsed_ms"),
+     st.tuples(st.sampled_from(CHECK_NAMES), st.sampled_from(["pass", "fail"]),
+               st.just("") | _ints, _elapsed)),
+]).flatmap(lambda t: st.tuples(st.just(t[0]), st.lists(t[1], max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_tables)
+def test_csv_lines_are_what_csv_writer_writes(table):
+    header, rows = table
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert "".join(_csv_lines(header, iter(rows))) == buf.getvalue()
 
 
 # -- the direct parse ---------------------------------------------------------
