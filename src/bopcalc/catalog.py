@@ -21,7 +21,11 @@ any other torsion, so this is a complete description through the
 truncation degree.  homotopy_profile builds each (spectrum, truncation)
 pair once per process and hands every later caller the same profile;
 a profile is read-only (its torsion map is a mappingproxy), so sharing
-it is safe.
+it is safe.  The BPn levels share one rule, bpn_ladder, which yields
+BPn(1), BPn(2), ... one binomial pass apart and holds one live rung: a
+BPn(k) profile costs k passes and caches no level below it, and a
+caller that reads every level in turn, as the splitting regiment does,
+walks the ladder once and caches no profile at all.
 
 Space homology uses Omega-spectrum indexing: space i of a spectrum E has
 pi_d = E_(d-i).  The bo spaces have classical tables, recorded here;
@@ -55,6 +59,7 @@ __all__ = [
     "bpn",
     "parse_spectrum",
     "homotopy_profile",
+    "bpn_ladder",
     "bo_space_homology",
     "CATALOGUED_SPECTRA",
     "BP",
@@ -190,8 +195,27 @@ def _bo_torsion(truncation: int) -> Dict[int, int]:
     return out
 
 
-# More than the 39 distinct profiles `verify all` reads, the most any
-# one command reads (a BPn profile also caches each level below it).
+def bpn_ladder(truncation: int,
+               top: Optional[int] = None) -> Iterator[TruncatedSeries]:
+    """Free ranks of BPn(1), BPn(2), ..., BPn(top) through the truncation,
+    one rung at a time: BPn(k) is BPn(k-1) with v_k adjoined, one binomial
+    pass on the rung below.  BPn(1) always comes; past the last v_k at or
+    below the truncation every level has the same free ranks, so the
+    ladder stops there (top=None climbs to that level).
+
+    >>> [r.coefficient(6) for r in bpn_ladder(8)]
+    [1, 2]
+    """
+    rungs = itertools.islice(_vn_degrees(), 1, top)
+    free = geometric(2, truncation)
+    yield free
+    for degree in itertools.takewhile(lambda d: d <= truncation, rungs):
+        free = free.times_binomial(degree, -1, -1)
+        yield free
+
+
+# More than the 26 distinct profiles `verify all` reads, the most any
+# one command reads.
 _PROFILE_CACHE_SIZE = 64
 
 
@@ -216,16 +240,8 @@ def homotopy_profile(spectrum: SpectrumId, truncation: int) -> HomotopyProfile:
         bp = homotopy_profile(BP, truncation).free_ranks
         return HomotopyProfile(spectrum, bp.times_binomial(8, -1, -1), {})
     if tag == "BPn":
-        # BPn(k) is BPn(k-1) with v_k adjoined; past the last v_k at or
-        # below the truncation every level has the same free ranks
-        level, top = spectrum.level, max((truncation + 2).bit_length() - 2, 1)
-        if level > top:
-            free = homotopy_profile(bpn(top), truncation).free_ranks
-        elif level == 1:
-            free = geometric(2, truncation)
-        else:
-            below = homotopy_profile(bpn(level - 1), truncation).free_ranks
-            free = below.times_binomial(2 * (2 ** level - 1), -1, -1)
+        for free in bpn_ladder(truncation, spectrum.level):
+            pass  # the top rung is this level's
         return HomotopyProfile(spectrum, free, {})
     if tag == "bu":
         return HomotopyProfile(spectrum, geometric(2, truncation), {})

@@ -575,7 +575,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print(f"error: out of memory at -N {args.max_degree}",
+        # homology's index sizes the work as much as -N does
+        index = f"index {args.index} and " if hasattr(args, "index") else ""
+        print(f"error: out of memory at {index}-N {args.max_degree}",
               file=sys.stderr)
         return 2
 

@@ -10,8 +10,9 @@ the lead terms escape any fixed degree range, and the sums stabilize to
 the known cohomology of BoP itself; the verifiers pin down that shape,
 the stabilization, the first-appearance bookkeeping for each summand,
 and the Sq^2-annihilated monomial decompositions feeding the whole
-computation.  One chain of quotients per truncation serves every index,
-and each entry a run reads is checked for nonnegativity once.
+computation.  The quotients form a chain, one exterior factor apart;
+each run walks it with one cursor entry, keeps only the entries it
+reads, and checks each of those for nonnegativity once.
 """
 
 from __future__ import annotations
@@ -59,33 +60,51 @@ def steenrod_series(truncation: int) -> TruncatedSeries:
     return acc
 
 
-def _quotient_chain(truncation: int) -> List[TruncatedSeries]:
-    """Sq^2 quotients n = 0, 1, ... through the stable one: the Steenrod
-    series over (1 + x^2), then one more exterior factor divided out per
-    entry.  Milnor quotient n is entry n times (1 + x^2), so a
+def _quotient_chain(truncation: int) -> Callable[[int], TruncatedSeries]:
+    """Sq^2 quotients n = 0, 1, ... through the stable one (indices come
+    through _entry), read by one cursor entry: entry n is the Steenrod
+    series over (1 + x^2) with the exterior factors 1 + x^(2^(i+1) - 1),
+    0 <= i <= n, divided out.  The cursor moves one factor at a time,
+    dividing going up and multiplying going down, both exact modulo
+    x^(N+1); it starts at its first move, so it holds no entry until one
+    is read.  Milnor quotient n is entry n times (1 + x^2), so a
     nonnegative entry has a nonnegative one."""
-    chain: List[TruncatedSeries] = []
-    acc, degree = steenrod_series(truncation).times_binomial(2, 1, -1), 1
-    while not chain or degree <= truncation:
-        acc = acc.times_binomial(degree, 1, -1)
-        chain.append(acc)
-        degree = 2 * degree + 1
-    return chain
+    index, entry = -1, None
+
+    def move(n: int) -> TruncatedSeries:
+        nonlocal index, entry
+        if entry is None:
+            entry = steenrod_series(truncation).times_binomial(2, 1, -1)
+        while index < n:
+            index += 1
+            entry = entry.times_binomial(2 ** (index + 1) - 1, 1, -1)
+        while index > n:
+            entry = entry.times_binomial(2 ** (index + 1) - 1, 1, 1)
+            index -= 1
+        return entry
+
+    return move
 
 
-def _entry(chain: List[TruncatedSeries], n: Optional[int]) -> TruncatedSeries:
-    """Entry n; None, or an index past the range, reads the stable one."""
+def _entry(n: Optional[int], truncation: int) -> int:
+    """The chain index that n reads: the last one, whose factor's degree
+    2^(n+1) - 1 is at most N (0 if none is), is the stable entry, and
+    None or an index past it reads that."""
     if n is not None and n < 0:
         raise InvalidParameter(f"subalgebra index {n} must be >= 0")
-    return chain[-1 if n is None else min(n, len(chain) - 1)]
+    last = max((truncation + 1).bit_length() - 2, 0)
+    return last if n is None else min(n, last)
 
 
-def _checked_reader(chain: List[TruncatedSeries],
+def _checked_reader(truncation: int,
                     ) -> Callable[[Optional[int]], TruncatedSeries]:
-    """Reads the chain's entries by index, as _entry does, checking each
-    index's entry for nonnegativity on its first read only: the entries
-    are immutable, so one check serves every height that reads it."""
-    return functools.cache(lambda n: _nonnegative(_entry(chain, n)))
+    """Reads the chain's entries by index, as _entry resolves them,
+    checking each entry for nonnegativity on its first read only: the
+    entries are immutable, so one check serves every height that reads
+    it.  It keeps the entries read and the cursor's, and no other."""
+    move = _quotient_chain(truncation)
+    checked = functools.cache(lambda index: _nonnegative(move(index)))
+    return lambda n: checked(_entry(n, truncation))
 
 
 def _nonnegative(quotient: TruncatedSeries) -> TruncatedSeries:
@@ -106,7 +125,7 @@ def milnor_quotient_series(n: Optional[int],
     >>> [milnor_quotient_series(1, 8).coefficient(d) for d in range(9)]
     [1, 0, 1, 0, 1, 0, 2, 1, 2]
     """
-    sq2 = _entry(_quotient_chain(truncation), n)
+    sq2 = _quotient_chain(truncation)(_entry(n, truncation))
     return _nonnegative(sq2.times_binomial(2, 1, 1))
 
 
@@ -118,7 +137,7 @@ def milnor_sq2_quotient_series(k: Optional[int],
     >>> [milnor_sq2_quotient_series(1, 8).coefficient(d) for d in range(9)]
     [1, 0, 0, 0, 1, 0, 1, 1, 1]
     """
-    return _nonnegative(_entry(_quotient_chain(truncation), k))
+    return _checked_reader(truncation)(k)
 
 
 # -- the epsilon bands -------------------------------------------------------
@@ -187,28 +206,26 @@ def conjectured_bopn_cohomology(n: int, truncation: int) -> TruncatedSeries:
     if n <= 2:
         raise InvalidParameter(f"truncation height {n} must exceed 2")
     return _conjectured(n, truncation,
-                        _checked_reader(_quotient_chain(truncation)))
+                        _checked_reader(truncation))
 
 
 def _conjectured(n: int, truncation: int,
                  read: Callable[[Optional[int]], TruncatedSeries],
                  ) -> TruncatedSeries:
-    # Each quotient is read (and checked, the first time any height
-    # reads it) at its first summand and gathered with the suspensions
-    # of all its summands.
-    quotients: Dict[int, Tuple[TruncatedSeries, List[int]]] = {}
+    # The suspensions are gathered per quotient index, and the quotients
+    # are read (and checked, the first time any height reads one) in
+    # ascending order of index, so within a height the cursor only climbs.
+    shifts: Dict[int, List[int]] = {}
     for s, level, eps, suspension in summand_suspensions(n, truncation):
-        index = level + 2 + eps
-        if index not in quotients:
-            quotients[index] = (read(index), [])
-        quotients[index][1].append(suspension)
-    return shifted_sum(quotients.values(), truncation)
+        shifts.setdefault(level + 2 + eps, []).append(suspension)
+    return shifted_sum(((read(index), shifts[index])
+                        for index in sorted(shifts)), truncation)
 
 
 def bop_cohomology_series(truncation: int) -> TruncatedSeries:
     """Graded dimensions of the cohomology of BoP itself: the stable
     quotient suspended by each multiple of 8, i.e. over (1 - x^8)."""
-    return _bop_cohomology(_checked_reader(_quotient_chain(truncation)))
+    return _bop_cohomology(_checked_reader(truncation))
 
 
 def _bop_cohomology(read: Callable[[Optional[int]], TruncatedSeries],
@@ -321,7 +338,7 @@ def verify_stable_limit(limit_degree: int = 64) -> VerificationReport:
     params = {"heights": list(heights), "max_degree": limit_degree}
 
     def body():
-        read = _checked_reader(_quotient_chain(limit_degree))
+        read = _checked_reader(limit_degree)
         target = _bop_cohomology(read)
         for n in heights:
             edge = 2 ** (_band_data(n)[0] + 4) - 1
@@ -384,7 +401,7 @@ def verify_conjecture_shape(truncation: int = 128) -> VerificationReport:
     params = {"n_max": n_max, "max_degree": truncation}
 
     def body():
-        read = _checked_reader(_quotient_chain(truncation))
+        read = _checked_reader(truncation)
         for n in range(3, n_max + 1):
             try:
                 series = _conjectured(n, truncation, read)

@@ -21,9 +21,10 @@ every free summand exactly once.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import namedtuple
 
-from .catalog import BO, BOP, bpn, homotopy_profile
+from .catalog import BO, BOP, bpn, bpn_ladder, homotopy_profile
 from .errors import InvalidParameter
 from .reports import VerificationReport, first_mismatch, run_check
 from .series import TruncatedSeries, make_polynomial, one, shifted_sum
@@ -197,17 +198,24 @@ def verify_rhs_one(truncation: int = 512,
 def _splitting_mismatch(truncation: int) -> Optional[Tuple[int, str]]:
     """(degree, side) of the first failure of the rational splitting
     through the truncation: the free side first, then the torsion side;
-    None when both sides agree."""
+    None when both sides agree.
+
+    The regiment's levels come off one BPn ladder, each rung folded into
+    the sum at its level's suspensions as the ladder yields it, so one
+    rung is alive at a time and no BPn profile is cached.  Level k has a
+    summand suspended to <= N exactly when its lowest suspension
+    2^(k+1) - 2, the degree of v_k, is <= N, which is where the ladder
+    stops: the rungs from BPn(2) up pair off with the levels in order."""
     bop = homotopy_profile(BOP, truncation)
     bo = homotopy_profile(BO, truncation)
-    levels = {}
     # connectivity is suspension + 6: the summands suspended to <= N
-    for idx in splitting_indices(truncation + 6):
-        if idx.level not in levels:
-            ranks = homotopy_profile(bpn(idx.level), truncation).free_ranks
-            levels[idx.level] = (ranks, [])
-        levels[idx.level][1].append(idx.suspension)
-    rhs = bo.free_ranks + shifted_sum(levels.values(), truncation)
+    levels = itertools.groupby(splitting_indices(truncation + 6),
+                               lambda idx: idx.level)
+    regiment = ((ranks, [idx.suspension for idx in level])
+                for ranks, (_, level) in zip(
+                    itertools.islice(bpn_ladder(truncation), 1, None), levels,
+                    strict=True))
+    rhs = bo.free_ranks + shifted_sum(regiment, truncation)
     bad = first_mismatch(bop.free_ranks, rhs)
     if bad is not None:
         return bad, "free"

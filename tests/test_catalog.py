@@ -18,10 +18,12 @@ from bopcalc.catalog import (
     SpectrumId,
     bo_space_homology,
     bpn,
+    bpn_ladder,
     homotopy_profile,
     parse_spectrum,
 )
 from bopcalc.errors import InvalidParameter, TruncationError
+from bopcalc.splitting import verify_rational_splitting
 
 
 def test_spectrum_ids():
@@ -96,10 +98,29 @@ def test_bpn_profile_makes_one_pass_per_level(monkeypatch):
     monkeypatch.setattr(series_mod, "_binomial_pass", counted)
     homotopy_profile(bpn(10), 2048)
     assert degrees == [2 * (2 ** k - 1) for k in range(1, 11)]
-    # every level below was built on the way up, and is shared
-    for level in range(1, 10):
-        homotopy_profile(bpn(level), 2048)
-    assert len(degrees) == 10
+    # the regiment walks the ladder once: one pass per level, and then
+    # the regiment sum's one division by 1 - x^8 (BoP and bo are warm)
+    homotopy_profile(BOP, 2048)
+    homotopy_profile(BO, 2048)
+    degrees.clear()
+    assert verify_rational_splitting(2048).passed
+    assert degrees == [2 * (2 ** k - 1) for k in range(1, 11)] + [8]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 6, 13, 14, 30, 100, 2048])
+def test_bpn_ladder_matches_partition_counts(n):
+    rungs = list(bpn_ladder(n))
+    # one rung per v_k of degree 2(2^k - 1) <= N, and BPn(1) always
+    degrees = [2 * (2 ** k - 1) for k in range(1, 12)]
+    assert len(rungs) == max(1, sum(d <= n for d in degrees))
+    for k, rung in enumerate(rungs, 1):
+        assert list(rung.coefficients) == \
+            oracles.partition_counts(degrees[:k], n), k
+        assert homotopy_profile(bpn(k), n).free_ranks == rung, k
+        assert list(bpn_ladder(n, k)) == rungs[:k], k
+    # every level past the last v_k in range has its free ranks
+    assert homotopy_profile(bpn(5000), n).free_ranks == rungs[-1]
+    assert list(bpn_ladder(n, 5000)) == rungs
 
 
 def test_bu_bo_profiles():

@@ -639,4 +639,23 @@ def test_out_of_memory_exits_2_and_names_the_scale(monkeypatch, capsys):
     monkeypatch.setattr(towers_mod, "space_homology", exhausted)
     assert main(["homology", "BoP", "12", "-N", "300000000"]) == 2
     assert capsys.readouterr() == (
-        "", "error: out of memory at -N 300000000\n")
+        "", "error: out of memory at index 12 and -N 300000000\n")
+
+
+@pytest.mark.parametrize("argv, seam, where", [
+    # a huge index sizes homology's work at a small -N
+    (("homology", "BP", "-300000000", "-N", "10"),
+     "bopcalc.towers.space_homology", "index -300000000 and -N 10"),
+    (("catalog", "BoP", "-N", "300000000"),
+     "bopcalc.cli.homotopy_profile", "-N 300000000"),
+    (("conjecture", "16", "-N", "300000000"),
+     "bopcalc.conjecture.conjectured_bopn_cohomology", "-N 300000000"),
+])
+def test_out_of_memory_names_what_sized_the_work(monkeypatch, capsys, argv,
+                                                  seam, where):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(seam, exhausted)
+    assert main(list(argv)) == 2
+    assert capsys.readouterr() == ("", f"error: out of memory at {where}\n")

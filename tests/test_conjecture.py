@@ -1,4 +1,7 @@
+import functools
+import gc
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -327,6 +330,63 @@ def test_quotient_chain_matches_per_index_oracle(n):
         milnor_quotient_series(-1, n)
 
 
+_oracle_sq2 = functools.cache(lambda k, n: _oracle_quotient(k, n)[1])
+
+
+def _live_series(truncation):
+    gc.collect()
+    return sum(isinstance(obj, TruncatedSeries) and obj.truncation == truncation
+               for obj in gc.get_objects())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 70),
+       st.lists(st.one_of(st.none(), st.integers(0, 9)), max_size=10))
+@example(n=64, reads=[None, 3, 0, 5, 4])
+@example(n=64, reads=[])
+def test_quotient_reader_reads_the_oracle_in_any_order(n, reads):
+    # indices in and past the range, and None, in any order: the cursor
+    # moves down as well as up, and each read is the oracle's entry
+    last = max((n + 1).bit_length() - 2, 0)
+    moved = []
+    real = conjecture_mod._quotient_chain
+
+    def spied(truncation):
+        move = real(truncation)
+
+        def spy(index):
+            moved.append(index)
+            return move(index)
+
+        return spy
+
+    live = _live_series(n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conjecture_mod, "_quotient_chain", spied)
+        read = conjecture_mod._checked_reader(n)
+    for k in reads:
+        assert list(read(k).coefficients) == _oracle_sq2(k, n), k
+    with pytest.raises(InvalidParameter):
+        read(-1)
+    # the cursor visited each entry read once, in the order first read,
+    # and the reader keeps those entries and no other
+    resolved = [last if k is None else min(k, last) for k in reads]
+    assert moved == list(dict.fromkeys(resolved))
+    assert _live_series(n) - live == len(moved)
+
+
+def test_conjecture_shape_keeps_only_the_entries_it_reads():
+    # 7 of the chain's 10 entries at N = 1024, the heights' sum and the
+    # cursor's step: about 300 KB, where the whole chain peaked at 410 KB
+    tracemalloc.start()
+    try:
+        assert verify_conjecture_shape(1024).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 360 * 1024
+
+
 def test_conjecture_shape_builds_one_steenrod_series(monkeypatch):
     calls = []
     real = conjecture_mod.steenrod_series
@@ -399,8 +459,8 @@ def test_conjectured_series_first_differs_at_the_edge():
 def test_stable_limit_fails_at_the_edge_a_chain_offset_moves(monkeypatch):
     real = conjecture_mod._entry
 
-    def one_up(chain, n):
-        return real(chain, n if n is None else n + 1)
+    def one_up(n, truncation):
+        return real(n if n is None else n + 1, truncation)
 
     monkeypatch.setattr(conjecture_mod, "_entry", one_up)
     # the offset moves the first mismatch of heights 16, 20, 24 past
@@ -447,11 +507,16 @@ def test_conjecture_shape_fails_at_a_planted_negative_quotient(monkeypatch):
     real = conjecture_mod._quotient_chain
 
     def planted(truncation):
-        chain = real(truncation)
-        coefficients = list(chain[5].coefficients)
-        coefficients[40] = -1
-        chain[5] = TruncatedSeries(coefficients, truncation)
-        return chain
+        move = real(truncation)
+
+        def read(n):
+            if n != 5:
+                return move(n)
+            coefficients = list(move(n).coefficients)
+            coefficients[40] = -1
+            return TruncatedSeries(coefficients, truncation)
+
+        return read
 
     monkeypatch.setattr(conjecture_mod, "_quotient_chain", planted)
     report = verify_conjecture_shape(128)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,24 +178,58 @@ def test_irreducibility_scale_cap():
         verify_irreducibility(22)
 
 
+def test_rational_splitting_caches_only_bop_and_bo():
+    # the regiment walks one BPn ladder and caches no BPn profile
+    homotopy_profile.cache_clear()
+    assert verify_rational_splitting(2048).passed
+    assert homotopy_profile.cache_info().currsize == 2
+    homotopy_profile(BOP, 2048)
+    homotopy_profile(BO, 2048)
+    assert homotopy_profile.cache_info().hits == 2
+
+
+def test_rational_splitting_holds_one_rung_at_a_time():
+    # BoP, bo, the regiment sum and a rung or two: about 290 KB, where
+    # a profile per level held until the end peaked over 600 KB
+    homotopy_profile.cache_clear()
+    tracemalloc.start()
+    try:
+        assert verify_rational_splitting(2048).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 400 * 1024
+
+
 PLANTED_BPN_RANKS = [(2, 0), (2, 9), (3, 4), (3, 40), (4, 0), (5, 30)]
 
 
 def _plant_bpn_rank(monkeypatch, level, degree):
     """Give BPn(level) one more free rank in `degree` wherever the
-    splitting module reads a profile; returns the planted reader."""
+    splitting module reads its ranks: as a profile, and as the rung the
+    BPn ladder yields for that level only (the rungs above are built from
+    the real one).  Returns the planted profile reader."""
     real = splitting_mod.homotopy_profile
+    real_ladder = splitting_mod.bpn_ladder
+
+    def plant(ranks, truncation):
+        ranks = list(ranks.coefficients)
+        ranks[degree] += 1
+        return TruncatedSeries(ranks, truncation)
 
     def planted(spectrum, truncation):
         profile = real(spectrum, truncation)
         if spectrum != bpn(level):
             return profile
-        ranks = list(profile.free_ranks.coefficients)
-        ranks[degree] += 1
-        return type(profile)(spectrum, TruncatedSeries(ranks, truncation),
+        return type(profile)(spectrum, plant(profile.free_ranks, truncation),
                              profile.torsion_z2)
 
+    def planted_ladder(truncation, top=None):
+        for k, ranks in enumerate(real_ladder(truncation, top), 1):
+            yield plant(ranks, truncation) if k == level else ranks
+
     monkeypatch.setattr(splitting_mod, "homotopy_profile", planted)
+    monkeypatch.setattr(splitting_mod, "bpn_ladder", planted_ladder)
     return planted
 
 
