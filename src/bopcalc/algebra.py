@@ -91,12 +91,16 @@ class GeneratorTable:
     """Counts of free algebra generators per degree, up to a truncation.
 
     counts maps degree -> number of generators; only degrees 1..truncation
-    with a positive count are stored.  Treat instances as immutable.
+    with a positive count are stored.  The constructor takes the counts
+    as a mapping or as (degree, count) pairs, which it reads once, so a
+    builder can hand it a lazy iterator and never hold a second copy.
+    Treat instances as immutable.
     """
 
     __slots__ = ("kind", "counts", "component_rank", "truncation")
 
-    def __init__(self, kind: str, counts: Mapping[int, int],
+    def __init__(self, kind: str,
+                 counts: Union[Mapping[int, int], Iterable[Tuple[int, int]]],
                  component_rank: int = 0, truncation: int = 0):
         if kind not in KINDS:
             raise InvalidKind(f"unknown kind {kind!r}")
@@ -105,7 +109,7 @@ class GeneratorTable:
         if component_rank < 0:
             raise InvalidParameter("component rank must be >= 0")
         clean: Dict[int, int] = {}
-        for d, c in counts.items():
+        for d, c in counts.items() if hasattr(counts, "items") else counts:
             if not 1 <= d <= truncation:
                 raise TruncationError(
                     f"generator degree {d} outside 1..{truncation}")
@@ -245,8 +249,8 @@ def table_from_exponents(v: TruncatedSeries, kind: str) -> GeneratorTable:
     if min(counts) < 0:
         raise NegativeDimension(next(d for d, c in enumerate(counts)
                                      if c < 0))
-    return GeneratorTable(kind, dict(zip(itertools.compress(
-        range(n + 1), counts), filter(None, counts))), 0, n)
+    return GeneratorTable(kind, zip(itertools.compress(range(n + 1), counts),
+                                    filter(None, counts)), 0, n)
 
 
 def log_from_exponents(v: TruncatedSeries) -> TruncatedSeries:

@@ -24,7 +24,7 @@ import functools
 import itertools
 from collections import namedtuple
 
-from .catalog import BO, BOP, bpn, bpn_ladder, homotopy_profile
+from .catalog import BO, BOP, bpn_ladder, homotopy_profile
 from .errors import InvalidParameter
 from .reports import VerificationReport, first_mismatch, run_check
 from .series import TruncatedSeries, make_polynomial, one, shifted_sum
@@ -291,19 +291,25 @@ def verify_index_bijection(bound: int = 8192) -> VerificationReport:
 def verify_bpn_rank_recursion(truncation: int = 128) -> VerificationReport:
     """rank BPn(j)_m = rank BPn(j-1)_m + rank BPn(j)_(m - (2^(j+1)-2))
     for levels j = 2..6: a monomial either avoids the top generator or
-    divides by it once."""
+    divides by it once.
+
+    Consecutive rungs of one BPn ladder are compared, so each level is
+    built once and no BPn profile is cached.  A level past the ladder's
+    top has the top rung's ranks."""
     j_min, j_max = 2, 6
     params = {"j_min": j_min, "j_max": j_max, "max_degree": truncation}
 
     def body():
+        rungs = bpn_ladder(truncation, j_max)
+        below = next(rungs)
         for j in range(j_min, j_max + 1):
-            whole = homotopy_profile(bpn(j), truncation).free_ranks
-            below = homotopy_profile(bpn(j - 1), truncation).free_ranks
+            whole = next(rungs, below)
             step = 2 ** (j + 1) - 2
             rhs = below + whole.shift(step) if step <= truncation else below
             bad = first_mismatch(whole, rhs)
             if bad is not None:
                 return bad, {"level": j}
+            below = whole
 
     return run_check("bpn-rank-recursion", params, body)
 

@@ -172,8 +172,8 @@ def _rank_rule(spectrum: SpectrumId, index: int, truncation: int,
 def _rank_rule_table(spectrum: SpectrumId, index: int, truncation: int,
                      profile: HomotopyProfile) -> GeneratorTable:
     kind, first, ranks = _rank_rule(spectrum, index, truncation, profile)
-    counts = dict(zip(itertools.compress(itertools.count(first), ranks),
-                      filter(None, ranks)))
+    counts = zip(itertools.compress(itertools.count(first), ranks),
+                 filter(None, ranks))
     return GeneratorTable(kind, counts, profile.free_rank(-index), truncation)
 
 
@@ -396,10 +396,12 @@ def verify_bop_tower(truncation: int = 60) -> VerificationReport:
     exponents of BPbar_(i-2), read off its profile by the rank rule, are
     compared with the sum of the exponents of the tables of spaces i-2
     and i, each built afresh from the table rather than taken from the
-    solver; space 4 is compared with the product when it arrives.  Each
-    stage keeps its first failure, and the earliest stage in the order
-    above is reported.  Exponent vectors first differ where the series
-    do (module docstring); only the Hurewicz probe builds a series.
+    solver; space 4 is compared with the product when it arrives, and
+    the product's tables and exponents are dropped there.  Each stage
+    keeps its first failure, and the earliest stage in the order above
+    is reported.  Exponent vectors first differ where the series do
+    (module docstring); only the Hurewicz probe builds a series.  The
+    check caches the BPbar and F profiles and no other (catalog).
     """
     i_max = 12
     params = {"i_max": i_max, "max_degree": truncation}
@@ -426,9 +428,9 @@ def verify_bop_tower(truncation: int = 60) -> VerificationReport:
                     note("reconstruction",
                          first_mismatch(mid, exps.pop(i - 2) + exps[i]), i - 2)
                 if i == 4:
-                    (product4,) = _fiber_times_bo(4, truncation)
-                    note("product_crosscheck",
-                         first_mismatch(exps[4], exponents(product4)), 4)
+                    bad = first_mismatch(
+                        exps[4], exponents(*_fiber_times_bo(4, truncation)))
+                    note("product_crosscheck", bad, 4)
         except NegativeDimension as exc:
             return exc.degree, {"stage": "tower"}
         for stage in ("parity", "reconstruction", "product_crosscheck"):

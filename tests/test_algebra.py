@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -19,6 +19,7 @@ from bopcalc.algebra import (
     tor_suspend,
 )
 from bopcalc.errors import (
+    BopcalcError,
     InvalidKind,
     InvalidParameter,
     NegativeDimension,
@@ -52,6 +53,36 @@ def test_table_validation():
     t = GeneratorTable("polynomial", {2: 1, 4: 0}, truncation=4)
     assert t.counts == {2: 1}
     assert t.count(4) == 0 and t.count(2) == 1
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(-1, 14), st.integers(-2, 4)),
+                max_size=8, unique_by=lambda pair: pair[0]),
+       st.sampled_from(KINDS), st.integers(0, 12))
+@example([(0, 1)], "polynomial", 4)
+@example([(2, 1), (5, 1)], "exterior", 4)
+@example([(1, 1), (3, -1)], "polynomial", 4)
+def test_table_reads_pairs_as_their_dict(pairs, kind, n):
+    # (degree, count) pairs, read once, make the table their dict makes,
+    # or raise the same error with the same message: degree 0, a degree
+    # above N, a negative count
+    try:
+        want = GeneratorTable(kind, dict(pairs), 0, n)
+    except BopcalcError as exc:
+        with pytest.raises(type(exc)) as info:
+            GeneratorTable(kind, iter(pairs), 0, n)
+        assert str(info.value) == str(exc)
+    else:
+        got = GeneratorTable(kind, iter(pairs), 0, n)
+        assert got == want and got.counts == want.counts
+
+
+@given(st.dictionaries(st.integers(1, 40), st.integers(1, 5), max_size=12),
+       st.sampled_from(["polynomial", "exterior"]), st.integers(0, 40))
+def test_table_from_exponents_round_trips(counts, kind, n):
+    t = GeneratorTable(kind, {d: c for d, c in counts.items() if d <= n},
+                       0, n)
+    assert table_from_exponents(exponents(t), kind) == t
 
 
 def test_table_equality_and_json():

@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from bopcalc import series as series_mod
+from bopcalc import splitting as splitting_mod
 from bopcalc.catalog import (
     BP,
     BPBAR,
@@ -22,6 +23,7 @@ from bopcalc.catalog import (
     homotopy_profile,
     parse_spectrum,
 )
+from bopcalc.cli import main
 from bopcalc.errors import InvalidParameter, TruncationError
 from bopcalc.splitting import verify_rational_splitting
 
@@ -185,6 +187,36 @@ def test_profiles_are_shared_and_read_only():
     planted = HomotopyProfile(BO, prof.free_ranks, torsion)
     torsion[3] = 7
     assert planted.torsion_z2 == {3: 1}
+
+
+@pytest.mark.parametrize("spectrum", [BPBAR, F, X], ids=str)
+def test_derived_profiles_keep_no_intermediate(spectrum):
+    # BPbar is built from BP, F from BoP and bo, and X from BPbar (so BP)
+    # and bu; only the profile asked for is cached
+    homotopy_profile.cache_clear()
+    prof = homotopy_profile(spectrum, 64)
+    assert homotopy_profile.cache_info().currsize == 1
+    assert homotopy_profile(spectrum, 64) is prof
+
+
+def test_verify_all_passes_and_cached_profiles(monkeypatch, capsys):
+    # 184 binomial passes when every intermediate profile was cached as
+    # well, less the 15 that the BPn rank recursion saves by walking one
+    # ladder; 12 profiles kept, where 26 were
+    passes = []
+    real = series_mod._binomial_pass
+
+    def counted(coeffs, degree, sign, power):
+        passes.append(degree)
+        real(coeffs, degree, sign, power)
+
+    monkeypatch.setattr(series_mod, "_binomial_pass", counted)
+    homotopy_profile.cache_clear()
+    splitting_mod._level_product.cache_clear()
+    assert main(["verify", "all", "--format", "json"]) == 0
+    assert capsys.readouterr().out
+    assert len(passes) == 184 - 15
+    assert homotopy_profile.cache_info().currsize == 12
 
 
 def test_catalogued_spectra_listing():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bopcalc import series as series_mod
 from bopcalc import splitting as splitting_mod
 from bopcalc.catalog import BOP, BO, bpn, homotopy_profile
 from bopcalc.errors import InvalidParameter
@@ -199,6 +200,23 @@ def test_rational_splitting_holds_one_rung_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 400 * 1024
+
+
+def test_bpn_rank_recursion_walks_one_ladder(monkeypatch):
+    # BPn(1)..BPn(6) one pass apart, where reading each level and the one
+    # below as profiles made 21 passes and cached 6 profiles
+    passes = []
+    real = series_mod._binomial_pass
+
+    def counted(coeffs, degree, sign, power):
+        passes.append(degree)
+        real(coeffs, degree, sign, power)
+
+    monkeypatch.setattr(series_mod, "_binomial_pass", counted)
+    homotopy_profile.cache_clear()
+    assert verify_bpn_rank_recursion(128).passed
+    assert passes == [2 * (2 ** k - 1) for k in range(1, 7)]
+    assert homotopy_profile.cache_info().currsize == 0
 
 
 PLANTED_BPN_RANKS = [(2, 0), (2, 9), (3, 4), (3, 40), (4, 0), (5, 30)]
