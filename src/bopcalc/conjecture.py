@@ -11,13 +11,12 @@ the known cohomology of BoP itself; the verifiers pin down that shape,
 the stabilization, the first-appearance bookkeeping for each summand,
 and the Sq^2-annihilated monomial decompositions feeding the whole
 computation.  The quotients form a chain, one exterior factor apart;
-each run walks it with one cursor entry, keeps only the entries it
-reads, and checks each of those for nonnegativity once.
+each run walks it with one cursor entry, keeps no other entry, and
+checks each entry for nonnegativity the first time it reads it.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 
 from .errors import ConjectureShapeError, InvalidParameter, NotApplicable
@@ -96,15 +95,31 @@ def _entry(n: Optional[int], truncation: int) -> int:
     return last if n is None else min(n, last)
 
 
-def _checked_reader(truncation: int,
-                    ) -> Callable[[Optional[int]], TruncatedSeries]:
+class _CheckedReader:
     """Reads the chain's entries by index, as _entry resolves them,
-    checking each entry for nonnegativity on its first read only: the
-    entries are immutable, so one check serves every height that reads
-    it.  It keeps the entries read and the cursor's, and no other."""
-    move = _quotient_chain(truncation)
-    checked = functools.cache(lambda index: _nonnegative(move(index)))
-    return lambda n: checked(_entry(n, truncation))
+    through one cursor: it keeps the cursor's entry and no other, so an
+    entry read again is walked to again.  Each index is checked for
+    nonnegativity on its first read only: every walk to an index is
+    exact, so it lands on the same series, and one check serves every
+    height that reads it.  at is the index the cursor was last moved
+    to, -1 before the first read."""
+
+    __slots__ = ("truncation", "at", "_move", "_checked")
+
+    def __init__(self, truncation: int):
+        self.truncation = truncation
+        self.at = -1
+        self._move = _quotient_chain(truncation)
+        self._checked = set()
+
+    def __call__(self, n: Optional[int]) -> TruncatedSeries:
+        index = _entry(n, self.truncation)
+        entry = self._move(index)
+        self.at = index
+        if index not in self._checked:
+            _nonnegative(entry)
+            self._checked.add(index)
+        return entry
 
 
 def _nonnegative(quotient: TruncatedSeries) -> TruncatedSeries:
@@ -137,7 +152,7 @@ def milnor_sq2_quotient_series(k: Optional[int],
     >>> [milnor_sq2_quotient_series(1, 8).coefficient(d) for d in range(9)]
     [1, 0, 0, 0, 1, 0, 1, 1, 1]
     """
-    return _checked_reader(truncation)(k)
+    return _CheckedReader(truncation)(k)
 
 
 # -- the epsilon bands -------------------------------------------------------
@@ -205,31 +220,32 @@ def conjectured_bopn_cohomology(n: int, truncation: int) -> TruncatedSeries:
     suspended by 2^(level + 3 + eps) - 8s, for each summand."""
     if n <= 2:
         raise InvalidParameter(f"truncation height {n} must exceed 2")
-    return _conjectured(n, truncation,
-                        _checked_reader(truncation))
+    return _conjectured(n, truncation, _CheckedReader(truncation))
 
 
 def _conjectured(n: int, truncation: int,
-                 read: Callable[[Optional[int]], TruncatedSeries],
-                 ) -> TruncatedSeries:
+                 read: _CheckedReader) -> TruncatedSeries:
     # The suspensions are gathered per quotient index, and the quotients
     # are read (and checked, the first time any height reads one) in
-    # ascending order of index, so within a height the cursor only climbs.
+    # order of index from the end nearer the cursor, so within a height
+    # the cursor moves one way only; a fresh reader reads ascending.
     shifts: Dict[int, List[int]] = {}
     for s, level, eps, suspension in summand_suspensions(n, truncation):
         shifts.setdefault(level + 2 + eps, []).append(suspension)
-    return shifted_sum(((read(index), shifts[index])
-                        for index in sorted(shifts)), truncation)
+    order = sorted(shifts)
+    if order and read.at - order[0] > order[-1] - read.at:
+        order.reverse()
+    return shifted_sum(((read(index), shifts[index]) for index in order),
+                       truncation)
 
 
 def bop_cohomology_series(truncation: int) -> TruncatedSeries:
     """Graded dimensions of the cohomology of BoP itself: the stable
     quotient suspended by each multiple of 8, i.e. over (1 - x^8)."""
-    return _bop_cohomology(_checked_reader(truncation))
+    return _bop_cohomology(_CheckedReader(truncation))
 
 
-def _bop_cohomology(read: Callable[[Optional[int]], TruncatedSeries],
-                    ) -> TruncatedSeries:
+def _bop_cohomology(read: _CheckedReader) -> TruncatedSeries:
     return read(None).times_binomial(8, -1, -1)
 
 
@@ -338,7 +354,7 @@ def verify_stable_limit(limit_degree: int = 64) -> VerificationReport:
     params = {"heights": list(heights), "max_degree": limit_degree}
 
     def body():
-        read = _checked_reader(limit_degree)
+        read = _CheckedReader(limit_degree)
         target = _bop_cohomology(read)
         for n in heights:
             edge = 2 ** (_band_data(n)[0] + 4) - 1
@@ -401,13 +417,13 @@ def verify_conjecture_shape(truncation: int = 128) -> VerificationReport:
     params = {"n_max": n_max, "max_degree": truncation}
 
     def body():
-        read = _checked_reader(truncation)
+        read = _CheckedReader(truncation)
         for n in range(3, n_max + 1):
+            # each height's sum is dropped before the next is built
             try:
-                series = _conjectured(n, truncation, read)
+                bad = _conjectured(n, truncation, read).check_nonnegative()
             except ConjectureShapeError as exc:
                 return n, {"height": n, "error": str(exc)}
-            bad = series.check_nonnegative()
             if bad is not None:
                 return bad, {"height": n}
 

@@ -20,14 +20,20 @@ every free summand exactly once.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import namedtuple
 
 from .catalog import BO, BOP, bpn_ladder, homotopy_profile
 from .errors import InvalidParameter
 from .reports import VerificationReport, first_mismatch, run_check
-from .series import TruncatedSeries, make_polynomial, one, shifted_sum
+from .series import (
+    TruncatedSeries,
+    _binomial_pass,
+    _from_ints,
+    make_polynomial,
+    one,
+    shifted_sum,
+)
 
 __all__ = [
     "SplittingIndex",
@@ -98,37 +104,40 @@ def _check_level(s: int) -> None:
         raise InvalidParameter(f"series level {s} must be >= 2")
 
 
-# One command builds one product per level at or below N, plus the 1
-# past it: 9 for `verify all`, 10 for `verify rhs-one -N 2048`, and
-# fewer than 32 for any N below 2^32.
-_LEVEL_CACHE_SIZE = 32
-
-
-@functools.lru_cache(maxsize=_LEVEL_CACHE_SIZE)
-def _level_product(j_min: int, truncation: int) -> TruncatedSeries:
-    """Product of (1 - x^(2(2^j - 1))) for j >= j_min, up to truncation:
-    the product from j_min + 1 times one factor, built once per process;
-    from the first factor above the truncation on, the product is 1."""
-    degree = 2 * (2 ** j_min - 1)
-    if degree > truncation:
-        return one(truncation)
-    return _level_product(j_min + 1, truncation).times_binomial(degree, -1, 1)
+def _level_product(j_min: int, vanishing: int, truncation: int) -> List[int]:
+    """Coefficients of (1 - x^vanishing) times the product of
+    (1 - x^(2(2^j - 1))) for j >= j_min, through degree truncation,
+    built afresh in one list: one pass per factor of degree <= N, and
+    none past the first level factor above it."""
+    coeffs = [1] + [0] * truncation
+    if vanishing <= truncation:
+        _binomial_pass(coeffs, vanishing, -1, 1)
+    j = j_min
+    while 2 * (2 ** j - 1) <= truncation:
+        _binomial_pass(coeffs, 2 * (2 ** j - 1), -1, 1)
+        j += 1
+    return coeffs
 
 
 def head_series(s: int, truncation: int) -> TruncatedSeries:
     """(1 - x^(2^(s+1))) * product of (1 - x^(2(2^j-1))) over j >= s."""
     _check_level(s)
-    return _level_product(s, truncation).times_binomial(2 ** (s + 1), -1, 1)
+    return _from_ints(_level_product(s, 2 ** (s + 1), truncation), truncation)
 
 
 def layer_series(s: int, truncation: int) -> TruncatedSeries:
-    """x^(2^(s+1)-2) (1+x^2) (1 - x^(2^(s+1))) * product over j > s."""
+    """x^(2^(s+1)-2) (1+x^2) (1 - x^(2^(s+1))) * product over j > s.
+
+    Shifted up by the lead, the product is needed only through degree
+    N - lead, so it is built that far and no further."""
     _check_level(s)
     lead = 2 ** (s + 1) - 2
     if lead > truncation:
         return make_polynomial({}, truncation)
-    acc = _level_product(s + 1, truncation).times_binomial(2 ** (s + 1), -1, 1)
-    return acc.times_binomial(2, 1, 1).shift(lead)
+    coeffs = _level_product(s + 1, 2 ** (s + 1), truncation - lead)
+    if 2 <= truncation - lead:
+        _binomial_pass(coeffs, 2, 1, 1)
+    return _from_ints([0] * lead + coeffs, truncation)
 
 
 def tail_series(s: int, truncation: int) -> TruncatedSeries:
@@ -205,9 +214,9 @@ def _splitting_mismatch(truncation: int) -> Optional[Tuple[int, str]]:
     rung is alive at a time and no BPn profile is cached.  Level k has a
     summand suspended to <= N exactly when its lowest suspension
     2^(k+1) - 2, the degree of v_k, is <= N, which is where the ladder
-    stops: the rungs from BPn(2) up pair off with the levels in order."""
-    bop = homotopy_profile(BOP, truncation)
-    bo = homotopy_profile(BO, truncation)
+    stops: the rungs from BPn(2) up pair off with the levels in order.
+    The regiment is summed before the BoP and bo profiles are fetched,
+    so no rung is alive beside them."""
     # connectivity is suspension + 6: the summands suspended to <= N
     levels = itertools.groupby(splitting_indices(truncation + 6),
                                lambda idx: idx.level)
@@ -215,7 +224,10 @@ def _splitting_mismatch(truncation: int) -> Optional[Tuple[int, str]]:
                 for ranks, (_, level) in zip(
                     itertools.islice(bpn_ladder(truncation), 1, None), levels,
                     strict=True))
-    rhs = bo.free_ranks + shifted_sum(regiment, truncation)
+    rhs = shifted_sum(regiment, truncation)
+    bo = homotopy_profile(BO, truncation)
+    rhs = bo.free_ranks + rhs
+    bop = homotopy_profile(BOP, truncation)
     bad = first_mismatch(bop.free_ranks, rhs)
     if bad is not None:
         return bad, "free"

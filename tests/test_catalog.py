@@ -200,9 +200,10 @@ def test_derived_profiles_keep_no_intermediate(spectrum):
 
 
 def test_verify_all_passes_and_cached_profiles(monkeypatch, capsys):
-    # 184 binomial passes when every intermediate profile was cached as
-    # well, less the 15 that the BPn rank recursion saves by walking one
-    # ladder; 12 profiles kept, where 26 were
+    # 169 binomial passes while the level products and the Sq^2 quotients
+    # read were cached; building each product afresh and walking the
+    # chain to each quotient again make 246.  12 profiles kept, where 26
+    # were when every intermediate profile was cached as well
     passes = []
     real = series_mod._binomial_pass
 
@@ -211,11 +212,11 @@ def test_verify_all_passes_and_cached_profiles(monkeypatch, capsys):
         real(coeffs, degree, sign, power)
 
     monkeypatch.setattr(series_mod, "_binomial_pass", counted)
+    monkeypatch.setattr(splitting_mod, "_binomial_pass", counted)
     homotopy_profile.cache_clear()
-    splitting_mod._level_product.cache_clear()
     assert main(["verify", "all", "--format", "json"]) == 0
     assert capsys.readouterr().out
-    assert len(passes) == 184 - 15
+    assert len(passes) == 246
     assert homotopy_profile.cache_info().currsize == 12
 
 

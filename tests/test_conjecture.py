@@ -343,13 +343,15 @@ def _live_series(truncation):
 @given(st.integers(0, 70),
        st.lists(st.one_of(st.none(), st.integers(0, 9)), max_size=10))
 @example(n=64, reads=[None, 3, 0, 5, 4])
+@example(n=64, reads=[3, 5, 3, 5])
 @example(n=64, reads=[])
 def test_quotient_reader_reads_the_oracle_in_any_order(n, reads):
     # indices in and past the range, and None, in any order: the cursor
     # moves down as well as up, and each read is the oracle's entry
     last = max((n + 1).bit_length() - 2, 0)
-    moved = []
+    moved, checked = [], []
     real = conjecture_mod._quotient_chain
+    real_check = TruncatedSeries.check_nonnegative
 
     def spied(truncation):
         move = real(truncation)
@@ -360,31 +362,53 @@ def test_quotient_reader_reads_the_oracle_in_any_order(n, reads):
 
         return spy
 
+    def counted(series):
+        checked.append(list(series.coefficients))
+        return real_check(series)
+
     live = _live_series(n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conjecture_mod, "_quotient_chain", spied)
-        read = conjecture_mod._checked_reader(n)
-    for k in reads:
-        assert list(read(k).coefficients) == _oracle_sq2(k, n), k
-    with pytest.raises(InvalidParameter):
-        read(-1)
-    # the cursor visited each entry read once, in the order first read,
-    # and the reader keeps those entries and no other
+        mp.setattr(TruncatedSeries, "check_nonnegative", counted)
+        read = conjecture_mod._CheckedReader(n)
+        for k in reads:
+            assert list(read(k).coefficients) == _oracle_sq2(k, n), k
+        with pytest.raises(InvalidParameter):
+            read(-1)
+    # every read walks the cursor to the entry it resolves to, each
+    # entry is checked on its first read only, and the reader keeps the
+    # cursor's entry and no other
     resolved = [last if k is None else min(k, last) for k in reads]
-    assert moved == list(dict.fromkeys(resolved))
-    assert _live_series(n) - live == len(moved)
+    assert moved == resolved
+    assert checked == [_oracle_sq2(k, n) for k in dict.fromkeys(resolved)]
+    assert _live_series(n) - live == min(len(reads), 1)
+
+
+def _peak_kb(call):
+    """call()'s result, and the tracemalloc peak in KB while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
 
 
 def test_conjecture_shape_keeps_only_the_entries_it_reads():
-    # 7 of the chain's 10 entries at N = 1024, the heights' sum and the
-    # cursor's step: about 300 KB, where the whole chain peaked at 410 KB
-    tracemalloc.start()
-    try:
-        assert verify_conjecture_shape(1024).passed
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 360 * 1024
+    # the cursor's entry, its next step and one height's sum: 133 KB
+    # under CPython 3.10-3.13, where keeping the 7 entries read peaked
+    # at 291-306 KB
+    report, peak = _peak_kb(lambda: verify_conjecture_shape(1024))
+    assert report.passed
+    assert peak <= 200
+
+
+def test_conjectured_series_holds_one_quotient_at_a_time():
+    # 105-111 KB under CPython 3.10-3.13; 162-176 KB keeping each
+    # quotient read
+    series, peak = _peak_kb(lambda: conjectured_bopn_cohomology(16, 1024))
+    assert series.check_nonnegative() is None
+    assert peak <= 140
 
 
 def test_conjecture_shape_builds_one_steenrod_series(monkeypatch):
@@ -430,6 +454,39 @@ def test_conjecture_shape_checks_each_chain_entry_once(monkeypatch, n,
     assert verify_conjecture_shape(n).passed
     assert len(checked) == entries
     assert len({id(q) for q in checked}) == entries
+
+
+def test_conjecture_shape_reads_each_height_from_the_nearer_end(monkeypatch):
+    heights = []
+    real = conjecture_mod._quotient_chain
+
+    def spied(truncation):
+        move = real(truncation)
+
+        def spy(index):
+            heights[-1].append(index)
+            return move(index)
+
+        return spy
+
+    real_conjectured = conjecture_mod._conjectured
+
+    def per_height(n, truncation, read):
+        heights.append([])
+        return real_conjectured(n, truncation, read)
+
+    monkeypatch.setattr(conjecture_mod, "_quotient_chain", spied)
+    monkeypatch.setattr(conjecture_mod, "_conjectured", per_height)
+    assert verify_conjecture_shape(1024).passed
+    # a fresh reader climbs through the first height's entries 3..9, and
+    # each later height starts at the end of its range nearer the cursor
+    assert heights[0] == list(range(3, 10))
+    for before, reads in zip(heights, heights[1:]):
+        lo, hi = min(reads), max(reads)
+        climbs = before[-1] - lo <= hi - before[-1]
+        assert reads == (list(range(lo, hi + 1)) if climbs
+                         else list(range(hi, lo - 1, -1)))
+    assert sum(map(len, heights)) == 78
 
 
 def test_square_decompositions_build_each_monomial_once(monkeypatch):
@@ -525,6 +582,33 @@ def test_conjecture_shape_fails_at_a_planted_negative_quotient(monkeypatch):
     assert report.first_failure_degree == 3
     assert report.detail == {
         "height": 3, "error": "quotient series negative at degree 40"}
+
+
+def test_conjecture_shape_names_the_lower_of_two_planted_negatives(
+        monkeypatch):
+    real = conjecture_mod._quotient_chain
+    planted_degree = {4: 60, 5: 40}
+
+    def planted(truncation):
+        move = real(truncation)
+
+        def read(n):
+            if n not in planted_degree:
+                return move(n)
+            coefficients = list(move(n).coefficients)
+            coefficients[planted_degree[n]] = -1
+            return TruncatedSeries(coefficients, truncation)
+
+        return read
+
+    monkeypatch.setattr(conjecture_mod, "_quotient_chain", planted)
+    report = verify_conjecture_shape(128)
+    assert not report.passed
+    # height 3 reads both entries, from a fresh reader in ascending
+    # order, so entry 4 is checked first
+    assert report.first_failure_degree == 3
+    assert report.detail == {
+        "height": 3, "error": "quotient series negative at degree 60"}
 
 
 @pytest.mark.parametrize("height, s, stage", [

@@ -156,22 +156,78 @@ def test_head_induction_builds_each_head_and_layer_once(monkeypatch):
     assert layers == list(range(2, 10))
 
 
-def test_rhs_one_builds_each_level_product_once(monkeypatch):
-    # each level product is the one above it times one factor, and every
-    # head and layer reads the shared products
-    splitting_mod._level_product.cache_clear()
-    calls = []
-    real = TruncatedSeries.times_binomial
+def _count_passes(monkeypatch):
+    passes = []
+    real = series_mod._binomial_pass
 
-    def counted(series, degree, sign, power):
-        calls.append(degree)
-        return real(series, degree, sign, power)
+    def counted(coeffs, degree, sign, power):
+        passes.append(degree)
+        real(coeffs, degree, sign, power)
 
-    monkeypatch.setattr(TruncatedSeries, "times_binomial", counted)
+    monkeypatch.setattr(series_mod, "_binomial_pass", counted)
+    monkeypatch.setattr(splitting_mod, "_binomial_pass", counted)
+    return passes
+
+
+def test_rhs_one_builds_each_level_product_afresh(monkeypatch):
+    # every head and layer builds its product in one list, one pass per
+    # factor through N (a layer's only through N minus its lead), where
+    # the shared cached products made 28 passes; the fault divides the
+    # tail once more, in 3 passes
+    passes = _count_passes(monkeypatch)
     assert verify_rhs_one(2048).passed
-    assert len(calls) <= 30
-    # a level whose factor lies above N adds none, so no deep recursion
+    assert len(passes) == 55
+    passes.clear()
+    assert not verify_rhs_one(2048, inject_fault=True).passed
+    assert len(passes) == 58
+    # a level whose factor lies above N adds none
     assert head_series(5000, 10) == one(10)
+
+
+def test_head_induction_builds_each_level_product_afresh(monkeypatch):
+    # 9 heads and 8 layers, each built afresh: 63 passes, where the
+    # shared cached products made 28
+    passes = _count_passes(monkeypatch)
+    assert verify_head_induction(512).passed
+    assert len(passes) == 63
+
+
+def _naive_product(factors, n):
+    """The product of 1 + sign * x^degree over the (degree, sign)
+    factors, through degree n, by naive_mul."""
+    out = {0: 1}
+    for degree, sign in factors:
+        out = oracles.naive_mul(out, {0: 1, degree: sign}, n)
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 5, 6, 13, 14, 29, 30, 62, 126, 300])
+def test_series_families_match_naive_products(n):
+    # 2^(k+1) - 2, where level k's layer first appears, is 6, 14, 30, 62
+    # and 126 for k = 2..6; each n above sits at or just below one
+    def levels(j_min):
+        # 2(2^j - 1) passes 300 from j = 8 on
+        return [(2 * (2 ** j - 1), -1) for j in range(j_min, 10)]
+
+    def layer(s):
+        lead = 2 ** (s + 1) - 2
+        return oracles.naive_mul(
+            {lead: 1},
+            _naive_product([(2, 1), (2 ** (s + 1), -1)] + levels(s + 1), n),
+            n)
+
+    def dense(terms):
+        return [terms.get(d, 0) for d in range(n + 1)]
+
+    for s in range(2, 10):
+        head = _naive_product([(2 ** (s + 1), -1)] + levels(s), n)
+        assert list(head_series(s, n).coefficients) == dense(head), s
+        assert list(layer_series(s, n).coefficients) == dense(layer(s)), s
+        tail = {}
+        for k in range(s, 10):
+            for d, c in layer(k).items():
+                tail[d] = tail.get(d, 0) + c
+        assert list(tail_series(s, n).coefficients) == dense(tail), s
 
 
 def test_irreducibility_scale_cap():
@@ -189,17 +245,34 @@ def test_rational_splitting_caches_only_bop_and_bo():
     assert homotopy_profile.cache_info().hits == 2
 
 
-def test_rational_splitting_holds_one_rung_at_a_time():
-    # BoP, bo, the regiment sum and a rung or two: about 290 KB, where
-    # a profile per level held until the end peaked over 600 KB
-    homotopy_profile.cache_clear()
+def _peak_kb(call):
+    """call()'s result, and the tracemalloc peak in KB while it ran."""
     tracemalloc.start()
     try:
-        assert verify_rational_splitting(2048).passed
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] / 1024
     finally:
         tracemalloc.stop()
-    assert peak <= 400 * 1024
+
+
+def test_rational_splitting_holds_one_rung_at_a_time():
+    # the regiment sum and a rung or two, then BoP and bo: 194-195 KB
+    # under CPython 3.10-3.13, where fetching the profiles first peaked
+    # at 279-287 KB
+    homotopy_profile.cache_clear()
+    report, peak = _peak_kb(lambda: verify_rational_splitting(2048))
+    assert report.passed
+    assert peak <= 240
+
+
+@pytest.mark.parametrize("inject_fault", [False, True])
+def test_rhs_one_holds_one_level_product_at_a_time(inject_fault):
+    # 99-103 KB under CPython 3.10-3.13, where caching every level
+    # product peaked at 279-286 KB
+    report, peak = _peak_kb(
+        lambda: verify_rhs_one(2048, inject_fault=inject_fault))
+    assert report.passed is not inject_fault
+    assert peak <= 150
 
 
 def test_bpn_rank_recursion_walks_one_ladder(monkeypatch):
