@@ -33,9 +33,9 @@ generator of degree d adds 1 to v_d, and an exterior one, since
 1 + x^d = (1 - x^(2d))/(1 - x^d), adds 1 to v_d and -1 to v_(2d).
 table_from_exponents inverts it: the exterior count at d is v_d plus the
 count at d/2, filled in by doubling blocks of degrees.  A tensor product
-of tables is a sum of exponent vectors and a short exact sequence a
-difference, each an O(N) pass; the tower solver and the tower checks
-work there.
+of tables of one kind is a sum of exponent vectors (and of component
+ranks) and a short exact sequence a difference, each an O(N) pass; the
+tower solver and the tower checks work there.
 
 log_from_exponents is the one pass from exponents to the log-derivative
 L(P) = x P'/P (series.log_derivative), L_n = sum over d | n of d*v_d,
@@ -80,7 +80,6 @@ __all__ = [
     "tor_suspend",
     "resolve_extensions",
     "extract_generators",
-    "tensor",
     "off_parity",
 ]
 
@@ -220,8 +219,10 @@ def _dense_exponents(kind: str, counts: List[int]) -> List[int]:
     return v
 
 
-def table_from_exponents(v: TruncatedSeries, kind: str) -> GeneratorTable:
-    """The table of a kind whose Poincare series has exponents v.
+def table_from_exponents(v: TruncatedSeries, kind: str,
+                         component_rank: int = 0) -> GeneratorTable:
+    """The table of a kind whose Poincare series has exponents v and
+    whose component rank, which the series does not see, is given.
 
     Polynomial-type counts are the exponents; an exterior count at d is
     v_d plus the count at d/2, added in doubling blocks: the counts on
@@ -250,7 +251,8 @@ def table_from_exponents(v: TruncatedSeries, kind: str) -> GeneratorTable:
         raise NegativeDimension(next(d for d, c in enumerate(counts)
                                      if c < 0))
     return GeneratorTable(kind, zip(itertools.compress(range(n + 1), counts),
-                                    filter(None, counts)), 0, n)
+                                    filter(None, counts)),
+                          component_rank, n)
 
 
 def log_from_exponents(v: TruncatedSeries) -> TruncatedSeries:
@@ -350,22 +352,6 @@ def extract_generators(series: TruncatedSeries, kind: str) -> GeneratorTable:
     """
     return table_from_exponents(_exponents_from_log(log_derivative(series)),
                                 kind)
-
-
-def tensor(left: GeneratorTable, right: GeneratorTable) -> GeneratorTable:
-    """Tensor product of two presentations of the same kind."""
-    if left.kind != right.kind:
-        raise InvalidKind(
-            f"cannot tensor kinds {left.kind!r} and {right.kind!r}")
-    if left.truncation != right.truncation:
-        raise TruncationError(
-            f"mixed truncations {left.truncation} and {right.truncation}")
-    counts = dict(left.counts)
-    for d, c in right.counts.items():
-        counts[d] = counts.get(d, 0) + c
-    return GeneratorTable(left.kind, counts,
-                          left.component_rank + right.component_rank,
-                          left.truncation)
 
 
 def off_parity(table: GeneratorTable, parity: int) -> Optional[int]:

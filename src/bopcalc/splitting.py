@@ -285,7 +285,7 @@ def verify_index_bijection(bound: int = 8192) -> VerificationReport:
     params = {"bound": bound}
 
     def body():
-        progression = list(range(12, bound + 1, 8))
+        progression = range(12, bound + 1, 8)
         connectivities = sorted(idx.connectivity
                                 for idx in splitting_indices(bound))
         for a, b in zip(progression, connectivities):

@@ -21,9 +21,10 @@ in exponent space rather than by ses_quotient, by the one two steps
 below.  space_homology picks, for any catalogued space, which of
 these rules (or the bo catalogue) answers it.  A rank-rule table is one
 slice of its spectrum's homotopy profile, which the catalog builds once
-per truncation.  The tower reads each BPbar middle straight off one
-BPbar profile as the exponents of such a slice, and builds tables only
-for the spaces it yields.  It yields each space as soon as it is solved
+per truncation.  The tower reads each fiber factor and BPbar middle
+straight off the F and BPbar profiles as the exponents of such a slice,
+adds bo's from its table, and builds tables only for the spaces it
+yields, each by one step.  It yields each space as soon as it is solved
 and holds only the exponents of the two spaces below, so a reader that
 keeps one table at a time needs O(N) memory.  BoP_i is (i-1)-connected,
 so every space above N + 2 is empty through N: the tower solves nothing
@@ -62,7 +63,6 @@ from .algebra import (
     poincare_series,
     resolve_extensions,
     table_from_exponents,
-    tensor,
     tor_suspend,
 )
 from .catalog import (
@@ -243,11 +243,12 @@ def bop_tower(i_max: int, truncation: int) -> Iterator[GeneratorTable]:
     as soon as it is solved.  i_max is checked on the call.
 
     Spaces 2 and 3 are products of a rank-rule fiber space with the
-    matching bo space.  From there each space is the SES quotient of
-    the BPbar space two indices down by the BoP space two indices down:
-    its exponents are theirs subtracted, the BPbar ones read off the
-    profile by the rank rule, and the generator counts are read off
-    the difference.  No series is built unless a count is negative; then
+    matching bo space: their exponents are the fiber's plus bo's.  From
+    there each space is the SES quotient of the BPbar space two indices
+    down by the BoP space two indices down: its exponents are theirs
+    subtracted, the BPbar ones read off the profile by the rank rule.
+    Every space's counts are read off its exponents by one step, with
+    component rank 0.  No series is built unless a count is negative; then
     it raises NegativeDimension at the series' first negative degree,
     else at the lowest negative count's.  The tower holds the exponents
     of the two spaces below the one it solves, and solves nothing above
@@ -268,16 +269,15 @@ def _solved_bop_tower(i_max: int,
     bpbar = homotopy_profile(BPBAR, truncation)
     for i in range(2, i_max + 1):
         if i <= 3:
-            (table,) = _fiber_times_bo(i, truncation)
-            v = exponents(table)
+            v = _product_exponents(i, truncation)
         else:
             v = _rank_rule_exponents(BPBAR, i - 2, truncation, bpbar) - older
-            try:
-                table = table_from_exponents(v, _parity_kind(i))
-            except NegativeDimension as negative:
-                bad = from_log_derivative(
-                    log_from_exponents(v)).check_nonnegative()
-                raise negative if bad is None else NegativeDimension(bad)
+        try:
+            table = table_from_exponents(v, _parity_kind(i))
+        except NegativeDimension as negative:
+            bad = from_log_derivative(
+                log_from_exponents(v)).check_nonnegative()
+            raise negative if bad is None else NegativeDimension(bad)
         older, newer = newer, v
         yield table
 
@@ -315,14 +315,22 @@ def space_homology(space: SpaceRef, truncation: int,
     return TowerResult(space, tables, provenance)
 
 
+def _product_exponents(index: int, truncation: int) -> TruncatedSeries:
+    """v(F_index) + v(bo_index) for index 0..7, F's read off its profile."""
+    fiber = _rank_rule_exponents(F, index, truncation,
+                                 homotopy_profile(F, truncation))
+    return fiber + exponents(bo_space_homology(index, truncation))
+
+
 def _fiber_times_bo(index: int, truncation: int) -> tuple:
-    """Tables of F_index (x) bo_index: their tensor product when the
-    kinds agree, else the two factors."""
+    """Tables of F_index (x) bo_index: the two factors when their kinds
+    differ, else the table of their exponents' sum and ranks' sum."""
     fiber = rank_rule_homology(SpaceRef(F, index), truncation)
     base = bo_space_homology(index, truncation)
     if fiber.kind != base.kind:
         return fiber, base
-    return (tensor(fiber, base),)
+    return (table_from_exponents(exponents(fiber, base), base.kind,
+                                 fiber.component_rank + base.component_rank),)
 
 
 # -- verifiers ---------------------------------------------------------------
@@ -396,8 +404,8 @@ def verify_bop_tower(truncation: int = 60) -> VerificationReport:
     exponents of BPbar_(i-2), read off its profile by the rank rule, are
     compared with the sum of the exponents of the tables of spaces i-2
     and i, each built afresh from the table rather than taken from the
-    solver; space 4 is compared with the product when it arrives, and
-    the product's tables and exponents are dropped there.  Each stage
+    solver; space 4's are compared with v(F_4) + v(bo_4) when it
+    arrives, and that sum is dropped there.  Each stage
     keeps its first failure, and the earliest stage in the order above
     is reported.  Exponent vectors first differ where the series do
     (module docstring); only the Hurewicz probe builds a series.  The
@@ -428,8 +436,8 @@ def verify_bop_tower(truncation: int = 60) -> VerificationReport:
                     note("reconstruction",
                          first_mismatch(mid, exps.pop(i - 2) + exps[i]), i - 2)
                 if i == 4:
-                    bad = first_mismatch(
-                        exps[4], exponents(*_fiber_times_bo(4, truncation)))
+                    bad = first_mismatch(exps[4],
+                                         _product_exponents(4, truncation))
                     note("product_crosscheck", bad, 4)
         except NegativeDimension as exc:
             return exc.degree, {"stage": "tower"}
@@ -525,12 +533,14 @@ def verify_bu_bo_factorization(truncation: int = 100) -> VerificationReport:
     """series(bu_2) = series(bo_2) * series(bo_4), the homology shadow of
     the classical fibration relating BU to BO and BSp.
 
-    It is checked as v(bu_2) = v(bo_2) + v(bo_4) on exponent vectors
-    built from the tables, as verify_negative_tower does."""
+    It is checked as v(bu_2) = v(bo_2) + v(bo_4) on exponent vectors,
+    bu_2's read off its profile by the rank rule as verify_negative_tower
+    reads F's and X's, bo's built from the tables."""
     params = {"max_degree": truncation}
 
     def body():
-        left = exponents(rank_rule_homology(SpaceRef(BU, 2), truncation))
+        left = _rank_rule_exponents(BU, 2, truncation,
+                                    homotopy_profile(BU, truncation))
         right = exponents(bo_space_homology(2, truncation),
                           bo_space_homology(4, truncation))
         bad = first_mismatch(left, right)

@@ -68,6 +68,19 @@ def sparse_log_derivative(tables) -> List[int]:
     return b
 
 
+def naive_tensor(left, right):
+    """Tensor product of two generator tables of one kind and one
+    truncation: their counts merged degree by degree and their
+    component ranks added, in a table of the inputs' own class."""
+    assert left.kind == right.kind and left.truncation == right.truncation
+    counts = dict(left.counts)
+    for d, c in right.counts.items():
+        counts[d] = counts.get(d, 0) + c
+    return type(left)(left.kind, counts,
+                      left.component_rank + right.component_rank,
+                      left.truncation)
+
+
 def naive_euler(b: Sequence[int]) -> Tuple[List[int], Optional[int]]:
     """The series p with p_0 = 1 and x p'/p = b, from n*p_n =
     sum_(k=1..n) b_k*p_(n-k) one degree at a time.  Returns (p, None),

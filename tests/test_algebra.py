@@ -15,7 +15,6 @@ from bopcalc.algebra import (
     poincare_series,
     resolve_extensions,
     table_from_exponents,
-    tensor,
     tor_suspend,
 )
 from bopcalc.errors import (
@@ -175,24 +174,32 @@ def test_resolve_extensions():
                                           truncation=4))
 
 
-@given(count_dicts, count_dicts)
-def test_tensor_multiplies_series(a, b):
-    ta = GeneratorTable("polynomial", a, truncation=12)
-    tb = GeneratorTable("polynomial", b, truncation=12)
-    both = tensor(ta, tb)
+@given(count_dicts, count_dicts, st.sampled_from(["polynomial", "exterior"]))
+def test_tensor_multiplies_series(a, b, kind):
+    # the table read off the sum of two tables' exponents presents the
+    # product of their series
+    ta = GeneratorTable(kind, a, truncation=12)
+    tb = GeneratorTable(kind, b, truncation=12)
+    both = table_from_exponents(exponents(ta, tb), kind)
     assert poincare_series(both) == poincare_series(ta) * poincare_series(tb)
 
 
-def test_tensor_validation():
-    ta = GeneratorTable("polynomial", {2: 1}, 1, 8)
-    tb = GeneratorTable("exterior", {3: 1}, 2, 8)
-    with pytest.raises(InvalidKind):
-        tensor(ta, tb)
-    with pytest.raises(TruncationError):
-        tensor(ta, GeneratorTable("polynomial", {2: 1}, truncation=6))
-    same = tensor(ta, GeneratorTable("polynomial", {2: 2}, 2, 8))
-    assert same.counts == {2: 3}
-    assert same.component_rank == 3
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(0, 40), st.data())
+def test_exponent_sum_is_the_naive_tensor_product(kind, n, data):
+    # two tables of one kind, component ranks 0..3, N = 0..40: the table
+    # read off the sum of their exponents, with the sum of their ranks,
+    # is their counts merged degree by degree
+    def table():
+        counts = data.draw(st.dictionaries(st.integers(1, n),
+                                           st.integers(1, 5), max_size=12)
+                           if n else st.just({}))
+        return GeneratorTable(kind, counts, data.draw(st.integers(0, 3)), n)
+
+    a, b = table(), table()
+    assert table_from_exponents(exponents(a, b), kind,
+                                a.component_rank + b.component_rank) == \
+        oracles.naive_tensor(a, b)
 
 
 def test_parity_check():

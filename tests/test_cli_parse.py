@@ -260,7 +260,8 @@ def _readme_forms():
 
 def _ci_forms():
     """Every bopcalc command the workflow runs: its shell up to the
-    first redirect, pipe or subshell end, with $n at its largest."""
+    first redirect, pipe or subshell end, with $n at its largest and
+    the BoP index $i at its lowest, the one that reads like an option."""
     path = os.path.join(ROOT, ".github", "workflows", "tests.yml")
     with open(path, encoding="utf-8") as fh:
         lines = [line.split("-m bopcalc ", 1)[1] for line in fh
@@ -271,7 +272,7 @@ def _ci_forms():
         for token in shlex.split(line):
             if set(token) & set(">|)"):
                 break
-            argv.append("4096" if token == "$n" else token)
+            argv.append({"$n": "4096", "$i": "-8"}.get(token, token))
         forms.append(argv)
     return forms
 

@@ -14,7 +14,6 @@ from bopcalc.algebra import (
     GeneratorTable,
     exponents,
     poincare_series,
-    tensor,
 )
 from bopcalc.catalog import (
     BO,
@@ -171,8 +170,8 @@ def test_bop_tower_shape_and_products():
             for i in tables] == \
         ["product", "product", "ses_solved", "ses_solved", "ses_solved"]
     # space 2 is the fiber table times the classical one
-    want2 = tensor(rank_rule_homology(SpaceRef(F, 2), 24),
-                   bo_space_homology(2, 24))
+    want2 = oracles.naive_tensor(rank_rule_homology(SpaceRef(F, 2), 24),
+                                 bo_space_homology(2, 24))
     assert tables[2] == want2
     # frozen low-degree generator counts of space 4, from the quotient
     counts4 = tables[4].counts
@@ -210,8 +209,8 @@ def _expected_space(space, n, periodic):
     if tag == "BoP":
         fiber = rank_rule_homology(SpaceRef(F, i), n)
         base = bo_space_homology(i, n)
-        tables = ((tensor(fiber, base),) if fiber.kind == base.kind
-                  else (fiber, base))
+        tables = ((oracles.naive_tensor(fiber, base),)
+                  if fiber.kind == base.kind else (fiber, base))
         return tables, "product"
     provenance = "catalog" if tag == "bu" else "rank_rule"
     return (rank_rule_homology(space, n),), provenance
@@ -308,8 +307,8 @@ def _oracle_bop_tower(n, middle_table, i_max=12):
     are naive_peel."""
     out = {}
     for i in (2, 3):
-        table = tensor(rank_rule_homology(SpaceRef(F, i), n),
-                       bo_space_homology(i, n))
+        table = oracles.naive_tensor(rank_rule_homology(SpaceRef(F, i), n),
+                                     bo_space_homology(i, n))
         out[i] = (oracles.table_series(table.counts, i % 2 == 1, n),
                   table.counts)
     for i in range(4, i_max + 1):
@@ -840,9 +839,8 @@ def test_rank_rule_exponents_are_the_tables(spectrum):
                 exponents(table), (n, index)
 
 
-def test_bop_tower_builds_tables_only_for_its_fiber_spaces(monkeypatch):
-    # the BPbar middles are read off the profile as exponents; only the
-    # fiber spaces of the products 2 and 3 go through rank_rule_homology
+def _rank_rule_tables_built(monkeypatch):
+    """The list of spaces rank_rule_homology is asked for from now on."""
     calls = []
     real = towers_mod.rank_rule_homology
 
@@ -851,8 +849,23 @@ def test_bop_tower_builds_tables_only_for_its_fiber_spaces(monkeypatch):
         return real(space, truncation)
 
     monkeypatch.setattr(towers_mod, "rank_rule_homology", counted)
+    return calls
+
+
+def test_bop_tower_reads_its_fiber_spaces_off_the_profile(monkeypatch):
+    # the fiber factors of spaces 2 and 3, like the BPbar middles, are
+    # read off their profile as exponents: no rank-rule table is built
+    calls = _rank_rule_tables_built(monkeypatch)
     assert len(list(bop_tower(12, 1024))) == 11
-    assert calls == [SpaceRef(F, 2), SpaceRef(F, 3)]
+    assert calls == []
+
+
+def test_tower_checks_build_no_rank_rule_table(monkeypatch):
+    # the space-4 cross-check and bu_2 read their exponents off profiles
+    calls = _rank_rule_tables_built(monkeypatch)
+    assert verify_bop_tower(256).passed
+    assert verify_bu_bo_factorization(256).passed
+    assert calls == []
 
 
 def test_bop_tower_solves_nothing_above_n_plus_two(monkeypatch, capsys):
