@@ -18,17 +18,16 @@ The spectra tracked here are the usual connective suspects at the prime 2:
 A homotopy profile records, degree by degree, the rank of the free part
 and the number of Z/2 summands.  None of the catalogued spectra carries
 any other torsion, so this is a complete description through the
-truncation degree.  homotopy_profile builds each (spectrum, truncation)
-pair once per process and hands every later caller the same profile;
-a profile is read-only (its torsion map is a mappingproxy), so sharing
-it is safe.  Only the profiles asked for are kept: those that BPbar, F
-and X are derived from (BP; BoP and bo; BPbar, BP and bu) are built on
-the spot and dropped, so a tower command caches the two it reads.  The
-BPn levels share one rule, bpn_ladder, which yields BPn(1), BPn(2), ...
-one binomial pass apart and holds one live rung: a BPn(k) profile costs
-k passes and caches no level below it, and a caller that reads every
-level in turn, as the splitting regiment does, walks the ladder once
-and caches no profile at all.
+truncation degree.  homotopy_profile builds a profile on every call, and
+the profile lives as long as its caller holds it; a caller that reads
+one twice fetches it once and hands it on.  A profile is a read-only
+value (its torsion map is a mappingproxy).  Those that BPbar, F and X
+are derived from (BP; BoP and bo; BPbar, BP and bu) are built for the
+derivation and dropped.  The BPn levels share one rule, bpn_ladder,
+which yields BPn(1), BPn(2), ... one binomial pass apart and holds one
+live rung: a BPn(k) profile costs k passes and keeps no level below
+it, and a caller that reads every level in turn, as the splitting
+regiment does, walks the ladder once and builds no BPn profile at all.
 
 Space homology uses Omega-spectrum indexing: space i of a spectrum E has
 pi_d = E_(d-i).  The bo spaces have classical tables, recorded here;
@@ -41,7 +40,6 @@ are available (connective by default, periodic on request).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import namedtuple
 from types import MappingProxyType
@@ -217,38 +215,22 @@ def bpn_ladder(truncation: int,
         yield free
 
 
-# More than the 12 distinct profiles `verify all` reads, the most any
-# one command reads.
-_PROFILE_CACHE_SIZE = 64
-
-
-@functools.lru_cache(maxsize=_PROFILE_CACHE_SIZE)
 def homotopy_profile(spectrum: SpectrumId, truncation: int) -> HomotopyProfile:
     """Homotopy groups of a catalogued spectrum through the truncation,
-    built once per (spectrum, truncation) and shared after that.  Only
-    the profiles asked for here are kept: those that BPbar, F and X are
-    derived from are built for the derivation and dropped.  A command
-    that asks for both, say BP and BPbar at one truncation, builds BP
-    twice; no check does.
+    built afresh on each call.
 
     >>> prof = homotopy_profile(BP, 8)
     >>> [prof.free_rank(d) for d in (2, 4, 6, 8)]
     [1, 1, 2, 2]
-    >>> homotopy_profile(BP, 8) is prof
-    True
     >>> homotopy_profile(BOP, 12).torsion(9)
     1
     """
-    return _build_profile(spectrum, truncation)
-
-
-def _build_profile(spectrum: SpectrumId, truncation: int) -> HomotopyProfile:
     tag = spectrum.tag
     if tag == "BP":
         free = product_over(_vn_degrees(), truncation)
         return HomotopyProfile(spectrum, free, {})
     if tag == "BPbar":
-        bp = _build_profile(BP, truncation).free_ranks
+        bp = homotopy_profile(BP, truncation).free_ranks
         return HomotopyProfile(spectrum, bp.times_binomial(8, -1, -1), {})
     if tag == "BPn":
         for free in bpn_ladder(truncation, spectrum.level):
@@ -275,8 +257,8 @@ def _build_profile(spectrum: SpectrumId, truncation: int) -> HomotopyProfile:
 
 def _difference_profile(spectrum, total, sub, truncation) -> HomotopyProfile:
     """Free part of a fiber whose homotopy splits off the sub-spectrum."""
-    free = (_build_profile(total, truncation).free_ranks
-            - _build_profile(sub, truncation).free_ranks)
+    free = (homotopy_profile(total, truncation).free_ranks
+            - homotopy_profile(sub, truncation).free_ranks)
     bad = free.check_nonnegative()
     if bad is not None:
         raise NegativeDimension(bad, f"profile of {spectrum} broken at {bad}")

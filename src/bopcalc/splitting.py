@@ -211,7 +211,7 @@ def _splitting_mismatch(truncation: int) -> Optional[Tuple[int, str]]:
 
     The regiment's levels come off one BPn ladder, each rung folded into
     the sum at its level's suspensions as the ladder yields it, so one
-    rung is alive at a time and no BPn profile is cached.  Level k has a
+    rung is alive at a time and no BPn profile is built.  Level k has a
     summand suspended to <= N exactly when its lowest suspension
     2^(k+1) - 2, the degree of v_k, is <= N, which is where the ladder
     stops: the rungs from BPn(2) up pair off with the levels in order.
@@ -306,7 +306,7 @@ def verify_bpn_rank_recursion(truncation: int = 128) -> VerificationReport:
     divides by it once.
 
     Consecutive rungs of one BPn ladder are compared, so each level is
-    built once and no BPn profile is cached.  A level past the ladder's
+    one rung, built once, and no BPn profile is built.  A level past the ladder's
     top has the top rung's ranks."""
     j_min, j_max = 2, 6
     params = {"j_min": j_min, "j_max": j_max, "max_degree": truncation}

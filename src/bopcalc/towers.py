@@ -20,9 +20,9 @@ fiber space, and each later space is the matching BPbar space divided,
 in exponent space rather than by ses_quotient, by the one two steps
 below.  space_homology picks, for any catalogued space, which of
 these rules (or the bo catalogue) answers it.  A rank-rule table is one
-slice of its spectrum's homotopy profile, which the catalog builds once
-per truncation.  The tower reads each fiber factor and BPbar middle
-straight off the F and BPbar profiles as the exponents of such a slice,
+slice of its spectrum's homotopy profile.  The tower is handed the F and
+BPbar profiles, each built once by its caller, reads each fiber factor
+and BPbar middle straight off them as the exponents of such a slice,
 adds bo's from its table, and builds tables only for the spaces it
 yields, each by one step.  It yields each space as soon as it is solved
 and holds only the exponents of the two spaces below, so a reader that
@@ -238,15 +238,19 @@ def ses_quotient(middle: TruncatedSeries, sub: TruncatedSeries) -> TruncatedSeri
     return quotient
 
 
-def bop_tower(i_max: int, truncation: int) -> Iterator[GeneratorTable]:
-    """The tables of BoP spaces 2 through i_max, yielded in order, each
-    as soon as it is solved.  i_max is checked on the call.
+def bop_tower(i_max: int, bpbar: HomotopyProfile,
+              fiber: HomotopyProfile) -> Iterator[GeneratorTable]:
+    """The tables of BoP spaces 2 through i_max, through the truncation
+    of the BPbar profile, yielded in order, each as soon as it is
+    solved.  i_max is checked on the call.
 
     Spaces 2 and 3 are products of a rank-rule fiber space with the
-    matching bo space: their exponents are the fiber's plus bo's.  From
-    there each space is the SES quotient of the BPbar space two indices
-    down by the BoP space two indices down: its exponents are theirs
-    subtracted, the BPbar ones read off the profile by the rank rule.
+    matching bo space: their exponents are the fiber's, read off the F
+    profile, plus bo's.  From there each space is the SES quotient of
+    the BPbar space two indices down by the BoP space two indices down:
+    its exponents are theirs subtracted, the BPbar ones read off the
+    BPbar profile by the rank rule.  An F profile shorter than the
+    truncation raises TruncationError.
     Every space's counts are read off its exponents by one step, with
     component rank 0.  No series is built unless a count is negative; then
     it raises NegativeDimension at the series' first negative degree,
@@ -257,19 +261,20 @@ def bop_tower(i_max: int, truncation: int) -> Iterator[GeneratorTable]:
     """
     if i_max < 2:
         raise InvalidParameter("the solved BoP tower starts at space 2")
+    truncation = bpbar.truncation
     return itertools.chain(
-        _solved_bop_tower(min(i_max, truncation + 2), truncation),
+        _solved_bop_tower(min(i_max, truncation + 2), bpbar, fiber),
         (_empty_bop_table(i, truncation)
          for i in range(truncation + 3, i_max + 1)))
 
 
-def _solved_bop_tower(i_max: int,
-                      truncation: int) -> Iterator[GeneratorTable]:
+def _solved_bop_tower(i_max: int, bpbar: HomotopyProfile,
+                      fiber: HomotopyProfile) -> Iterator[GeneratorTable]:
     older = newer = None  # the exponents of spaces i - 2 and i - 1
-    bpbar = homotopy_profile(BPBAR, truncation)
+    truncation = bpbar.truncation
     for i in range(2, i_max + 1):
         if i <= 3:
-            v = _product_exponents(i, truncation)
+            v = _product_exponents(i, truncation, fiber)
         else:
             v = _rank_rule_exponents(BPBAR, i - 2, truncation, bpbar) - older
         try:
@@ -307,19 +312,21 @@ def space_homology(space: SpaceRef, truncation: int,
         tables = (rank_rule_homology(space, n),)
         provenance = "catalog" if tag == "bu" else "rank_rule"
     elif i >= 2:
-        tables = ((_empty_bop_table(i, n) if i > n + 2
-                   else deque(bop_tower(i, n), maxlen=1).pop()),)
+        tables = ((_empty_bop_table(i, n) if i > n + 2 else
+                   deque(bop_tower(i, homotopy_profile(BPBAR, n),
+                                   homotopy_profile(F, n)), maxlen=1).pop()),)
         provenance = "product" if i <= 3 else "ses_solved"
     else:
         tables, provenance = _fiber_times_bo(i, n), "product"
     return TowerResult(space, tables, provenance)
 
 
-def _product_exponents(index: int, truncation: int) -> TruncatedSeries:
-    """v(F_index) + v(bo_index) for index 0..7, F's read off its profile."""
-    fiber = _rank_rule_exponents(F, index, truncation,
-                                 homotopy_profile(F, truncation))
-    return fiber + exponents(bo_space_homology(index, truncation))
+def _product_exponents(index: int, truncation: int,
+                       fiber: HomotopyProfile) -> TruncatedSeries:
+    """v(F_index) + v(bo_index) for index 0..7, F's read off the fiber
+    profile."""
+    return (_rank_rule_exponents(F, index, truncation, fiber)
+            + exponents(bo_space_homology(index, truncation)))
 
 
 def _fiber_times_bo(index: int, truncation: int) -> tuple:
@@ -409,7 +416,8 @@ def verify_bop_tower(truncation: int = 60) -> VerificationReport:
     keeps its first failure, and the earliest stage in the order above
     is reported.  Exponent vectors first differ where the series do
     (module docstring); only the Hurewicz probe builds a series.  The
-    check caches the BPbar and F profiles and no other (catalog).
+    check builds the BPbar and F profiles once each and hands the same
+    two to the tower, the reconstruction and the cross-check.
     """
     i_max = 12
     params = {"i_max": i_max, "max_degree": truncation}
@@ -422,10 +430,11 @@ def verify_bop_tower(truncation: int = 60) -> VerificationReport:
                 first[stage] = degree, {"stage": stage, "index": index}
 
         bpbar = homotopy_profile(BPBAR, truncation)
+        fiber = homotopy_profile(F, truncation)
         exps: Dict[int, TruncatedSeries] = {}
         try:
             # only the tower raises NegativeDimension here
-            for i, table in enumerate(bop_tower(i_max, truncation), 2):
+            for i, table in enumerate(bop_tower(i_max, bpbar, fiber), 2):
                 note("parity", off_parity(table, i % 2), i)
                 exps[i] = exponents(table)
                 if i == 2:
@@ -436,8 +445,8 @@ def verify_bop_tower(truncation: int = 60) -> VerificationReport:
                     note("reconstruction",
                          first_mismatch(mid, exps.pop(i - 2) + exps[i]), i - 2)
                 if i == 4:
-                    bad = first_mismatch(exps[4],
-                                         _product_exponents(4, truncation))
+                    bad = first_mismatch(
+                        exps[4], _product_exponents(4, truncation, fiber))
                     note("product_crosscheck", bad, 4)
         except NegativeDimension as exc:
             return exc.degree, {"stage": "tower"}

@@ -153,7 +153,8 @@ def test_criterion_06_negative_tower():
 
 def test_criterion_07_bop_tower():
     def body():
-        tables = dict(enumerate(bop_tower(12, 60), 2))
+        tables = dict(enumerate(bop_tower(12, homotopy_profile(BPBAR, 60),
+                                          homotopy_profile(F, 60)), 2))
         for i, table in tables.items():
             assert all(c >= 0 for c in table.counts.values())
             assert all(d % 2 == i % 2 for d in table.counts)

@@ -1,10 +1,11 @@
+import gc
 import json
+import os
+import tracemalloc
 
 import pytest
 
 import oracles
-from bopcalc import series as series_mod
-from bopcalc import splitting as splitting_mod
 from bopcalc.catalog import (
     BP,
     BPBAR,
@@ -88,25 +89,16 @@ def test_bpn_profiles_truncate_generator_list():
             for d in range(11)] == [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
 
 
-def test_bpn_profile_makes_one_pass_per_level(monkeypatch):
-    homotopy_profile.cache_clear()
-    degrees = []
-    real = series_mod._binomial_pass
-
-    def counted(coeffs, degree, sign, power):
-        degrees.append(degree)
-        real(coeffs, degree, sign, power)
-
-    monkeypatch.setattr(series_mod, "_binomial_pass", counted)
+def test_bpn_profile_makes_one_pass_per_level(counted):
+    ladder = [2 * (2 ** k - 1) for k in range(1, 11)]
     homotopy_profile(bpn(10), 2048)
-    assert degrees == [2 * (2 ** k - 1) for k in range(1, 11)]
-    # the regiment walks the ladder once: one pass per level, and then
-    # the regiment sum's one division by 1 - x^8 (BoP and bo are warm)
-    homotopy_profile(BOP, 2048)
-    homotopy_profile(BO, 2048)
-    degrees.clear()
+    assert counted.passes == ladder
+    # the regiment walks the ladder once: one pass per level, then the
+    # regiment sum's one division by 1 - x^8, then BoP's product (4, 6
+    # and 8, then v_3 up); bo's makes none
+    counted.passes.clear()
     assert verify_rational_splitting(2048).passed
-    assert degrees == [2 * (2 ** k - 1) for k in range(1, 11)] + [8]
+    assert counted.passes == ladder + [8] + [4, 6, 8] + ladder[2:]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 6, 13, 14, 30, 100, 2048])
@@ -172,11 +164,9 @@ def test_profile_accessors_and_json():
 
 
 def test_profiles_are_shared_and_read_only():
-    # each (spectrum, truncation) is built once and then shared, so no
-    # caller may change it
+    # a caller hands one profile to every reader of it (the BoP tower
+    # check hands its two on), so no reader may change it
     prof = homotopy_profile(BO, 20)
-    assert homotopy_profile(BO, 20) is prof
-    assert homotopy_profile(BO, 21) is not prof
     with pytest.raises(TypeError):
         prof.torsion_z2[1] = 5
     with pytest.raises(TypeError):
@@ -189,35 +179,63 @@ def test_profiles_are_shared_and_read_only():
     assert planted.torsion_z2 == {3: 1}
 
 
-@pytest.mark.parametrize("spectrum", [BPBAR, F, X], ids=str)
-def test_derived_profiles_keep_no_intermediate(spectrum):
+@pytest.mark.parametrize("spectrum, under, passes", [
+    (BPBAR, [BP], 6),
+    (F, [BOP, BO], 6),
+    (X, [BPBAR, BP, BU], 7),
+], ids=["BPbar", "F", "X"])
+def test_derived_profiles_keep_no_intermediate(counted, spectrum, under,
+                                               passes):
     # BPbar is built from BP, F from BoP and bo, and X from BPbar (so BP)
-    # and bu; only the profile asked for is cached
-    homotopy_profile.cache_clear()
-    prof = homotopy_profile(spectrum, 64)
-    assert homotopy_profile.cache_info().currsize == 1
-    assert homotopy_profile(spectrum, 64) is prof
+    # and bu, each once and dropped
+    homotopy_profile(spectrum, 64)
+    assert counted.profiles == [(s, 64) for s in under]
+    assert len(counted.passes) == passes
 
 
-def test_verify_all_passes_and_cached_profiles(monkeypatch, capsys):
+def test_verify_all_passes_and_cached_profiles(counted, capsys):
     # 169 binomial passes while the level products and the Sq^2 quotients
     # read were cached; building each product afresh and walking the
-    # chain to each quotient again make 246.  12 profiles kept, where 26
-    # were when every intermediate profile was cached as well
-    passes = []
-    real = series_mod._binomial_pass
-
-    def counted(coeffs, degree, sign, power):
-        passes.append(degree)
-        real(coeffs, degree, sign, power)
-
-    monkeypatch.setattr(series_mod, "_binomial_pass", counted)
-    monkeypatch.setattr(splitting_mod, "_binomial_pass", counted)
-    homotopy_profile.cache_clear()
+    # chain to each quotient again make 246.  20 profiles built, the
+    # nested builds of the derived ones included, as under a process-wide
+    # cache of the 12 read
     assert main(["verify", "all", "--format", "json"]) == 0
     assert capsys.readouterr().out
-    assert len(passes) == 246
-    assert homotopy_profile.cache_info().currsize == 12
+    assert len(counted.passes) == 246
+    assert len(counted.profiles) == 20
+
+
+def _profiles_alive():
+    return sum(isinstance(o, HomotopyProfile) for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "all"],
+    ["verify", "bop-tower", "-N", "1024"],
+    ["homology", "BoP", "12", "-N", "1032"],
+    ["verify", "rational-splitting", "-N", "2048"],
+], ids=" ".join)
+def test_no_profile_outlives_its_command(argv):
+    # the same command at -N 3 imports and sets up what it needs; then
+    # the command leaves no profile and nothing else it built alive.  A
+    # process-wide cache of profiles held 31, 47, 47 and 127 KB here.
+    # CPython 3.10 keeps a spare frame for each function a command runs
+    # first, up to 4.1 KB here; later versions hold 0.1 KB
+    out = ["--format", "json", "--output", os.devnull]
+    command = argv[:argv.index("-N")] if "-N" in argv else argv
+    assert main(command + ["-N", "3"] + out) == 0
+    gc.collect()
+    alive = _profiles_alive()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(argv + out) == 0
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert _profiles_alive() == alive
+    assert held <= 8 * 1024
 
 
 def test_catalogued_spectra_listing():

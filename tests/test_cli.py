@@ -424,7 +424,7 @@ def test_verify_all_tiny_scale_smoke(n):
 
 
 def test_verify_all_survives_a_raising_check(monkeypatch, capsys):
-    def broken(i_max, truncation):
+    def broken(*args):
         raise RuntimeError("solver exploded")
 
     monkeypatch.setattr(towers_mod, "bop_tower", broken)

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bopcalc import series as series_mod
 from bopcalc import splitting as splitting_mod
 from bopcalc.catalog import BOP, BO, bpn, homotopy_profile
 from bopcalc.errors import InvalidParameter
@@ -156,40 +155,25 @@ def test_head_induction_builds_each_head_and_layer_once(monkeypatch):
     assert layers == list(range(2, 10))
 
 
-def _count_passes(monkeypatch):
-    passes = []
-    real = series_mod._binomial_pass
-
-    def counted(coeffs, degree, sign, power):
-        passes.append(degree)
-        real(coeffs, degree, sign, power)
-
-    monkeypatch.setattr(series_mod, "_binomial_pass", counted)
-    monkeypatch.setattr(splitting_mod, "_binomial_pass", counted)
-    return passes
-
-
-def test_rhs_one_builds_each_level_product_afresh(monkeypatch):
+def test_rhs_one_builds_each_level_product_afresh(counted):
     # every head and layer builds its product in one list, one pass per
     # factor through N (a layer's only through N minus its lead), where
     # the shared cached products made 28 passes; the fault divides the
     # tail once more, in 3 passes
-    passes = _count_passes(monkeypatch)
     assert verify_rhs_one(2048).passed
-    assert len(passes) == 55
-    passes.clear()
+    assert len(counted.passes) == 55
+    counted.passes.clear()
     assert not verify_rhs_one(2048, inject_fault=True).passed
-    assert len(passes) == 58
+    assert len(counted.passes) == 58
     # a level whose factor lies above N adds none
     assert head_series(5000, 10) == one(10)
 
 
-def test_head_induction_builds_each_level_product_afresh(monkeypatch):
+def test_head_induction_builds_each_level_product_afresh(counted):
     # 9 heads and 8 layers, each built afresh: 63 passes, where the
     # shared cached products made 28
-    passes = _count_passes(monkeypatch)
     assert verify_head_induction(512).passed
-    assert len(passes) == 63
+    assert len(counted.passes) == 63
 
 
 def _naive_product(factors, n):
@@ -235,14 +219,12 @@ def test_irreducibility_scale_cap():
         verify_irreducibility(22)
 
 
-def test_rational_splitting_caches_only_bop_and_bo():
-    # the regiment walks one BPn ladder and caches no BPn profile
-    homotopy_profile.cache_clear()
+def test_rational_splitting_caches_only_bop_and_bo(counted):
+    # the regiment walks one BPn ladder and builds no BPn profile: the
+    # ladder's 10 passes, the regiment sum's 1 and BoP's product's 11
     assert verify_rational_splitting(2048).passed
-    assert homotopy_profile.cache_info().currsize == 2
-    homotopy_profile(BOP, 2048)
-    homotopy_profile(BO, 2048)
-    assert homotopy_profile.cache_info().hits == 2
+    assert counted.profiles == [(BO, 2048), (BOP, 2048)]
+    assert len(counted.passes) == 22
 
 
 def _peak_kb(call):
@@ -259,7 +241,6 @@ def test_rational_splitting_holds_one_rung_at_a_time():
     # the regiment sum and a rung or two, then BoP and bo: 194-195 KB
     # under CPython 3.10-3.13, where fetching the profiles first peaked
     # at 279-287 KB
-    homotopy_profile.cache_clear()
     report, peak = _peak_kb(lambda: verify_rational_splitting(2048))
     assert report.passed
     assert peak <= 240
@@ -275,21 +256,12 @@ def test_rhs_one_holds_one_level_product_at_a_time(inject_fault):
     assert peak <= 150
 
 
-def test_bpn_rank_recursion_walks_one_ladder(monkeypatch):
+def test_bpn_rank_recursion_walks_one_ladder(counted):
     # BPn(1)..BPn(6) one pass apart, where reading each level and the one
-    # below as profiles made 21 passes and cached 6 profiles
-    passes = []
-    real = series_mod._binomial_pass
-
-    def counted(coeffs, degree, sign, power):
-        passes.append(degree)
-        real(coeffs, degree, sign, power)
-
-    monkeypatch.setattr(series_mod, "_binomial_pass", counted)
-    homotopy_profile.cache_clear()
+    # below as profiles made 21 passes and built 6 profiles
     assert verify_bpn_rank_recursion(128).passed
-    assert passes == [2 * (2 ** k - 1) for k in range(1, 7)]
-    assert homotopy_profile.cache_info().currsize == 0
+    assert counted.passes == [2 * (2 ** k - 1) for k in range(1, 7)]
+    assert counted.profiles == []
 
 
 PLANTED_BPN_RANKS = [(2, 0), (2, 9), (3, 4), (3, 40), (4, 0), (5, 30)]

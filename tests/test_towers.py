@@ -1,4 +1,3 @@
-import itertools
 import json
 import tracemalloc
 
@@ -7,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bopcalc import catalog as catalog_mod
 from bopcalc import series as series_mod
 from bopcalc import towers as towers_mod
 from bopcalc.algebra import (
@@ -163,8 +161,14 @@ def test_ses_quotient():
     assert info.value.degree == 2
 
 
+def _tower(i_max, n):
+    """bop_tower through N, handed freshly built BPbar and F profiles."""
+    return bop_tower(i_max, homotopy_profile(BPBAR, n),
+                     homotopy_profile(F, n))
+
+
 def test_bop_tower_shape_and_products():
-    tables = dict(enumerate(bop_tower(6, 24), 2))
+    tables = dict(enumerate(_tower(6, 24), 2))
     assert list(tables) == [2, 3, 4, 5, 6]
     assert [space_homology(SpaceRef(BOP, i), 24).provenance
             for i in tables] == \
@@ -181,7 +185,7 @@ def test_bop_tower_shape_and_products():
     for i, table in tables.items():
         assert all(d % 2 == i % 2 for d in table.counts)
     with pytest.raises(InvalidParameter):
-        bop_tower(1, 8)
+        _tower(1, 8)
 
 
 def test_bop_space_low_indices():
@@ -204,7 +208,7 @@ def _expected_space(space, n, periodic):
     if tag == "bo":
         return (bo_space_homology(i, n, periodic),), "catalog"
     if tag == "BoP" and i >= 2:
-        return ((list(bop_tower(i, n))[-1],),
+        return ((list(_tower(i, n))[-1],),
                 "product" if i <= 3 else "ses_solved")
     if tag == "BoP":
         fiber = rank_rule_homology(SpaceRef(F, i), n)
@@ -301,7 +305,7 @@ def _nonzero(coeffs):
 
 
 def _oracle_bop_tower(n, middle_table, i_max=12):
-    """bop_tower(i_max, n) in series space: index -> (series
+    """_tower(i_max, n) in series space: index -> (series
     coefficients, generator counts), or the degree of the first
     NegativeDimension.  Quotients are naive_mul by naive_invert, tables
     are naive_peel."""
@@ -333,7 +337,7 @@ def test_bop_tower_matches_series_space_oracle(n):
     # each shorter tower is a prefix of the longest one
     i_max = n + 12
     want = _oracle_bop_tower(n, rank_rule_homology, i_max)
-    got = list(bop_tower(i_max, n))
+    got = list(_tower(i_max, n))
     assert len(got) == i_max - 1
     for i, table in enumerate(got, 2):
         coeffs, counts = want[i]
@@ -341,7 +345,7 @@ def test_bop_tower_matches_series_space_oracle(n):
         assert table == GeneratorTable(
             "polynomial" if i % 2 == 0 else "exterior", counts, 0, n), i
     for i in range(2, i_max):
-        assert list(bop_tower(i, n)) == got[:i - 1], i
+        assert list(_tower(i, n)) == got[:i - 1], i
 
 
 @settings(max_examples=40, deadline=None)
@@ -379,10 +383,10 @@ def test_perturbed_middle_fails_where_the_oracle_does(index, changes):
         mp.setattr(towers_mod, "_rank_rule_exponents", middle_exponents)
         if isinstance(want, int):
             with pytest.raises(NegativeDimension) as info:
-                list(bop_tower(12, n))
+                list(_tower(12, n))
             assert info.value.degree == want
         else:
-            got = list(bop_tower(12, n))
+            got = list(_tower(12, n))
             assert {i: (list(poincare_series(t).coefficients), t.counts)
                     for i, t in enumerate(got, 2)} == want
 
@@ -433,9 +437,9 @@ def test_bop_tower_reconstruction_reads_the_returned_tables(monkeypatch,
     real = towers_mod.bop_tower
     degree = 10 if index % 2 == 0 else 9
 
-    def corrupted(i_max, truncation):
+    def corrupted(*args):
         return [_plant(t, degree) if i == index else t
-                for i, t in enumerate(real(i_max, truncation), 2)]
+                for i, t in enumerate(real(*args), 2)]
 
     monkeypatch.setattr(towers_mod, "bop_tower", corrupted)
     report = verify_bop_tower(32)
@@ -459,9 +463,9 @@ def test_bop_tower_parity_stage_finds_a_planted_table(monkeypatch, index,
     real = towers_mod.bop_tower
     n = 30
 
-    def planted(i_max, truncation):
+    def planted(*args):
         return [GeneratorTable(kind, counts, truncation=n) if i == index
-                else t for i, t in enumerate(real(i_max, truncation), 2)]
+                else t for i, t in enumerate(real(*args), 2)]
 
     monkeypatch.setattr(towers_mod, "bop_tower", planted)
     report = verify_bop_tower(n)
@@ -487,8 +491,8 @@ def test_bop_tower_check_reports_the_earliest_stage_of_a_stream(
     # earliest stage's first failure
     real = towers_mod.bop_tower
 
-    def planted(i_max, truncation):
-        for i, table in enumerate(real(i_max, truncation), 2):
+    def planted(*args):
+        for i, table in enumerate(real(*args), 2):
             plant = plants.get(i, table)
             if isinstance(plant, Exception):
                 raise plant
@@ -561,7 +565,7 @@ def test_bop_space_is_the_last_space_of_the_tower(n):
     for i in range(2, 13):
         got = space_homology(SpaceRef(BOP, i), n)
         assert got.space == SpaceRef(BOP, i)
-        assert got.tables == (list(bop_tower(i, n))[-1],)
+        assert got.tables == (list(_tower(i, n))[-1],)
         assert got.provenance == ("product" if i <= 3 else "ses_solved")
 
 
@@ -591,7 +595,7 @@ def test_bop_tower_builds_no_series_until_one_is_read(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(module, name, counted)
-    assert len(list(bop_tower(12, 64))) == 11 and calls == []
+    assert len(list(_tower(12, 64))) == 11 and calls == []
     space_homology(SpaceRef(BOP, 12), 64).series
     assert calls == ["poincare_series", "_euler"]
 
@@ -626,58 +630,45 @@ def test_bop_tower_check_builds_only_the_hurewicz_series(monkeypatch):
     assert calls == ["poincare_series"]
 
 
-def test_bop_tower_check_builds_each_profile_once(monkeypatch):
-    # the BPbar middles and the fiber spaces share one profile per
-    # spectrum: BP's product (under BPbar) and BoP's (under F) run once
-    firsts = []
-    real = catalog_mod.product_over
-
-    def counted(degrees, truncation):
-        degrees = iter(degrees)
-        first = next(degrees)
-        firsts.append(first)
-        return real(itertools.chain([first], degrees), truncation)
-
-    monkeypatch.setattr(catalog_mod, "product_over", counted)
-    homotopy_profile.cache_clear()
+def test_bop_tower_check_builds_each_profile_once(counted):
+    # the tower, the BPbar middles and the fiber spaces read one BPbar
+    # and one F profile, each built once with what it is derived from:
+    # BP's product (under BPbar) and BoP's (under F) run once
     assert verify_bop_tower(64).passed
-    assert sorted(firsts) == [2, 4]  # BP's v_1 degree, BoP's first
+    assert counted.profiles == [(BPBAR, 64), (BP, 64), (F, 64), (BOP, 64),
+                                (BO, 64)]
+    assert len(counted.passes) == 12
 
 
-@pytest.mark.parametrize("op, kept, passes", [
-    (lambda: verify_bop_tower(1024), [(BPBAR, 1024), (F, 1024)], 20),
-    (lambda: verify_negative_tower(1024), [(F, 1032), (X, 1032)], 21),
+_UNDER_F = [(BOP, 1032), (BO, 1032)]
+_UNDER_BPBAR = [(BP, 1032)]
+
+
+@pytest.mark.parametrize("op, built, passes", [
+    (lambda: verify_bop_tower(1024),
+     [(BPBAR, 1024), (BP, 1024), (F, 1024), (BOP, 1024), (BO, 1024)], 20),
+    (lambda: verify_negative_tower(1024),
+     [(F, 1032), *_UNDER_F, (X, 1032), (BPBAR, 1032), *_UNDER_BPBAR,
+      (BU, 1032)], 21),
     (lambda: space_homology(SpaceRef(BOP, 12), 1032).series,
-     [(BPBAR, 1032), (F, 1032)], 20),
+     [(BPBAR, 1032), *_UNDER_BPBAR, (F, 1032), *_UNDER_F], 20),
 ], ids=["bop-tower", "negative-tower", "homology-BoP-12"])
-def test_tower_ops_cache_only_the_profiles_they_read(monkeypatch, op, kept,
+def test_tower_ops_cache_only_the_profiles_they_read(counted, op, built,
                                                      passes):
-    # BP under BPbar, BoP and bo under F, and BPbar, BP and bu under X are
-    # built once each and dropped: the binomial passes of a cache that
-    # kept them all, and 2 profiles cached where 5, 7 and 5 were
-    degrees = []
-    real = series_mod._binomial_pass
-
-    def counted(coeffs, degree, sign, power):
-        degrees.append(degree)
-        real(coeffs, degree, sign, power)
-
-    monkeypatch.setattr(series_mod, "_binomial_pass", counted)
-    homotopy_profile.cache_clear()
+    # each op builds the two profiles it reads once, with BP under BPbar,
+    # BoP and bo under F, and BPbar, BP and bu under X: 5, 7 and 5
+    # builds and the binomial passes of a process-wide cache that kept
+    # them all
     op()
-    assert len(degrees) == passes
-    info = homotopy_profile.cache_info()
-    assert info.currsize == 2
-    for spectrum, n in kept:
-        homotopy_profile(spectrum, n)
-    assert homotopy_profile.cache_info().hits == info.hits + 2
+    assert counted.profiles == built
+    assert len(counted.passes) == passes
 
 
-def test_rank_rule_bss_check_builds_one_profile_per_spectrum():
+def test_rank_rule_bss_check_builds_one_profile_per_spectrum(counted):
     # one profile deep enough for index -6 serves every index it checks
-    homotopy_profile.cache_clear()
     assert verify_rank_rule_bss(40).passed
-    assert homotopy_profile.cache_info().misses == 2
+    assert counted.profiles == [(BP, 46), (BU, 46)]
+    assert len(counted.passes) == 5
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 32])
@@ -714,7 +705,7 @@ def test_bop_tower_hurewicz_probe_agrees_with_the_full_table(monkeypatch, n):
     assert verify_bop_tower(n).passed
     (probe,) = probes
     assert [t.truncation for t in probe] == [2]
-    (space2,) = bop_tower(2, n)
+    (space2,) = _tower(2, n)
     assert real(*probe).coefficient(2) == real(space2).coefficient(2) == 1
 
 
@@ -856,7 +847,7 @@ def test_bop_tower_reads_its_fiber_spaces_off_the_profile(monkeypatch):
     # the fiber factors of spaces 2 and 3, like the BPbar middles, are
     # read off their profile as exponents: no rank-rule table is built
     calls = _rank_rule_tables_built(monkeypatch)
-    assert len(list(bop_tower(12, 1024))) == 11
+    assert len(list(_tower(12, 1024))) == 11
     assert calls == []
 
 
@@ -884,9 +875,9 @@ def test_bop_tower_solves_nothing_above_n_plus_two(monkeypatch, capsys):
     walked = []
     real_tower = towers_mod.bop_tower
 
-    def recorded(i_max, truncation):
+    def recorded(i_max, *args):
         walked.append(i_max)
-        return real_tower(i_max, truncation)
+        return real_tower(i_max, *args)
 
     monkeypatch.setattr(towers_mod, "table_from_exponents", counted)
     monkeypatch.setattr(towers_mod, "bop_tower", recorded)
@@ -895,7 +886,7 @@ def test_bop_tower_solves_nothing_above_n_plus_two(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["table"]["generators"] == []
     assert len(calls) <= n + 2 and walked == []
     calls.clear()
-    tables = list(bop_tower(10 * n, n))
+    tables = list(_tower(10 * n, n))
     assert len(calls) <= n + 2
     for i, table in enumerate(tables[n + 1:], n + 3):
         assert table == GeneratorTable(
@@ -903,10 +894,9 @@ def test_bop_tower_solves_nothing_above_n_plus_two(monkeypatch, capsys):
 
 
 def test_bop_space_memory_does_not_grow_with_the_index():
-    # the tower holds two exponent vectors whatever the index, so with
-    # the profiles built, space 60's solve peaks where space 12's does
+    # the tower holds two exponent vectors whatever the index, so space
+    # 60's solve peaks where space 12's does
     def peak(i):
-        space_homology(SpaceRef(BOP, i), 256)
         tracemalloc.start()
         try:
             space_homology(SpaceRef(BOP, i), 256)
@@ -922,11 +912,10 @@ def test_bop_space_memory_does_not_grow_with_the_index():
     (lambda: space_homology(SpaceRef(BOP, 12), 1032).series, 250),
 ], ids=["bop-tower", "homology-BoP-12"])
 def test_tower_ops_hold_only_what_they_read_again(op, bound_kb):
-    # from a cleared cache, CPython 3.10-3.13: the check peaks at 242-254
-    # KB and the solve at 190-205 KB, where caching every intermediate
-    # profile, holding two copies of each table's counts and the space-4
-    # product to the end read 360-381 and 292-312 KB
-    homotopy_profile.cache_clear()
+    # each building its profiles, CPython 3.10-3.13: the check peaks at
+    # 239-243 KB and the solve at 192-204 KB, where caching every
+    # intermediate profile, holding two copies of each table's counts and
+    # the space-4 product to the end read 360-381 and 292-312 KB
     tracemalloc.start()
     try:
         op()
