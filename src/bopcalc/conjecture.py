@@ -273,10 +273,6 @@ class SquareMonomial(namedtuple("SquareMonomial", "index factors")):
     __slots__ = ()
 
     @property
-    def source_degree(self) -> int:
-        return 2 * self.index
-
-    @property
     def total_degree(self) -> int:
         return sum(count << (m + 1) for m, count in self.factors)
 
@@ -313,27 +309,21 @@ def square_monomial(j: int) -> SquareMonomial:
 def verify_epsilon_partition(n_max: int = 64) -> VerificationReport:
     """The three epsilon bands partition 1..n-1 for every height
     3..n_max, and out-of-range summand indices are rejected.  With
-    n_max <= 2 there is no height to check and the check passes."""
+    n_max <= 2 there is no height to check and the check passes.
+    epsilon's value on each band is its own formula, so
+    tests/test_conjecture.py::test_epsilon_band_structure pins it
+    against an independent band rule instead, at heights 3..64."""
     params = {"n_max": n_max}
 
     def body():
         for n in range(3, n_max + 1):
             _, offset = _band_data(n)
-            lower = middle = upper = 0
             for s in range(1, n):
                 in_lower = s <= offset
                 in_upper = s >= n - offset
                 in_middle = offset < s < n - offset
                 if in_lower + in_middle + in_upper != 1:
                     return s, {"height": n, "stage": "overlap"}
-                lower += in_lower
-                middle += in_middle
-                upper += in_upper
-                want = 1 if (in_lower or in_upper) else 0
-                if epsilon(n, s) != want:
-                    return s, {"height": n, "stage": "value"}
-            if lower + middle + upper != n - 1:
-                return n, {"height": n, "stage": "count"}
             for s in (0, n):
                 try:
                     epsilon(n, s)
@@ -389,23 +379,23 @@ def verify_first_appearance(q_max: int = 64) -> VerificationReport:
 
 
 def verify_square_decompositions(bound: int = 4096) -> VerificationReport:
-    """Every non-2-power index decomposes with the right total degree;
-    2-power indices are rejected as indecomposable."""
+    """Every 2-power index 2..bound is rejected as indecomposable; that
+    is all this check covers.  The degree 4j and the nonnegative bases
+    of every other index are what square_monomial's docstring proves,
+    so tests/test_conjecture.py (test_square_monomial_matches_oracle)
+    pins them through j = 8192 instead.  Only the 2-powers are walked,
+    so a bound costs its bit length."""
     params = {"bound": bound}
 
     def body():
-        for j in range(2, bound + 1):
-            if j & (j - 1) == 0:
-                try:
-                    square_monomial(j)
-                except NotApplicable:
-                    continue
+        j = 2
+        while j <= bound:
+            try:
+                square_monomial(j)
+            except NotApplicable:
+                j *= 2
+            else:
                 return j, {"stage": "indecomposable"}
-            mono = square_monomial(j)
-            if mono.total_degree != 2 * mono.source_degree:
-                return j, {"stage": "degree"}
-            if any(m < 0 or count <= 0 for m, count in mono.factors):
-                return j, {"stage": "factors"}
 
     return run_check("squares", params, body)
 

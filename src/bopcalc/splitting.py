@@ -55,8 +55,9 @@ class SplittingIndex(namedtuple("SplittingIndex", "level offset")):
     """One summand of the splitting: level k >= 2, offset u < 2^(k-2).
 
     connectivity is the space index 2^(k+1) + 8u + 4 at which the
-    summand's bottom space appears in the sixth BoP space; it always
-    lands strictly inside the level's irreducibility window
+    summand's bottom space appears in the sixth BoP space, six above
+    its suspension; it runs from 2^(k+1) + 4 up to 2^(k+2) - 4, so it
+    always lands strictly inside the level's irreducibility window
     (2^(k+1) - 2, 2^(k+2) - 2].
     """
 
@@ -79,10 +80,6 @@ class SplittingIndex(namedtuple("SplittingIndex", "level offset")):
     def suspension(self) -> int:
         """Suspension degree of the summand inside the spectrum BoP."""
         return 2 ** (self.level + 1) + 8 * self.offset - 2
-
-    def in_window(self) -> bool:
-        lo, hi = 2 ** (self.level + 1) - 2, 2 ** (self.level + 2) - 2
-        return lo < self.connectivity <= hi
 
 
 def splitting_indices(limit: int) -> Iterable[SplittingIndex]:
@@ -204,10 +201,10 @@ def verify_rhs_one(truncation: int = 512,
     return run_check("rhs-one", params, body)
 
 
-def _splitting_mismatch(truncation: int) -> Optional[Tuple[int, str]]:
-    """(degree, side) of the first failure of the rational splitting
-    through the truncation: the free side first, then the torsion side;
-    None when both sides agree.
+def _splitting_mismatch(truncation: int) -> Optional[int]:
+    """First degree through the truncation where the free ranks of BoP
+    differ from bo's plus the suspended BPn(k) regiment's; None when
+    they agree.
 
     The regiment's levels come off one BPn ladder, each rung folded into
     the sum at its level's suspensions as the ladder yields it, so one
@@ -215,8 +212,9 @@ def _splitting_mismatch(truncation: int) -> Optional[Tuple[int, str]]:
     summand suspended to <= N exactly when its lowest suspension
     2^(k+1) - 2, the degree of v_k, is <= N, which is where the ladder
     stops: the rungs from BPn(2) up pair off with the levels in order.
-    The regiment is summed before the BoP and bo profiles are fetched,
-    so no rung is alive beside them."""
+    The regiment is summed before the bo profile is fetched, so no rung
+    is alive beside it, and bo's free ranks are added before the BoP
+    profile is built, so no bo profile is alive beside that."""
     # connectivity is suspension + 6: the summands suspended to <= N
     levels = itertools.groupby(splitting_indices(truncation + 6),
                                lambda idx: idx.level)
@@ -225,48 +223,36 @@ def _splitting_mismatch(truncation: int) -> Optional[Tuple[int, str]]:
                     itertools.islice(bpn_ladder(truncation), 1, None), levels,
                     strict=True))
     rhs = shifted_sum(regiment, truncation)
-    bo = homotopy_profile(BO, truncation)
-    rhs = bo.free_ranks + rhs
-    bop = homotopy_profile(BOP, truncation)
-    bad = first_mismatch(bop.free_ranks, rhs)
-    if bad is not None:
-        return bad, "free"
-    # equal maps give equal counts; walk the degrees only to locate one
-    if bop.torsion_z2 != bo.torsion_z2:
-        for d in range(truncation + 1):
-            if bop.torsion(d) != bo.torsion(d):
-                return d, "torsion"
-    return None
+    rhs = homotopy_profile(BO, truncation).free_ranks + rhs
+    return first_mismatch(homotopy_profile(BOP, truncation).free_ranks, rhs)
 
 
 def verify_rational_splitting(truncation: int = 256) -> VerificationReport:
-    """Free ranks of BoP match bo plus the suspended BPn(k) regiment,
-    and the torsion patterns agree outright."""
+    """Free ranks of BoP match bo plus the suspended BPn(k) regiment.
+    The catalogue gives BoP bo's torsion map, so the torsion side is
+    pinned by tests/test_catalog.py::test_bop_torsion_is_bo_torsion
+    instead."""
     params = {"max_degree": truncation}
 
     def body():
         bad = _splitting_mismatch(truncation)
         if bad is not None:
-            return bad[0], {"side": bad[1]}
+            return bad, {"side": "free"}
 
     return run_check("rational-splitting", params, body)
 
 
 def verify_irreducibility(k_max: int = 12) -> VerificationReport:
-    """Every admissible connectivity lands inside its level's window,
-    and the first offset past the window is rejected."""
+    """At each level 2..k_max the first offset past the level's window,
+    2^(k-2), is rejected.  That every admissible connectivity lands in
+    its window is SplittingIndex's inequality, pinned for levels 2..12
+    by tests/test_splitting.py::test_splitting_index_geometry."""
     if k_max > 21:
-        raise InvalidParameter(
-            f"level bound {k_max} enumerates over 2^{k_max - 2} offsets; "
-            "capped at 21")
+        raise InvalidParameter(f"level bound {k_max} is above the cap of 21")
     params = {"k_max": k_max}
 
     def body():
         for k in range(2, k_max + 1):
-            for u in range(2 ** (k - 2)):
-                idx = SplittingIndex(k, u)
-                if not idx.in_window():
-                    return idx.connectivity, {"level": k, "offset": u}
             try:
                 SplittingIndex(k, 2 ** (k - 2))
             except InvalidParameter:
@@ -330,19 +316,18 @@ def verify_bop6_homotopy_splitting(truncation: int = 256) -> VerificationReport:
     """Homotopy of the sixth BoP space splits as the sixth bo space plus
     the bottom space of each summand at its connectivity.
 
-    pi_d(BoP_6) = pi_(d-6)(BoP) and likewise for bo, so once every
-    connectivity is checked to be its summand's suspension + 6, the
-    comparison in degrees <= N is the rational splitting's through
-    N - 6, reported 6 degrees up.  Below degree 6 both sides vanish."""
+    pi_d(BoP_6) = pi_(d-6)(BoP) and likewise for bo, and a summand's
+    connectivity is its suspension + 6 by definition (pinned by
+    tests/test_splitting.py::test_splitting_index_geometry), so the
+    comparison in degrees <= N is the rational splitting's free side
+    through N - 6, reported 6 degrees up.  Below degree 6 both sides
+    vanish."""
     params = {"max_degree": truncation}
 
     def body():
-        for idx in splitting_indices(truncation):
-            if idx.connectivity != idx.suspension + 6:
-                return idx.connectivity, {"stage": "index-shift"}
         if truncation >= 6:
             bad = _splitting_mismatch(truncation - 6)
             if bad is not None:
-                return bad[0] + 6, {"side": bad[1]}
+                return bad + 6, {"side": "free"}
 
     return run_check("bop6-splitting", params, body)

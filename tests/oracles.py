@@ -212,6 +212,20 @@ def naive_square_monomial(j: int) -> Optional[Tuple[Tuple[int, int], ...]]:
                  for i, s in enumerate(exponents, start=1))
 
 
+def naive_epsilon(n: int, s: int) -> int:
+    """The parity correction at height n >= 3 and summand 1 <= s < n,
+    from the bands: with 2^p the largest 2-power at most n - 1 and
+    r = n - 1 - 2^p, the lower band is 1..r and the upper band is
+    n-r..n-1; epsilon is 1 on those bands and 0 between them."""
+    top = 1
+    while 2 * top <= n - 1:
+        top *= 2
+    r = n - 1 - top
+    lower = set(range(1, r + 1))
+    upper = set(range(n - r, n))
+    return 1 if s in lower | upper else 0
+
+
 # -- frozen reference values -------------------------------------------------
 
 # Multisets of even parts {2, 4, 6, 8} summing to 8.

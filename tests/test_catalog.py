@@ -136,6 +136,14 @@ def test_bop_profile_frozen_ranks_and_torsion():
     assert bop.free_rank(0) == 1 and bop.free_rank(2) == 0
 
 
+@pytest.mark.parametrize("n", [0, 1, 9, 256, 2048])
+def test_bop_torsion_is_bo_torsion(n):
+    # the torsion side of the rational splitting, which its verifiers
+    # leave out because both profiles build the same map
+    assert homotopy_profile(BOP, n).torsion_z2 == \
+        homotopy_profile(BO, n).torsion_z2
+
+
 def test_fiber_profiles_are_differences():
     n = 16
     f = homotopy_profile(F, n)
