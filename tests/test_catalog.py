@@ -187,32 +187,6 @@ def test_profiles_are_shared_and_read_only():
     assert planted.torsion_z2 == {3: 1}
 
 
-@pytest.mark.parametrize("spectrum, under, passes", [
-    (BPBAR, [BP], 6),
-    (F, [BOP, BO], 6),
-    (X, [BPBAR, BP, BU], 7),
-], ids=["BPbar", "F", "X"])
-def test_derived_profiles_keep_no_intermediate(counted, spectrum, under,
-                                               passes):
-    # BPbar is built from BP, F from BoP and bo, and X from BPbar (so BP)
-    # and bu, each once and dropped
-    homotopy_profile(spectrum, 64)
-    assert counted.profiles == [(s, 64) for s in under]
-    assert len(counted.passes) == passes
-
-
-def test_verify_all_passes_and_cached_profiles(counted, capsys):
-    # 169 binomial passes while the level products and the Sq^2 quotients
-    # read were cached; building each product afresh and walking the
-    # chain to each quotient again make 246.  20 profiles built, the
-    # nested builds of the derived ones included, as under a process-wide
-    # cache of the 12 read
-    assert main(["verify", "all", "--format", "json"]) == 0
-    assert capsys.readouterr().out
-    assert len(counted.passes) == 246
-    assert len(counted.profiles) == 20
-
-
 def _profiles_alive():
     return sum(isinstance(o, HomotopyProfile) for o in gc.get_objects())
 
@@ -225,8 +199,7 @@ def _profiles_alive():
 ], ids=" ".join)
 def test_no_profile_outlives_its_command(argv):
     # the same command at -N 3 imports and sets up what it needs; then
-    # the command leaves no profile and nothing else it built alive.  A
-    # process-wide cache of profiles held 31, 47, 47 and 127 KB here.
+    # the command leaves no profile and nothing else it built alive.
     # CPython 3.10 keeps a spare frame for each function a command runs
     # first, up to 4.1 KB here; later versions hold 0.1 KB
     out = ["--format", "json", "--output", os.devnull]

@@ -6,12 +6,11 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 
 import jsonschema
 import pytest
 
-from bopcalc import series as series_mod
+from budgets import peak_kb
 from bopcalc import towers as towers_mod
 from bopcalc.catalog import BOP, X, SpaceRef
 from bopcalc.cli import (
@@ -114,61 +113,13 @@ def test_homology_series_only_space():
     assert doc["notes"]
 
 
-@pytest.mark.parametrize("fmt, built", [
-    ("csv", []),
-    ("json", ["poincare_series", "_euler"]),
-])
-def test_homology_builds_a_series_only_to_print_it(monkeypatch, capsys,
-                                                   fmt, built):
-    # csv prints space 12's table as it is; json prints its series too,
-    # built once, from the table
-    calls = []
-    for module, name in ((series_mod, "_euler"),
-                         (towers_mod, "poincare_series")):
-        def counted(*args, name=name, real=getattr(module, name)):
-            calls.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(module, name, counted)
-    assert main(["homology", "BoP", "12", "-N", "64", "--format", fmt]) == 0
-    assert calls == built
-    assert capsys.readouterr().out
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
-@pytest.mark.parametrize("index, calls", [
-    # space 12's csv and text print its table, and build no series
-    ("12", {"json": 1, "csv": 0, "table": 0}),
-    # space 1 has generators of both parities and prints only its series
-    ("1", {"json": 1, "csv": 1, "table": 1}),
-])
-def test_homology_reads_its_series_once(monkeypatch, capsys, fmt, index,
-                                        calls):
-    # each read of TowerResult.series runs one Euler pass
-    passes = []
-
-    def counted(*args, real=series_mod._euler):
-        passes.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(series_mod, "_euler", counted)
-    assert main(["homology", "BoP", index, "-N", "64", "--format", fmt]) == 0
-    assert len(passes) == calls[fmt]
-    assert capsys.readouterr().out
-
-
 def test_homology_json_holds_one_row_at_a_time(monkeypatch, tmp_path):
     # with the output streamed, printing space 12 costs about what its
     # solve and series cost; a document built whole costs half as much
     # again
     def peak(work):
-        work()  # the profiles the solve reads are built once per process
-        tracemalloc.start()
-        try:
-            work()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        work()  # the first run imports and sets up what the solve needs
+        return peak_kb(work)[1]
 
     with open(tmp_path / "out.json", "w", encoding="utf-8") as out:
         monkeypatch.setattr(sys, "stdout", out)

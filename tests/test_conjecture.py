@@ -1,7 +1,6 @@
 import functools
 import gc
 import sys
-import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -386,60 +385,6 @@ def test_quotient_reader_reads_the_oracle_in_any_order(n, reads):
     assert _live_series(n) - live == min(len(reads), 1)
 
 
-def _peak_kb(call):
-    """call()'s result, and the tracemalloc peak in KB while it ran."""
-    tracemalloc.start()
-    try:
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1] / 1024
-    finally:
-        tracemalloc.stop()
-
-
-def test_conjecture_shape_keeps_only_the_entries_it_reads():
-    # the cursor's entry, its next step and one height's sum: 133 KB
-    # under CPython 3.10-3.13, where keeping the 7 entries read peaked
-    # at 291-306 KB
-    report, peak = _peak_kb(lambda: verify_conjecture_shape(1024))
-    assert report.passed
-    assert peak <= 200
-
-
-def test_conjectured_series_holds_one_quotient_at_a_time():
-    # 105-111 KB under CPython 3.10-3.13; 162-176 KB keeping each
-    # quotient read
-    series, peak = _peak_kb(lambda: conjectured_bopn_cohomology(16, 1024))
-    assert series.check_nonnegative() is None
-    assert peak <= 140
-
-
-def test_conjecture_shape_builds_one_steenrod_series(monkeypatch):
-    calls = []
-    real = conjecture_mod.steenrod_series
-
-    def counted(truncation):
-        calls.append(truncation)
-        return real(truncation)
-
-    monkeypatch.setattr(conjecture_mod, "steenrod_series", counted)
-    assert verify_conjecture_shape(128).passed
-    assert calls == [128]
-
-
-def test_stable_limit_builds_one_steenrod_series(monkeypatch):
-    # the target and every height read one quotient chain
-    calls = []
-    real = conjecture_mod.steenrod_series
-
-    def counted(truncation):
-        calls.append(truncation)
-        return real(truncation)
-
-    monkeypatch.setattr(conjecture_mod, "steenrod_series", counted)
-    assert verify_stable_limit(4096).passed
-    assert calls == [4096]
-
-
 @pytest.mark.parametrize("n, entries", [(128, 4), (1024, 7)])
 def test_conjecture_shape_checks_each_chain_entry_once(monkeypatch, n,
                                                        entries):
@@ -489,19 +434,6 @@ def test_conjecture_shape_reads_each_height_from_the_nearer_end(monkeypatch):
         assert reads == (list(range(lo, hi + 1)) if climbs
                          else list(range(hi, lo - 1, -1)))
     assert sum(map(len, heights)) == 78
-
-
-def test_square_decompositions_build_each_monomial_once(monkeypatch):
-    calls = []
-    real = conjecture_mod.square_monomial
-
-    def counted(j):
-        calls.append(j)
-        return real(j)
-
-    monkeypatch.setattr(conjecture_mod, "square_monomial", counted)
-    assert verify_square_decompositions(64).passed
-    assert calls == [2, 4, 8, 16, 32, 64]
 
 
 def test_conjectured_series_first_differs_at_the_edge():

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +36,8 @@ def test_head_and_layer_low_degrees_by_hand():
     head3 = head_series(3, 15)
     assert {d: head3.coefficient(d) for d in range(16) if head3.coefficient(d)} \
         == {0: 1, 14: -1}
+    # a level whose factor lies above N adds none
+    assert head_series(5000, 10) == one(10)
 
 
 def test_head_layer_telescoping_identities():
@@ -132,56 +132,6 @@ def test_fault_injection_is_caught():
 
 
 
-def _count_calls(monkeypatch, name):
-    calls = []
-    real = getattr(splitting_mod, name)
-
-    def counted(s, truncation):
-        calls.append(s)
-        return real(s, truncation)
-
-    monkeypatch.setattr(splitting_mod, name, counted)
-    return calls
-
-
-@pytest.mark.parametrize("inject_fault", [False, True])
-@pytest.mark.parametrize("n", [0, 5, 6, 64, 512])
-def test_rhs_one_builds_one_layer_per_level(monkeypatch, n, inject_fault):
-    layers = _count_calls(monkeypatch, "layer_series")
-    verify_rhs_one(n, inject_fault=inject_fault)
-    levels = [s for s in range(2, 12) if 2 ** (s + 1) - 2 <= n]
-    assert layers == levels
-
-
-def test_head_induction_builds_each_head_and_layer_once(monkeypatch):
-    heads = _count_calls(monkeypatch, "head_series")
-    layers = _count_calls(monkeypatch, "layer_series")
-    verify_head_induction(128)
-    assert heads == list(range(2, 11))
-    assert layers == list(range(2, 10))
-
-
-def test_rhs_one_builds_each_level_product_afresh(counted):
-    # every head and layer builds its product in one list, one pass per
-    # factor through N (a layer's only through N minus its lead), where
-    # the shared cached products made 28 passes; the fault divides the
-    # tail once more, in 3 passes
-    assert verify_rhs_one(2048).passed
-    assert len(counted.passes) == 55
-    counted.passes.clear()
-    assert not verify_rhs_one(2048, inject_fault=True).passed
-    assert len(counted.passes) == 58
-    # a level whose factor lies above N adds none
-    assert head_series(5000, 10) == one(10)
-
-
-def test_head_induction_builds_each_level_product_afresh(counted):
-    # 9 heads and 8 layers, each built afresh: 63 passes, where the
-    # shared cached products made 28
-    assert verify_head_induction(512).passed
-    assert len(counted.passes) == 63
-
-
 def _naive_product(factors, n):
     """The product of 1 + sign * x^degree over the (degree, sign)
     factors, through degree n, by naive_mul."""
@@ -223,52 +173,6 @@ def test_series_families_match_naive_products(n):
 def test_irreducibility_scale_cap():
     with pytest.raises(InvalidParameter):
         verify_irreducibility(22)
-
-
-def test_rational_splitting_caches_only_bop_and_bo(counted):
-    # the regiment walks one BPn ladder and builds no BPn profile: the
-    # ladder's 10 passes, the regiment sum's 1 and BoP's product's 11
-    assert verify_rational_splitting(2048).passed
-    assert counted.profiles == [(BO, 2048), (BOP, 2048)]
-    assert len(counted.passes) == 22
-
-
-def _peak_kb(call):
-    """call()'s result, and the tracemalloc peak in KB while it ran."""
-    tracemalloc.start()
-    try:
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1] / 1024
-    finally:
-        tracemalloc.stop()
-
-
-def test_rational_splitting_holds_one_rung_at_a_time():
-    # the regiment sum and a rung or two, then bo's free ranks, then
-    # BoP: 154-158 KB under CPython 3.10-3.13, where holding the bo
-    # profile beside BoP's build peaked at 193-194 KB and fetching the
-    # profiles first at 279-287 KB
-    report, peak = _peak_kb(lambda: verify_rational_splitting(2048))
-    assert report.passed
-    assert peak <= 185
-
-
-@pytest.mark.parametrize("inject_fault", [False, True])
-def test_rhs_one_holds_one_level_product_at_a_time(inject_fault):
-    # 99-103 KB under CPython 3.10-3.13, where caching every level
-    # product peaked at 279-286 KB
-    report, peak = _peak_kb(
-        lambda: verify_rhs_one(2048, inject_fault=inject_fault))
-    assert report.passed is not inject_fault
-    assert peak <= 150
-
-
-def test_bpn_rank_recursion_walks_one_ladder(counted):
-    # BPn(1)..BPn(6) one pass apart, where reading each level and the one
-    # below as profiles made 21 passes and built 6 profiles
-    assert verify_bpn_rank_recursion(128).passed
-    assert counted.passes == [2 * (2 ** k - 1) for k in range(1, 7)]
-    assert counted.profiles == []
 
 
 PLANTED_BPN_RANKS = [(2, 0), (2, 9), (3, 4), (3, 40), (4, 0), (5, 30)]

@@ -1,12 +1,11 @@
 import json
-import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bopcalc import series as series_mod
+from budgets import peak_kb
 from bopcalc import towers as towers_mod
 from bopcalc.algebra import (
     GeneratorTable,
@@ -569,37 +568,6 @@ def test_bop_space_is_the_last_space_of_the_tower(n):
         assert got.provenance == ("product" if i <= 3 else "ses_solved")
 
 
-def test_bop_space_runs_one_euler_pass(monkeypatch):
-    # nothing is built until the series is read; then only space 12's
-    # series is, from its table
-    calls = []
-    real = towers_mod.poincare_series
-
-    def counted(*tables):
-        calls.append(tables)
-        return real(*tables)
-
-    monkeypatch.setattr(towers_mod, "poincare_series", counted)
-    res = space_homology(SpaceRef(BOP, 12), 64)
-    assert calls == []
-    assert res.series == real(res.table)
-    assert calls == [(res.table,)]
-
-
-def test_bop_tower_builds_no_series_until_one_is_read(monkeypatch):
-    calls = []
-    for module, name in ((series_mod, "_euler"),
-                         (towers_mod, "poincare_series")):
-        def counted(*args, name=name, real=getattr(module, name)):
-            calls.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(module, name, counted)
-    assert len(list(_tower(12, 64))) == 11 and calls == []
-    space_homology(SpaceRef(BOP, 12), 64).series
-    assert calls == ["poincare_series", "_euler"]
-
-
 @pytest.mark.parametrize("n", [0, 1, 7, 64])
 def test_bop_space_below_two_matches_naive_product(n):
     for i in range(-8, 2):
@@ -613,62 +581,6 @@ def test_bop_space_below_two_matches_naive_product(n):
         got = space_homology(SpaceRef(BOP, i), n)
         assert list(got.series.coefficients) == \
             [want.get(d, 0) for d in range(n + 1)], i
-
-
-def test_bop_tower_check_builds_only_the_hurewicz_series(monkeypatch):
-    # every exponent vector comes from a table; the one series built is
-    # space 2's, for the Hurewicz probe
-    calls = []
-    for module, name in ((series_mod, "_log_derivative"),
-                         (towers_mod, "poincare_series")):
-        def counted(*args, name=name, real=getattr(module, name)):
-            calls.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(module, name, counted)
-    assert verify_bop_tower(64).passed
-    assert calls == ["poincare_series"]
-
-
-def test_bop_tower_check_builds_each_profile_once(counted):
-    # the tower, the BPbar middles and the fiber spaces read one BPbar
-    # and one F profile, each built once with what it is derived from:
-    # BP's product (under BPbar) and BoP's (under F) run once
-    assert verify_bop_tower(64).passed
-    assert counted.profiles == [(BPBAR, 64), (BP, 64), (F, 64), (BOP, 64),
-                                (BO, 64)]
-    assert len(counted.passes) == 12
-
-
-_UNDER_F = [(BOP, 1032), (BO, 1032)]
-_UNDER_BPBAR = [(BP, 1032)]
-
-
-@pytest.mark.parametrize("op, built, passes", [
-    (lambda: verify_bop_tower(1024),
-     [(BPBAR, 1024), (BP, 1024), (F, 1024), (BOP, 1024), (BO, 1024)], 20),
-    (lambda: verify_negative_tower(1024),
-     [(F, 1032), *_UNDER_F, (X, 1032), (BPBAR, 1032), *_UNDER_BPBAR,
-      (BU, 1032)], 21),
-    (lambda: space_homology(SpaceRef(BOP, 12), 1032).series,
-     [(BPBAR, 1032), *_UNDER_BPBAR, (F, 1032), *_UNDER_F], 20),
-], ids=["bop-tower", "negative-tower", "homology-BoP-12"])
-def test_tower_ops_cache_only_the_profiles_they_read(counted, op, built,
-                                                     passes):
-    # each op builds the two profiles it reads once, with BP under BPbar,
-    # BoP and bo under F, and BPbar, BP and bu under X: 5, 7 and 5
-    # builds and the binomial passes of a process-wide cache that kept
-    # them all
-    op()
-    assert counted.profiles == built
-    assert len(counted.passes) == passes
-
-
-def test_rank_rule_bss_check_builds_one_profile_per_spectrum(counted):
-    # one profile deep enough for index -6 serves every index it checks
-    assert verify_rank_rule_bss(40).passed
-    assert counted.profiles == [(BP, 46), (BU, 46)]
-    assert len(counted.passes) == 5
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 32])
@@ -691,22 +603,15 @@ def test_bop_tower_hurewicz_stage_finds_a_planted_series(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 1024])
-def test_bop_tower_hurewicz_probe_agrees_with_the_full_table(monkeypatch, n):
+def test_bop_tower_hurewicz_probe_agrees_with_the_full_table(counted, n):
     # the probe keeps the generators of degree <= 2 at truncation 2; its
     # H_2 is the full space-2 table's
-    probes = []
-    real = towers_mod.poincare_series
-
-    def recorded(*tables):
-        probes.append(tables)
-        return real(*tables)
-
-    monkeypatch.setattr(towers_mod, "poincare_series", recorded)
     assert verify_bop_tower(n).passed
-    (probe,) = probes
+    (probe,) = counted.poincare_series
     assert [t.truncation for t in probe] == [2]
     (space2,) = _tower(2, n)
-    assert real(*probe).coefficient(2) == real(space2).coefficient(2) == 1
+    assert poincare_series(*probe).coefficient(2) == \
+        poincare_series(space2).coefficient(2) == 1
 
 
 @pytest.mark.parametrize("degree", [2, 4, 6, 8, 14, 20, 32])
@@ -743,15 +648,6 @@ def test_bop_tower_product_crosscheck_finds_a_planted_bo_generator(
     assert report.detail == {"stage": "product_crosscheck", "index": 4}
 
 
-def test_rank_rule_bss_builds_no_series(monkeypatch):
-    # the check compares tables only
-    calls = []
-    monkeypatch.setattr(towers_mod, "poincare_series",
-                        lambda *tables: calls.append(tables))
-    assert verify_rank_rule_bss(64).passed
-    assert calls == []
-
-
 def test_tower_result_reads_its_series_off_its_tables():
     t = GeneratorTable("polynomial", {2: 1, 4: 2}, truncation=12)
     odd = GeneratorTable("exterior", {3: 1, 5: 1}, truncation=12)
@@ -769,10 +665,7 @@ def test_tower_result_reads_its_series_off_its_tables():
         TowerResult(SpaceRef(BU, 0), (), "rank_rule")
 
 
-def test_tower_result_repr_eq_and_hash_build_no_series(monkeypatch):
-    calls = []
-    monkeypatch.setattr(towers_mod, "poincare_series",
-                        lambda *tables: calls.append(tables))
+def test_tower_result_repr_eq_and_hash_build_no_series(counted):
     t = GeneratorTable("polynomial", {2: 1, 4: 2}, truncation=12)
     res, twin = (TowerResult(SpaceRef(BU, 0), (t,), "rank_rule")
                  for _ in range(2))
@@ -780,7 +673,7 @@ def test_tower_result_repr_eq_and_hash_build_no_series(monkeypatch):
     assert res == twin
     with pytest.raises(TypeError):
         hash(res)  # a GeneratorTable is unhashable
-    assert calls == []
+    assert counted.poincare_series == []
 
 
 @pytest.mark.parametrize("degree", [3, 5, 8, 13, 20])
@@ -803,14 +696,6 @@ def test_bo_deloopings_series_mode_finds_a_planted_generator(monkeypatch,
                              "mode": "series"}
 
 
-def test_bo_deloopings_builds_no_series(monkeypatch):
-    calls = []
-    monkeypatch.setattr(towers_mod, "poincare_series",
-                        lambda *tables: calls.append(tables))
-    assert verify_bo_deloopings(64).passed
-    assert calls == []
-
-
 @pytest.mark.parametrize("spectrum", RANK_RULE_SPECTRA, ids=str)
 def test_rank_rule_exponents_are_the_tables(spectrum):
     # one rule behind both readers, at every index around 0..N, index
@@ -828,35 +713,6 @@ def test_rank_rule_exponents_are_the_tables(spectrum):
                 continue
             assert towers_mod._rank_rule_exponents(*args) == \
                 exponents(table), (n, index)
-
-
-def _rank_rule_tables_built(monkeypatch):
-    """The list of spaces rank_rule_homology is asked for from now on."""
-    calls = []
-    real = towers_mod.rank_rule_homology
-
-    def counted(space, truncation):
-        calls.append(space)
-        return real(space, truncation)
-
-    monkeypatch.setattr(towers_mod, "rank_rule_homology", counted)
-    return calls
-
-
-def test_bop_tower_reads_its_fiber_spaces_off_the_profile(monkeypatch):
-    # the fiber factors of spaces 2 and 3, like the BPbar middles, are
-    # read off their profile as exponents: no rank-rule table is built
-    calls = _rank_rule_tables_built(monkeypatch)
-    assert len(list(_tower(12, 1024))) == 11
-    assert calls == []
-
-
-def test_tower_checks_build_no_rank_rule_table(monkeypatch):
-    # the space-4 cross-check and bu_2 read their exponents off profiles
-    calls = _rank_rule_tables_built(monkeypatch)
-    assert verify_bop_tower(256).passed
-    assert verify_bu_bo_factorization(256).passed
-    assert calls == []
 
 
 def test_bop_tower_solves_nothing_above_n_plus_two(monkeypatch, capsys):
@@ -897,29 +753,6 @@ def test_bop_space_memory_does_not_grow_with_the_index():
     # the tower holds two exponent vectors whatever the index, so space
     # 60's solve peaks where space 12's does
     def peak(i):
-        tracemalloc.start()
-        try:
-            space_homology(SpaceRef(BOP, i), 256)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return peak_kb(lambda: space_homology(SpaceRef(BOP, i), 256))[1]
 
     assert peak(60) <= 1.1 * peak(12)
-
-
-@pytest.mark.parametrize("op, bound_kb", [
-    (lambda: verify_bop_tower(1032), 300),
-    (lambda: space_homology(SpaceRef(BOP, 12), 1032).series, 250),
-], ids=["bop-tower", "homology-BoP-12"])
-def test_tower_ops_hold_only_what_they_read_again(op, bound_kb):
-    # each building its profiles, CPython 3.10-3.13: the check peaks at
-    # 239-243 KB and the solve at 192-204 KB, where caching every
-    # intermediate profile, holding two copies of each table's counts and
-    # the space-4 product to the end read 360-381 and 292-312 KB
-    tracemalloc.start()
-    try:
-        op()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound_kb * 1024
