@@ -181,11 +181,11 @@ ROWS = [
     # lead); the fault divides the tail once more
     row("rhs-one-2048", _passed(splitting.verify_rhs_one), 2048,
         "one level product at a time", passes=55,
-        kb=(150, "98.9 KB, CPython 3.10-3.13")),
+        kb=(150, "98.9-99.0 KB, CPython 3.10-3.13")),
     row("rhs-one-2048-fault",
         _passed(splitting.verify_rhs_one, inject_fault=True), 2048,
         "one level product at a time", ok=False, passes=57,
-        kb=(150, "99.2-99.7 KB, CPython 3.10-3.13")),
+        kb=(150, "99.2-100.0 KB, CPython 3.10-3.13")),
     *(row(f"rhs-one-{n}" + "-fault" * fault,
           lambda n, fault=fault: splitting.verify_rhs_one(n, fault), n,
           "one layer per level whose lead is at most N",
@@ -200,7 +200,7 @@ ROWS = [
         _passed(splitting.verify_rational_splitting), 2048,
         "one BPn ladder (10 passes), the regiment sum (1), BoP (11)",
         profiles=_built(2048, BO, BOP), passes=22,
-        kb=(185, "148.7-159.4 KB, CPython 3.10-3.13")),
+        kb=(185, "148.7-159.5 KB, CPython 3.10-3.13")),
     row("bpn-rank-recursion-128",
         _passed(splitting.verify_bpn_rank_recursion), 128,
         "BPn(1)..BPn(6) one pass apart on one ladder, and no profile",
@@ -220,7 +220,7 @@ ROWS = [
         profiles=_built(1024, BPBAR, BP, F, BOP, BO), passes=20),
     row("bop-tower-1032", _passed(towers.verify_bop_tower), 1032,
         "holds only what it reads again",
-        kb=(300, "229.4-243.7 KB, CPython 3.10-3.13")),
+        kb=(300, "229.4-243.8 KB, CPython 3.10-3.13")),
     row("negative-tower-1024", _passed(towers.verify_negative_tower), 1024,
         "one F and one X profile",
         profiles=_built(1032, F, BOP, BO, X, BPBAR, BP, BU), passes=21),
@@ -259,7 +259,7 @@ ROWS = [
 
     row("conjecture-shape-1024", _passed(conjecture.verify_conjecture_shape),
         1024, "the cursor's entry, its next step and one height's sum",
-        passes=100, kb=(200, "123.3-133.0 KB, CPython 3.10-3.13")),
+        passes=100, kb=(200, "123.3-133.1 KB, CPython 3.10-3.13")),
     row("conjecture-shape-128", _passed(conjecture.verify_conjecture_shape),
         128, "one Steenrod series", steenrod_series=[128]),
     row("conjectured-16-1024",
