@@ -180,11 +180,16 @@ ROWS = [
     # one pass per factor through N (a layer's through N minus its
     # lead); the fault divides the tail once more
     row("rhs-one-2048", _passed(splitting.verify_rhs_one), 2048,
-        "one level product at a time", passes=55,
-        kb=(150, "98.9-99.0 KB, CPython 3.10-3.13")),
+        "each level product built afresh", passes=55),
     row("rhs-one-2048-fault",
         _passed(splitting.verify_rhs_one, inject_fault=True), 2048,
-        "one level product at a time", ok=False, passes=57,
+        "each level product built afresh", ok=False, passes=57),
+    row("rhs-one-2048-peak", _passed(splitting.verify_rhs_one), 2048,
+        "one level product at a time",
+        kb=(150, "98.9-99.0 KB, CPython 3.10-3.13")),
+    row("rhs-one-2048-fault-peak",
+        _passed(splitting.verify_rhs_one, inject_fault=True), 2048,
+        "one level product at a time", ok=False,
         kb=(150, "99.2-100.0 KB, CPython 3.10-3.13")),
     *(row(f"rhs-one-{n}" + "-fault" * fault,
           lambda n, fault=fault: splitting.verify_rhs_one(n, fault), n,
@@ -199,7 +204,10 @@ ROWS = [
     row("rational-splitting-2048",
         _passed(splitting.verify_rational_splitting), 2048,
         "one BPn ladder (10 passes), the regiment sum (1), BoP (11)",
-        profiles=_built(2048, BO, BOP), passes=22,
+        profiles=_built(2048, BO, BOP), passes=22),
+    row("rational-splitting-2048-peak",
+        _passed(splitting.verify_rational_splitting), 2048,
+        "the regiment sum and a rung or two, then bo's ranks, then BoP",
         kb=(185, "148.7-159.5 KB, CPython 3.10-3.13")),
     row("bpn-rank-recursion-128",
         _passed(splitting.verify_bpn_rank_recursion), 128,
@@ -209,8 +217,10 @@ ROWS = [
     # towers: each op builds the profiles it reads once, with BP under
     # BPbar, BoP and bo under F, and BPbar, BP and bu under X
     row("bop-tower-64", _passed(towers.verify_bop_tower), 64,
+        "one BPbar and one F profile, each built once",
+        profiles=_built(64, BPBAR, BP, F, BOP, BO), passes=12),
+    row("bop-tower-64-series", _passed(towers.verify_bop_tower), 64,
         "one series, space 2's, for the Hurewicz probe",
-        profiles=_built(64, BPBAR, BP, F, BOP, BO), passes=12,
         poincare_series=1, log_derivative=0),
     row("bop-tower-256", _passed(towers.verify_bop_tower), 256,
         "the space-4 cross-check reads exponents off profiles",
@@ -234,8 +244,10 @@ ROWS = [
         "one Euler pass, from space 12's table", poincare_series=1,
         euler=1),
     row("BoP-12-series-1032", lambda n: _bop_12(n).series, 1032,
-        "one BPbar and one F profile, held only while read",
-        profiles=_built(1032, BPBAR, BP, F, BOP, BO), passes=20,
+        "one BPbar and one F profile",
+        profiles=_built(1032, BPBAR, BP, F, BOP, BO), passes=20),
+    row("BoP-12-series-1032-peak", lambda n: _bop_12(n).series, 1032,
+        "its profiles held only while read",
         kb=(250, "193.0-206.8 KB, CPython 3.10-3.13")),
     row("homology-BoP-12-1016",
         ["homology", "BoP", "12", "--format", "json"], 1016,
@@ -280,11 +292,15 @@ ROWS = [
     # space 1 has generators of both parities and prints only its series
     *(row(f"homology-BoP-{i}-64-{fmt}",
           ["homology", "BoP", str(i), "--format", fmt], 64,
-          "one Euler pass per series printed", euler=euler,
-          **({"poincare_series": euler} if i == 12 else {}))
+          "one Euler pass per series printed", euler=euler)
       for i, euler_by_format in ((12, {"json": 1, "csv": 0, "table": 0}),
                                  (1, {"json": 1, "csv": 1, "table": 1}))
       for fmt, euler in euler_by_format.items()),
+    *(row(f"homology-BoP-12-64-{fmt}-series",
+          ["homology", "BoP", "12", "--format", fmt], 64,
+          "a series built only to be printed", poincare_series=built,
+          euler=built)
+      for fmt, built in (("json", 1), ("csv", 0))),
 ]
 
 
@@ -299,5 +315,5 @@ if __name__ == "__main__":
                  for column in ("passes", "euler", "profiles")]
         ceiling = budget.kb[0] if budget.kb else "-"
         broken = misses(budget, result, made, peak)
-        print(f"{budget.id:28} {'  '.join(shown)}  peak {peak:.1f} KB"
+        print(f"{budget.id:31} {'  '.join(shown)}  peak {peak:.1f} KB"
               f" ({ceiling})" + (f"  MISS {broken}" if broken else ""))
