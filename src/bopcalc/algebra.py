@@ -64,7 +64,6 @@ from .errors import (
 from .series import (
     TruncatedSeries,
     _from_ints,
-    _listed,
     from_log_derivative,
     log_derivative,
 )
@@ -148,10 +147,6 @@ class GeneratorTable:
                            for d in sorted(self.counts)),
             "truncation": self.truncation,
         }
-
-    def to_json(self) -> dict:
-        """lazy_json() with its rows listed."""
-        return _listed(self.lazy_json())
 
     def csv_rows(self) -> Iterator[Tuple[int, int]]:
         """Rows (degree, count) in degree order."""

@@ -45,9 +45,8 @@ from collections import namedtuple
 from types import MappingProxyType
 
 from .algebra import GeneratorTable
-from .errors import InvalidParameter, NegativeDimension, TruncationError
+from .errors import InvalidParameter, NegativeDimension
 from .series import (
-    _listed,
     geometric,
     make_polynomial,
     product_over,
@@ -150,14 +149,6 @@ class HomotopyProfile(namedtuple("HomotopyProfile",
             return 0
         return self.free_ranks.coefficient(degree)
 
-    def torsion(self, degree: int) -> int:
-        if degree < 0:
-            return 0
-        if degree > self.truncation:
-            raise TruncationError(
-                f"degree {degree} beyond truncation {self.truncation}")
-        return self.torsion_z2.get(degree, 0)
-
     def lazy_json(self) -> dict:
         """Schema: spectrum, free_ranks (a series), torsion_z2 (sorted
         rows); its arrays iterators, each item made as it is read."""
@@ -167,10 +158,6 @@ class HomotopyProfile(namedtuple("HomotopyProfile",
             "torsion_z2": ({"degree": d, "count": self.torsion_z2[d]}
                            for d in sorted(self.torsion_z2)),
         }
-
-    def to_json(self) -> dict:
-        """lazy_json() with its arrays listed."""
-        return _listed(self.lazy_json())
 
     def csv_rows(self) -> Iterator[Tuple[str, int, int, int]]:
         """Rows (spectrum, degree, free_rank, torsion_count), all degrees."""
@@ -222,7 +209,7 @@ def homotopy_profile(spectrum: SpectrumId, truncation: int) -> HomotopyProfile:
     >>> prof = homotopy_profile(BP, 8)
     >>> [prof.free_rank(d) for d in (2, 4, 6, 8)]
     [1, 1, 2, 2]
-    >>> homotopy_profile(BOP, 12).torsion(9)
+    >>> homotopy_profile(BOP, 12).torsion_z2[9]
     1
     """
     tag = spectrum.tag

@@ -272,10 +272,6 @@ class SquareMonomial(namedtuple("SquareMonomial", "index factors")):
 
     __slots__ = ()
 
-    @property
-    def total_degree(self) -> int:
-        return sum(count << (m + 1) for m, count in self.factors)
-
 
 def square_monomial(j: int) -> SquareMonomial:
     """Write j as a sum of distinct 2-powers 2^(s_1) < ... < 2^(s_k);

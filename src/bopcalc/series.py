@@ -263,21 +263,9 @@ class TruncatedSeries:
             "coefficients": map(str, self.coefficients),
         }
 
-    def to_json(self) -> dict:
-        """lazy_json() with its array listed."""
-        return _listed(self.lazy_json())
-
     def csv_rows(self) -> Iterator[Tuple[int, int]]:
         """Rows (degree, coefficient), one per stored degree."""
         return iter(enumerate(self.coefficients))
-
-
-def _listed(doc):
-    """A lazy_json() document made plain: each iterator in it, at any
-    depth of dicts, becomes the list of its items."""
-    if isinstance(doc, dict):
-        return {key: _listed(value) for key, value in doc.items()}
-    return list(doc) if hasattr(doc, "__next__") else doc
 
 
 # -- constructors ----------------------------------------------------------

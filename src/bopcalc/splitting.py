@@ -51,6 +51,15 @@ __all__ = [
 ]
 
 
+def _shown(n: int) -> str:
+    """n in decimal, or by its bit length where the interpreter refuses
+    to write it (an int of over 4300 digits, by default)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit int>"
+
+
 class SplittingIndex(namedtuple("SplittingIndex", "level offset")):
     """One summand of the splitting: level k >= 2, offset u < 2^(k-2).
 
@@ -65,11 +74,14 @@ class SplittingIndex(namedtuple("SplittingIndex", "level offset")):
 
     def __new__(cls, level: int, offset: int):
         if level < 2:
-            raise InvalidParameter(f"level {level} must be >= 2")
+            raise InvalidParameter(f"level {_shown(level)} must be >= 2")
         if not 0 <= offset < 2 ** (level - 2):
+            # past 64 bits, the last offset as a power of two less one
+            last = (2 ** (level - 2) - 1 if level <= 66
+                    else f"2^{_shown(level - 2)} - 1")
             raise InvalidParameter(
-                f"offset {offset} outside 0..{2 ** (level - 2) - 1} "
-                f"at level {level}")
+                f"offset {_shown(offset)} outside 0..{last} "
+                f"at level {_shown(level)}")
         return super().__new__(cls, level, offset)
 
     @property

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from bopcalc.algebra import (
     table_from_exponents,
     tor_suspend,
 )
+from bopcalc.cli import _json_chunks
 from bopcalc.errors import (
     BopcalcError,
     InvalidKind,
@@ -89,7 +92,7 @@ def test_table_equality_and_json():
     same = GeneratorTable("exterior", {3: 2}, component_rank=1, truncation=6)
     assert t == same
     assert t != GeneratorTable("polynomial", {3: 2}, 1, 6)
-    doc = t.to_json()
+    doc = json.loads("".join(_json_chunks(t.lazy_json())))
     assert doc == {"kind": "exterior", "component_rank": 1,
                    "generators": [{"degree": 3, "count": 2}],
                    "truncation": 6}

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mutants
 import oracles
 from bopcalc import conjecture as conjecture_mod
 from bopcalc.catalog import BP, homotopy_profile
 from bopcalc.cli import main
 from bopcalc.conjecture import (
-    SquareMonomial,
     _band_data,
     bop_cohomology_series,
     conjectured_bopn_cohomology,
@@ -235,7 +235,7 @@ def test_square_monomial_degree_doubles(j):
     if j & (j - 1) == 0:
         return
     mono = square_monomial(j)
-    assert mono.total_degree == 4 * j
+    assert sum(count << (m + 1) for m, count in mono.factors) == 4 * j
     bases = [b for b, _ in mono.factors]
     assert all(b >= 0 for b in bases)
     assert [m for _, m in mono.factors] == [2 ** i for i in
@@ -256,25 +256,7 @@ def test_square_monomial_matches_oracle():
             continue
         mono = square_monomial(j)
         assert mono == (j, want), j
-        assert mono.total_degree == sum(power * 2 ** (base + 1)
-                                        for base, power in want) == 4 * j
-
-
-@pytest.mark.parametrize("planted_j, factors, stage", [
-    (2, ((1, 2),), "indecomposable"),   # a 2-power accepted
-])
-def test_square_decompositions_fail_at_a_planted_fault(monkeypatch, planted_j,
-                                                       factors, stage):
-    real = conjecture_mod.square_monomial
-
-    def planted(j):
-        return SquareMonomial(j, factors) if j == planted_j else real(j)
-
-    monkeypatch.setattr(conjecture_mod, "square_monomial", planted)
-    report = verify_square_decompositions(64)
-    assert not report.passed
-    assert report.first_failure_degree == planted_j
-    assert report.detail == {"stage": stage}
+        assert sum(power * 2 ** (base + 1) for base, power in want) == 4 * j
 
 
 def test_conjectured_series_is_the_sum_of_its_suspended_summands():
@@ -447,133 +429,13 @@ def test_conjectured_series_first_differs_at_the_edge():
             height
 
 
-def test_stable_limit_fails_at_the_edge_a_chain_offset_moves(monkeypatch):
-    real = conjecture_mod._entry
-
-    def one_up(n, truncation):
-        return real(n if n is None else n + 1, truncation)
-
-    monkeypatch.setattr(conjecture_mod, "_entry", one_up)
-    # the offset moves the first mismatch of heights 16, 20, 24 past
-    # their edges 127, 255, 255, so only the edge stage sees it
+def test_an_entry_offset_moves_the_first_mismatch_past_the_edge(
+        monkeypatch):
+    # the chain's entries read one index up move the first mismatch of
+    # heights 16, 20 and 24 past their edges 127, 255 and 255, so only
+    # the edge stage of conjecture-limit sees them (the rows
+    # conjecture-limit-entry-offset-* of mutants.py)
+    mutants.apply(mutants.ENTRY_ONE_UP, monkeypatch.setattr)
     target = bop_cohomology_series(300)
     assert [first_mismatch(conjectured_bopn_cohomology(n, 300), target)
             for n in (16, 20, 24)] == [128, 256, 256]
-    for scale in (64, 126):
-        assert verify_stable_limit(scale).passed, scale
-    report = verify_stable_limit(256)
-    assert not report.passed
-    assert report.first_failure_degree == 127
-    assert report.detail == {"height": 16, "stage": "edge"}
-
-
-def test_stable_limit_fails_below_the_edge(monkeypatch):
-    real = conjecture_mod._bop_cohomology
-
-    def bumped(read):
-        target = real(read)
-        return target + make_polynomial({100: 1}, target.truncation)
-
-    monkeypatch.setattr(conjecture_mod, "_bop_cohomology", bumped)
-    report = verify_stable_limit(256)
-    assert not report.passed
-    assert report.first_failure_degree == 100
-    assert report.detail == {"height": 16}
-
-
-def test_first_appearance_fails_at_a_planted_off_by_one(monkeypatch):
-    real = conjecture_mod.first_appearance
-
-    def planted(q):
-        return real(q) + (q == 5)
-
-    monkeypatch.setattr(conjecture_mod, "first_appearance", planted)
-    report = verify_first_appearance(64)
-    assert not report.passed
-    assert report.first_failure_degree == 5
-    assert report.detail == {"scanned": 4, "formula": 5}
-
-
-def test_conjecture_shape_fails_at_a_planted_negative_quotient(monkeypatch):
-    real = conjecture_mod._quotient_chain
-
-    def planted(truncation):
-        move = real(truncation)
-
-        def read(n):
-            if n != 5:
-                return move(n)
-            coefficients = list(move(n).coefficients)
-            coefficients[40] = -1
-            return TruncatedSeries(coefficients, truncation)
-
-        return read
-
-    monkeypatch.setattr(conjecture_mod, "_quotient_chain", planted)
-    report = verify_conjecture_shape(128)
-    assert not report.passed
-    # height 3 is the first to read entry 5
-    assert report.first_failure_degree == 3
-    assert report.detail == {
-        "height": 3, "error": "quotient series negative at degree 40"}
-
-
-def test_conjecture_shape_names_the_lower_of_two_planted_negatives(
-        monkeypatch):
-    real = conjecture_mod._quotient_chain
-    planted_degree = {4: 60, 5: 40}
-
-    def planted(truncation):
-        move = real(truncation)
-
-        def read(n):
-            if n not in planted_degree:
-                return move(n)
-            coefficients = list(move(n).coefficients)
-            coefficients[planted_degree[n]] = -1
-            return TruncatedSeries(coefficients, truncation)
-
-        return read
-
-    monkeypatch.setattr(conjecture_mod, "_quotient_chain", planted)
-    report = verify_conjecture_shape(128)
-    assert not report.passed
-    # height 3 reads both entries, from a fresh reader in ascending
-    # order, so entry 4 is checked first
-    assert report.first_failure_degree == 3
-    assert report.detail == {
-        "height": 3, "error": "quotient series negative at degree 60"}
-
-
-@pytest.mark.parametrize("height, s, stage", [
-    (7, 7, "range"),    # the index n itself accepted
-    (3, 0, "range"),    # the index 0 accepted, at the first height
-])
-def test_epsilon_partition_finds_a_planted_epsilon(monkeypatch, height, s,
-                                                   stage):
-    real = conjecture_mod.epsilon
-
-    def planted(n, index):
-        return real(n, index) if (n, index) != (height, s) else 0
-
-    monkeypatch.setattr(conjecture_mod, "epsilon", planted)
-    report = verify_epsilon_partition()
-    assert not report.passed
-    assert report.first_failure_degree == s
-    assert report.detail == {"height": height, "stage": stage}
-
-
-def test_epsilon_partition_finds_overlapping_bands(monkeypatch):
-    # at height 6 an offset of 4 puts s = 2 in the lower band and the
-    # upper band (s >= 6 - 4) at once
-    real = conjecture_mod._band_data
-
-    def planted(n):
-        power, offset = real(n)
-        return (power, 4) if n == 6 else (power, offset)
-
-    monkeypatch.setattr(conjecture_mod, "_band_data", planted)
-    report = verify_epsilon_partition()
-    assert not report.passed
-    assert report.first_failure_degree == 2
-    assert report.detail == {"height": 6, "stage": "overlap"}

@@ -255,48 +255,12 @@ def test_verifiers_pass_at_reference_scales():
     assert verify_bu_bo_factorization(48).passed
 
 
-@pytest.mark.parametrize("degree", [1, 4, 7, 12, 30, 48])
-def test_bu_bo_factorization_names_first_broken_degree(monkeypatch, degree):
-    # one extra generator in bo_4 at `degree`: the report must fail where
-    # the naive product of the bo_2 and bo_4 series first leaves bu_2's
-    n = 48
-    real = towers_mod.bo_space_homology
-
-    def planted(index, truncation, periodic=False):
-        table = real(index, truncation, periodic)
-        if index != 4:
-            return table
-        counts = dict(table.counts)
-        counts[degree] = counts.get(degree, 0) + 1
-        return GeneratorTable(table.kind, counts, table.component_rank,
-                              table.truncation)
-
-    def series_dict(table):
-        coeffs = oracles.table_series(table.counts,
-                                      table.kind == "exterior", n)
-        return {d: c for d, c in enumerate(coeffs) if c}
-
-    monkeypatch.setattr(towers_mod, "bo_space_homology", planted)
-    product = oracles.naive_mul(series_dict(planted(2, n)),
-                                series_dict(planted(4, n)), n)
-    bu2 = series_dict(rank_rule_homology(SpaceRef(BU, 2), n))
-    want = min(d for d in range(n + 1) if product.get(d) != bu2.get(d))
-    report = verify_bu_bo_factorization(n)
-    assert not report.passed
-    assert report.first_failure_degree == want
-
-
-def test_negative_tower_corruption_is_detected():
-    report = verify_negative_tower(32, corrupt_f_degree=7)
-    assert not report.passed
-    assert report.first_failure_degree == 1
-    assert report.parameters["corrupt_f_degree"] == 7
-
-
 def test_report_parameter_echo():
     report = verify_rank_rule_bss(12)
     assert report.parameters == {"from": -6, "to": 6, "max_degree": 12}
     assert report.check == "rank-rule-bss"
+    faulted = verify_negative_tower(32, corrupt_f_degree=7)
+    assert faulted.parameters["corrupt_f_degree"] == 7
 
 
 def _nonzero(coeffs):
@@ -427,81 +391,6 @@ def test_negative_tower_fault_sweep_matches_oracle(n):
                     report.detail["index"]) == want, bump
 
 
-@pytest.mark.parametrize("index", range(2, 13))
-def test_bop_tower_reconstruction_reads_the_returned_tables(monkeypatch,
-                                                            index):
-    # one returned table gains a generator of its space's parity while
-    # the solver's own exponents stay right: the reconstruction
-    # must see it, at that degree, at the first pair holding that space
-    real = towers_mod.bop_tower
-    degree = 10 if index % 2 == 0 else 9
-
-    def corrupted(*args):
-        return [_plant(t, degree) if i == index else t
-                for i, t in enumerate(real(*args), 2)]
-
-    monkeypatch.setattr(towers_mod, "bop_tower", corrupted)
-    report = verify_bop_tower(32)
-    assert not report.passed
-    assert report.first_failure_degree == degree
-    assert report.detail == {"stage": "reconstruction",
-                             "index": index - 2 if index >= 4 else index}
-
-
-@pytest.mark.parametrize("index, kind, counts, want", [
-    (2, "polynomial", {3: 1, 5: 2}, 3),
-    (2, "polynomial", {2: 1, 3: 1}, 3),
-    (3, "exterior", {6: 1}, 6),
-    (3, "exterior", {3: 1, 4: 1}, 4),
-])
-def test_bop_tower_parity_stage_finds_a_planted_table(monkeypatch, index,
-                                                      kind, counts, want):
-    # the space's table is replaced by one with a generator of the wrong
-    # parity: the parity stage names the lowest such degree, whether the
-    # table is all wrong or mixed
-    real = towers_mod.bop_tower
-    n = 30
-
-    def planted(*args):
-        return [GeneratorTable(kind, counts, truncation=n) if i == index
-                else t for i, t in enumerate(real(*args), 2)]
-
-    monkeypatch.setattr(towers_mod, "bop_tower", planted)
-    report = verify_bop_tower(n)
-    assert not report.passed
-    assert report.first_failure_degree == want
-    assert report.detail == {"stage": "parity", "index": index}
-
-
-@pytest.mark.parametrize("plants, want", [
-    # space 3 has the wrong parity (and breaks the reconstruction of
-    # BPbar_3), then the tower raises further up: the tower stage wins
-    ({3: GeneratorTable("exterior", {4: 1}, truncation=30),
-      9: NegativeDimension(7)}, (7, {"stage": "tower"})),
-    # the reconstruction of BPbar_2 breaks at space 4, and space 11
-    # arrives later with the wrong parity: the parity stage wins
-    ({4: 10, 11: GeneratorTable("exterior", {6: 1}, truncation=30)},
-     (6, {"stage": "parity", "index": 11})),
-])
-def test_bop_tower_check_reports_the_earliest_stage_of_a_stream(
-        monkeypatch, plants, want):
-    # the check reads the tower once, so a later stage can fail before
-    # an earlier one has seen every space; the report is still the
-    # earliest stage's first failure
-    real = towers_mod.bop_tower
-
-    def planted(*args):
-        for i, table in enumerate(real(*args), 2):
-            plant = plants.get(i, table)
-            if isinstance(plant, Exception):
-                raise plant
-            yield _plant(table, plant) if isinstance(plant, int) else plant
-
-    monkeypatch.setattr(towers_mod, "bop_tower", planted)
-    report = verify_bop_tower(30)
-    assert (report.first_failure_degree, report.detail) == want
-
-
 def test_first_table_mismatch_names_the_field():
     base = GeneratorTable("polynomial", {2: 1, 4: 3}, 1, 8)
     cases = [
@@ -517,46 +406,6 @@ def test_first_table_mismatch_names_the_field():
     ]
     for other, want in cases:
         assert towers_mod._first_table_mismatch(other, base) == want
-
-
-def _plant(table, degree):
-    """The table with one more generator in the given degree."""
-    counts = dict(table.counts)
-    counts[degree] = counts.get(degree, 0) + 1
-    return GeneratorTable(table.kind, counts, table.component_rank,
-                          table.truncation)
-
-
-def _bump_rank(table):
-    return GeneratorTable(table.kind, table.counts, table.component_rank + 1,
-                          table.truncation)
-
-
-def test_bo_deloopings_reports_the_differing_field(monkeypatch):
-    real_suspend = towers_mod.tor_suspend
-    monkeypatch.setattr(towers_mod, "tor_suspend",
-                        lambda t, r=0: _bump_rank(real_suspend(t, r)))
-    report = verify_bo_deloopings(32)
-    assert not report.passed
-    assert report.first_failure_degree == 0
-    assert report.detail == {"step": "2->3", "mode": "exact",
-                             "field": "component_rank"}
-
-
-def test_rank_rule_bss_reports_the_differing_field(monkeypatch):
-    real_iterate = towers_mod.bss_iterate
-
-    def kind_changed(*args, **kwargs):
-        return [GeneratorTable("even_unresolved" if t.kind == "polynomial"
-                               else t.kind,
-                               t.counts, t.component_rank, t.truncation)
-                for t in real_iterate(*args, **kwargs)]
-
-    monkeypatch.setattr(towers_mod, "bss_iterate", kind_changed)
-    report = verify_rank_rule_bss(12)
-    assert not report.passed
-    assert report.first_failure_degree == 0
-    assert report.detail == {"spectrum": "BP", "index": -4, "field": "kind"}
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 23, 40])
@@ -583,25 +432,6 @@ def test_bop_space_below_two_matches_naive_product(n):
             [want.get(d, 0) for d in range(n + 1)], i
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 32])
-def test_bop_tower_hurewicz_stage_finds_a_planted_series(monkeypatch, n):
-    # a Poincare series with two classes in degree 2: the probe, the one
-    # series the check builds, must fail there once N reaches 2
-    real = towers_mod.poincare_series
-
-    def planted(*tables):
-        return real(*tables) + make_polynomial({2: 1}, tables[0].truncation)
-
-    monkeypatch.setattr(towers_mod, "poincare_series", planted)
-    report = verify_bop_tower(n)
-    if n < 2:
-        assert report.passed
-    else:
-        assert not report.passed
-        assert report.first_failure_degree == 2
-        assert report.detail == {"stage": "hurewicz", "index": 2}
-
-
 @pytest.mark.parametrize("n", [2, 3, 64, 1024])
 def test_bop_tower_hurewicz_probe_agrees_with_the_full_table(counted, n):
     # the probe keeps the generators of degree <= 2 at truncation 2; its
@@ -612,40 +442,6 @@ def test_bop_tower_hurewicz_probe_agrees_with_the_full_table(counted, n):
     (space2,) = _tower(2, n)
     assert poincare_series(*probe).coefficient(2) == \
         poincare_series(space2).coefficient(2) == 1
-
-
-@pytest.mark.parametrize("degree", [2, 4, 6, 8, 14, 20, 32])
-def test_bop_tower_product_crosscheck_finds_a_planted_bo_generator(
-        monkeypatch, degree):
-    # the product description of space 4 gains one generator; the
-    # solved tower does not see it, so only the cross-check can fail,
-    # at the first degree where the naive product leaves the tower
-    n = 32
-    real = towers_mod.bo_space_homology
-
-    def planted(index, truncation):
-        table = real(index, truncation)
-        if index != 4:
-            return table
-        counts = dict(table.counts)
-        counts[degree] = counts.get(degree, 0) + 1
-        return GeneratorTable(table.kind, counts, table.component_rank,
-                              truncation)
-
-    monkeypatch.setattr(towers_mod, "bo_space_homology", planted)
-    report = verify_bop_tower(n)
-    fiber = rank_rule_homology(SpaceRef(F, 4), n)
-    base = planted(4, n)
-    product = oracles.naive_mul(
-        _nonzero(oracles.table_series(fiber.counts,
-                                      fiber.kind == "exterior", n)),
-        _nonzero(oracles.table_series(base.counts,
-                                      base.kind == "exterior", n)), n)
-    space4 = _oracle_bop_tower(n, rank_rule_homology)[4][0]
-    want = next(d for d in range(n + 1) if product.get(d, 0) != space4[d])
-    assert not report.passed
-    assert report.first_failure_degree == want
-    assert report.detail == {"stage": "product_crosscheck", "index": 4}
 
 
 def test_tower_result_reads_its_series_off_its_tables():
@@ -674,26 +470,6 @@ def test_tower_result_repr_eq_and_hash_build_no_series(counted):
     with pytest.raises(TypeError):
         hash(res)  # a GeneratorTable is unhashable
     assert counted.poincare_series == []
-
-
-@pytest.mark.parametrize("degree", [3, 5, 8, 13, 20])
-@pytest.mark.parametrize("target", [1, 2, 4, 6])
-def test_bo_deloopings_series_mode_finds_a_planted_generator(monkeypatch,
-                                                             target, degree):
-    # a series-mode step compares exponents; a generator planted in its
-    # target shows at its degree, before any later step reads that table
-    real = towers_mod.bo_space_homology
-
-    def planted(index, truncation):
-        table = real(index, truncation)
-        return _plant(table, degree) if index == target else table
-
-    monkeypatch.setattr(towers_mod, "bo_space_homology", planted)
-    report = verify_bo_deloopings(32)
-    assert not report.passed
-    assert report.first_failure_degree == degree
-    assert report.detail == {"step": f"{target - 1}->{target}",
-                             "mode": "series"}
 
 
 @pytest.mark.parametrize("spectrum", RANK_RULE_SPECTRA, ids=str)
