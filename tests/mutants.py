@@ -13,7 +13,8 @@ planted run that must still pass.
 Every check has at least one failing row, and the rows with
 inject_fault set are the CLI's --inject-fault checks, at the first
 failing degree its help states and one below it; test_mutants.py
-asserts both.
+asserts both, and runs the UNNAMED rows; test_towers.py runs the rows
+whose id prefixes are in NAMED, under their long-standing test names.
 """
 
 from collections import namedtuple
@@ -32,14 +33,12 @@ from bopcalc.catalog import (
     bpn,
     homotopy_profile,
 )
+from bopcalc.cli import _REGISTRY
 from bopcalc.errors import NegativeDimension
 from bopcalc.series import TruncatedSeries, make_polynomial
 
-Mutant = namedtuple("Mutant", "id check scale inject_fault plant want")
-
-
-def row(id, check, scale, plant=(), want=None, inject_fault=False):
-    return Mutant(id, check, scale, inject_fault, plant, want)
+row = namedtuple("Mutant", "id check scale plant want inject_fault",
+                defaults=((), None, False))
 
 
 def apply(plant, setattr):
@@ -433,3 +432,18 @@ CONJECTURE = [
 ]
 
 ROWS = SPLITTING + TOWERS + CONJECTURE
+BY_ID = {mutant.id: mutant for mutant in ROWS}
+NAMED = ("bop-tower-reconstruction-", "bop-tower-crosscheck-",
+         "bo-deloopings-series-")
+UNNAMED = [mutant for mutant in ROWS if not mutant.id.startswith(NAMED)]
+
+
+def outcome(mutant, setattr):
+    """(want, got): what a row's report must say, worked out before its
+    plant goes in, and what it says then, as (check, failure or None)."""
+    want = mutant.want(mutant.scale) if callable(mutant.want) else mutant.want
+    apply(mutant.plant, setattr)
+    report = _REGISTRY[mutant.check].run(mutant.scale, mutant.inject_fault)
+    got = None if report.passed else (report.first_failure_degree,
+                                      report.detail)
+    return (mutant.check, want), (report.check, got)

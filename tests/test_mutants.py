@@ -3,18 +3,14 @@ import re
 import pytest
 
 import mutants
-from bopcalc.cli import _FAULT_CHECKS, _REGISTRY, CHECK_NAMES, build_parser
+from bopcalc.cli import _FAULT_CHECKS, CHECK_NAMES, build_parser
 
 
-@pytest.mark.parametrize("row", mutants.ROWS, ids=lambda row: row.id)
+@pytest.mark.parametrize("row", mutants.UNNAMED, ids=lambda row: row.id)
 def test_mutant(row, monkeypatch):
     # the table and what each field asserts are in mutants.py
-    want = row.want(row.scale) if callable(row.want) else row.want
-    mutants.apply(row.plant, monkeypatch.setattr)
-    report = _REGISTRY[row.check].run(row.scale, row.inject_fault)
-    got = None if report.passed else (report.first_failure_degree,
-                                      report.detail)
-    assert (report.check, got) == (row.check, want)
+    want, got = mutants.outcome(row, monkeypatch.setattr)
+    assert got == want
 
 
 def test_every_check_fails_and_every_fault_fails_where_its_help_says():

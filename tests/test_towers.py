@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mutants
 import oracles
 from budgets import peak_kb
 from bopcalc import towers as towers_mod
@@ -442,6 +443,31 @@ def test_bop_tower_hurewicz_probe_agrees_with_the_full_table(counted, n):
     (space2,) = _tower(2, n)
     assert poincare_series(*probe).coefficient(2) == \
         poincare_series(space2).coefficient(2) == 1
+
+
+def _mutant(monkeypatch, id):
+    # the NAMED families of mutants.py, under their long-standing names
+    want, got = mutants.outcome(mutants.BY_ID[id], monkeypatch.setattr)
+    assert got == want
+
+
+@pytest.mark.parametrize("index", range(2, 13))
+def test_bop_tower_reconstruction_reads_the_returned_tables(monkeypatch,
+                                                            index):
+    _mutant(monkeypatch, f"bop-tower-reconstruction-{index}")
+
+
+@pytest.mark.parametrize("degree", [2, 4, 6, 8, 14, 20, 32])
+def test_bop_tower_product_crosscheck_finds_a_planted_bo_generator(
+        monkeypatch, degree):
+    _mutant(monkeypatch, f"bop-tower-crosscheck-bo4-{degree}")
+
+
+@pytest.mark.parametrize("degree", [3, 5, 8, 13, 20])
+@pytest.mark.parametrize("target", [1, 2, 4, 6])
+def test_bo_deloopings_series_mode_finds_a_planted_generator(monkeypatch,
+                                                             target, degree):
+    _mutant(monkeypatch, f"bo-deloopings-series-bo{target}-{degree}")
 
 
 def test_tower_result_reads_its_series_off_its_tables():
