@@ -17,11 +17,12 @@ checks each entry for nonnegativity the first time it reads it.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 
 from .errors import ConjectureShapeError, InvalidParameter, NotApplicable
 from .reports import VerificationReport, first_mismatch, run_check
-from .series import TruncatedSeries, one, shifted_sum
+from .series import TruncatedSeries, product_over, shifted_sum
 
 __all__ = [
     "steenrod_series",
@@ -52,11 +53,7 @@ def steenrod_series(truncation: int) -> TruncatedSeries:
     >>> [steenrod_series(8).coefficient(d) for d in range(5)]
     [1, 1, 1, 2, 2]
     """
-    acc, degree = one(truncation), 1
-    while degree <= truncation:
-        acc = acc.times_binomial(degree, -1, -1)
-        degree = 2 * degree + 1
-    return acc
+    return product_over((2 ** i - 1 for i in itertools.count(1)), truncation)
 
 
 def _quotient_chain(truncation: int) -> Callable[[int], TruncatedSeries]:

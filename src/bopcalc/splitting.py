@@ -23,7 +23,8 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .catalog import BO, BOP, bpn_ladder, homotopy_profile
+from .algebra import exponents
+from .catalog import BO, BOP, BPBAR, F, bpn_ladder, homotopy_profile
 from .errors import InvalidParameter
 from .reports import VerificationReport, first_mismatch, run_check
 from .series import (
@@ -34,6 +35,7 @@ from .series import (
     one,
     shifted_sum,
 )
+from .towers import _product_exponents, bop_tower
 
 __all__ = [
     "SplittingIndex",
@@ -75,7 +77,7 @@ class SplittingIndex(namedtuple("SplittingIndex", "level offset")):
     def __new__(cls, level: int, offset: int):
         if level < 2:
             raise InvalidParameter(f"level {_shown(level)} must be >= 2")
-        if not 0 <= offset < 2 ** (level - 2):
+        if offset < 0 or offset.bit_length() > level - 2:
             # past 64 bits, the last offset as a power of two less one
             last = (2 ** (level - 2) - 1 if level <= 66
                     else f"2^{_shown(level - 2)} - 1")
@@ -325,21 +327,24 @@ def verify_bpn_rank_recursion(truncation: int = 128) -> VerificationReport:
 
 
 def verify_bop6_homotopy_splitting(truncation: int = 256) -> VerificationReport:
-    """Homotopy of the sixth BoP space splits as the sixth bo space plus
-    the bottom space of each summand at its connectivity.
+    """BoP_i = F_i x bo_i for i = 4..6, in homology: the paper's complete
+    homotopy type of BoP_i for i <= 6.
 
-    pi_d(BoP_6) = pi_(d-6)(BoP) and likewise for bo, and a summand's
-    connectivity is its suspension + 6 by definition (pinned by
-    tests/test_splitting.py::test_splitting_index_geometry), so the
-    comparison in degrees <= N is the rational splitting's free side
-    through N - 6, reported 6 degrees up.  Below degree 6 both sides
-    vanish."""
+    The tower through space 6 is solved from one BPbar and one F profile,
+    and each SES-solved space 4..6's exponents are compared with
+    v(F_i) + v(bo_i), F's read off the same profile; spaces 2 and 3 are
+    built as that product.  Space 7 would first differ at degree 1,
+    where the catalogued bo_7 is the periodic table."""
     params = {"max_degree": truncation}
 
     def body():
-        if truncation >= 6:
-            bad = _splitting_mismatch(truncation - 6)
-            if bad is not None:
-                return bad + 6, {"side": "free"}
+        bpbar = homotopy_profile(BPBAR, truncation)
+        fiber = homotopy_profile(F, truncation)
+        for i, table in enumerate(bop_tower(6, bpbar, fiber), 2):
+            if i >= 4:
+                bad = first_mismatch(exponents(table),
+                                     _product_exponents(i, truncation, fiber))
+                if bad is not None:
+                    return bad, {"index": i}
 
     return run_check("bop6-splitting", params, body)

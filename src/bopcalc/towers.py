@@ -14,22 +14,22 @@ Three mechanisms produce the homology of a space in a connective tower:
   sight is a bicommutative Hopf algebra, so the middle series factors
   exactly.
 
-The BoP tower uses the rank rule and the division but no bar walk: its
-bottom spaces are products of a catalogued bo space with a rank-rule
-fiber space, and each later space is the matching BPbar space divided,
-in exponent space rather than by ses_quotient, by the one two steps
-below.  space_homology picks, for any catalogued space, which of
-these rules (or the bo catalogue) answers it.  A rank-rule table is one
-slice of its spectrum's homotopy profile.  The tower is handed the F and
-BPbar profiles, each built once by its caller, reads each fiber factor
-and BPbar middle straight off them as the exponents of such a slice,
-adds bo's from its table, and builds tables only for the spaces it
-yields, each by one step.  It yields each space as soon as it is solved
-and holds only the exponents of the two spaces below, so a reader that
-keeps one table at a time needs O(N) memory.  BoP_i is (i-1)-connected,
-so every space above N + 2 is empty through N: the tower solves nothing
-there, and space_homology answers such a space without walking the
-tower at all.
+The BoP tower is solved by the rank rule and the division, and only
+checked by a bar walk: its bottom spaces are products of a catalogued bo
+space with a rank-rule fiber space, and each later space is the matching
+BPbar space divided, in exponent space rather than by ses_quotient, by
+the one two steps below.  space_homology picks, for any catalogued
+space, which of these rules (or the bo catalogue) answers it.  A
+rank-rule table is one slice of its spectrum's homotopy profile.  The
+tower is handed the F and BPbar profiles, each built once by its caller,
+reads each fiber factor and BPbar middle straight off them as the
+exponents of such a slice, adds bo's from its table, and builds tables
+only for the spaces it yields, each by one step.  It yields each space
+as soon as it is solved and holds only the exponents of the two spaces
+below, so a reader that keeps one table at a time needs O(N) memory.
+BoP_i is (i-1)-connected, so every space above N + 2 is empty through N:
+the tower solves nothing there, and space_homology answers such a space
+without walking the tower at all.
 
 A space is stored as the generator tables presenting its homology, and
 is solved and checked in exponent space: the Euler exponents v of its
@@ -401,23 +401,24 @@ def verify_bop_tower(truncation: int = 60) -> VerificationReport:
     """Structural checks on the solved BoP tower, spaces 2 through 12.
 
     Counts stay nonnegative, generator parity follows the space index,
-    multiplying the series of spaces i and i+2 reconstructs the BPbar
-    series, the solved space 4 agrees with its product description, and
-    H_2 of space 2 is one-dimensional (probed only when N >= 2, from the
+    the bar walk from space 2 reproduces every later space, and H_2 of
+    space 2 is one-dimensional (probed only when N >= 2, from the
     generators of degree <= 2, the only ones H_2 depends on).
 
-    The tower is read once, holding the exponents of two spaces.  Each
-    space's parity is checked as it arrives; when space i arrives, the
-    exponents of BPbar_(i-2), read off its profile by the rank rule, are
-    compared with the sum of the exponents of the tables of spaces i-2
-    and i, each built afresh from the table rather than taken from the
-    solver; space 4's are compared with v(F_4) + v(bo_4) when it
-    arrives, and that sum is dropped there.  Each stage
-    keeps its first failure, and the earliest stage in the order above
-    is reported.  Exponent vectors first differ where the series do
-    (module docstring); only the Hurewicz probe builds a series.  The
-    check builds the BPbar and F profiles once each and hands the same
-    two to the tower, the reconstruction and the cross-check.
+    The walk is the paper's "no torsion in H_*(BoP_i) for i >= 2": pi_0
+    of every space from 1 up is 0, so one bar step (bss_iterate, each
+    all-even step resolved to polynomial) takes space i - 1 to space i.
+    It starts from the solved space 2 and reads no later solved space,
+    so it sees a wrong BPbar middle that the solver divides in.  That
+    spaces 4..6 are F_i x bo_i, the paper's homotopy type for i <= 6,
+    is bop6-splitting's check, which would fail at space 7: the
+    catalogued bo_7 is the periodic table.
+
+    The tower is read once; as each space arrives its parity is checked
+    and, until the walk first leaves the tower (a wrong table may not
+    suspend), its bar step taken.  Each stage keeps its first failure,
+    and the earliest stage in the order above is reported.  Only the
+    Hurewicz probe builds a series.
     """
     i_max = 12
     params = {"i_max": i_max, "max_degree": truncation}
@@ -425,32 +426,28 @@ def verify_bop_tower(truncation: int = 60) -> VerificationReport:
     def body():
         first: Dict[str, Tuple[int, dict]] = {}
 
-        def note(stage, degree, index):
+        def note(stage, degree, index, **more):
             if degree is not None and stage not in first:
-                first[stage] = degree, {"stage": stage, "index": index}
+                first[stage] = degree, {"stage": stage, "index": index, **more}
 
-        bpbar = homotopy_profile(BPBAR, truncation)
-        fiber = homotopy_profile(F, truncation)
-        exps: Dict[int, TruncatedSeries] = {}
+        tower = bop_tower(i_max, homotopy_profile(BPBAR, truncation),
+                          homotopy_profile(F, truncation))
         try:
             # only the tower raises NegativeDimension here
-            for i, table in enumerate(bop_tower(i_max, bpbar, fiber), 2):
+            for i, table in enumerate(tower, 2):
                 note("parity", off_parity(table, i % 2), i)
-                exps[i] = exponents(table)
                 if i == 2:
+                    walked = table
                     low = {d: c for d, c in table.counts.items() if d <= 2}
                     probe = GeneratorTable(table.kind, low, truncation=2)
-                if i >= 4:
-                    mid = _rank_rule_exponents(BPBAR, i - 2, truncation, bpbar)
-                    note("reconstruction",
-                         first_mismatch(mid, exps.pop(i - 2) + exps[i]), i - 2)
-                if i == 4:
-                    bad = first_mismatch(
-                        exps[4], _product_exponents(4, truncation, fiber))
-                    note("product_crosscheck", bad, 4)
+                elif "bar_agreement" not in first:
+                    walked = bss_iterate(walked, [0])[0]
+                    if walked != table:
+                        bad, field = _first_table_mismatch(walked, table)
+                        note("bar_agreement", bad, i, field=field)
         except NegativeDimension as exc:
             return exc.degree, {"stage": "tower"}
-        for stage in ("parity", "reconstruction", "product_crosscheck"):
+        for stage in ("parity", "bar_agreement"):
             if stage in first:
                 return first[stage]
         if truncation >= 2 and poincare_series(probe).coefficient(2) != 1:

@@ -169,12 +169,16 @@ ROWS = [
     row("X-profile-64", lambda n: homotopy_profile(X, n), 64,
         "built from BPbar (so BP) and bu",
         profiles=_built(64, BPBAR, BP, BU), passes=7),
+    # bop6-splitting solves the tower through space 6: its BPbar, BP, F,
+    # BoP and bo profiles (5 builds, 16 passes at 256; 1 pass at 2) stand
+    # where the splitting sum six degrees down built bo and BoP (2 builds,
+    # 14 passes at 256; none below 6)
     row("verify-all", ["verify", "all", "--format", "json"], None,
         "each level product and Sq^2 quotient built afresh where read",
-        passes=240, profiles=20),
+        passes=242, profiles=23),
     row("verify-all-2", ["verify", "all", "--format", "json"], 2,
-        "below 64, bo once for bo-deloopings and once for the splitting",
-        passes=20, profiles=18),
+        "below 64, each check builds the profiles it reads", passes=21,
+        profiles=23),
 
     # splitting: each head and layer builds its level product afresh,
     # one pass per factor through N (a layer's through N minus its
@@ -209,6 +213,14 @@ ROWS = [
         _passed(splitting.verify_rational_splitting), 2048,
         "the regiment sum and a rung or two, then bo's ranks, then BoP",
         kb=(185, "148.7-159.5 KB, CPython 3.10-3.13")),
+    row("bop6-splitting-256",
+        _passed(splitting.verify_bop6_homotopy_splitting), 256,
+        "the tower through space 6 from one BPbar and one F profile",
+        profiles=_built(256, BPBAR, BP, F, BOP, BO), passes=16),
+    row("bop6-splitting-2048-peak",
+        _passed(splitting.verify_bop6_homotopy_splitting), 2048,
+        "two profiles, the tower's two spaces, one space's comparison",
+        kb=(520, "403.4-426.4 KB, CPython 3.10-3.13")),
     row("bpn-rank-recursion-128",
         _passed(splitting.verify_bpn_rank_recursion), 128,
         "BPn(1)..BPn(6) one pass apart on one ladder, and no profile",
@@ -223,14 +235,14 @@ ROWS = [
         "one series, space 2's, for the Hurewicz probe",
         poincare_series=1, log_derivative=0),
     row("bop-tower-256", _passed(towers.verify_bop_tower), 256,
-        "the space-4 cross-check reads exponents off profiles",
+        "the tower reads its fiber factors and middles off profiles",
         rank_rule_homology=0),
     row("bop-tower-1024", _passed(towers.verify_bop_tower), 1024,
         "one BPbar and one F profile",
         profiles=_built(1024, BPBAR, BP, F, BOP, BO), passes=20),
     row("bop-tower-1032", _passed(towers.verify_bop_tower), 1032,
         "holds only what it reads again",
-        kb=(300, "229.4-243.8 KB, CPython 3.10-3.13")),
+        kb=(300, "235.5-252.2 KB, CPython 3.10-3.13")),
     row("negative-tower-1024", _passed(towers.verify_negative_tower), 1024,
         "one F and one X profile",
         profiles=_built(1032, F, BOP, BO, X, BPBAR, BP, BU), passes=21),

@@ -20,11 +20,12 @@ whose id prefixes are in NAMED, under their long-standing test names.
 from collections import namedtuple
 
 import oracles
-from bopcalc import conjecture, splitting, towers
+from bopcalc import catalog, conjecture, splitting, towers
 from bopcalc.algebra import GeneratorTable
 from bopcalc.catalog import (
     BO,
     BOP,
+    BP,
     BPBAR,
     BU,
     F,
@@ -146,18 +147,15 @@ SPLITTING = [
     row("rhs-one-fault-7", "rhs-one", 7, inject_fault=True),
     row("head-induction-fault-7", "head-induction", 7, inject_fault=True),
     # one BPn level gains a free rank: rational-splitting fails where the
-    # per-summand sum of shifted profiles first leaves BoP, and the sixth
-    # space, pi_d(BoP_6) = pi_(d-6)(BoP), six degrees above where the
-    # splitting through N - 6 does
+    # per-summand sum of shifted profiles first leaves BoP; bop6-splitting
+    # passes, since F is BoP - bo and the tower reads no BPn rank
     *(row(f"rational-splitting-bpn{level}-{degree}", "rational-splitting",
           160, bpn_rank(level, degree),
           lambda n, level=level, degree=degree:
           (_splitting_failure(level, degree, n), {"side": "free"}))
       for level, degree in PLANTED_BPN_RANKS),
     *(row(f"bop6-splitting-bpn{level}-{degree}", "bop6-splitting", 160,
-          bpn_rank(level, degree),
-          lambda n, level=level, degree=degree:
-          (_splitting_failure(level, degree, n - 6) + 6, {"side": "free"}))
+          bpn_rank(level, degree))
       for level, degree in PLANTED_BPN_RANKS),
     # the first level whose recursion reads the planted rung fails at the
     # planted degree; BPn(1) is the level below the first step
@@ -231,21 +229,78 @@ def _factorization_failure(degree, n):
     return _first_difference(product, bu2, n)
 
 
-def _crosscheck_failure(degree, n):
-    """Where the naive product of F_4 and bo_4, bo_4 gaining a generator
-    in `degree`, first leaves space 4, the series quotient of BPbar_2 by
-    space 2 = F_2 x bo_2."""
-    def rank_rule(spectrum, i):
-        return towers.rank_rule_homology(SpaceRef(spectrum, i), n)
+def _profile_rank(spectrum, degree):
+    """The spectrum's profile with one more free rank in `degree`,
+    wherever it is read: by the splitting module, and inside the
+    catalogue, whose derived profiles (BPbar from BP, F from BoP and bo)
+    read it too."""
+    def make(real):
+        def planted(target, truncation):
+            profile = real(target, truncation)
+            if target != spectrum:
+                return profile
+            bump = make_polynomial({degree: 1}, truncation)
+            return type(profile)(target, profile.free_ranks + bump,
+                                 profile.torsion_z2)
+        return planted
 
-    product = oracles.naive_mul(
-        _series(rank_rule(F, 4), n),
-        _series(_with_generator(bo_space_homology(4, n), degree), n), n)
-    space2 = oracles.naive_tensor(rank_rule(F, 2), bo_space_homology(2, n))
-    space4 = oracles.naive_mul(
-        _series(rank_rule(BPBAR, 2), n),
-        oracles.naive_invert(_series(space2, n), n), n)
-    return _first_difference(product, space4, n)
+    return ((catalog, "homotopy_profile", make),
+            (splitting, "homotopy_profile", make))
+
+
+def _bpbar_exponent(index, degree):
+    """BPbar_index's exponents, as the tower reads its middles, with one
+    more in `degree`."""
+    def make(real):
+        def planted(spectrum, i, truncation, profile):
+            v = real(spectrum, i, truncation, profile)
+            if (spectrum, i) != (BPBAR, index):
+                return v
+            return v + make_polynomial({degree: 1}, truncation)
+        return planted
+
+    return ((towers, "_rank_rule_exponents", make),)
+
+
+def _bop6_failure(n, spectrum=None, degree=None, bo4=None):
+    """Where BoP spaces 4..6 first leave F_i x bo_i, by naive series:
+    space i is BPbar_(i-2)'s series over space i - 2's, from spaces 2
+    and 3 = F x bo.  BPbar's and F's free ranks are partition counts,
+    the profile of `spectrum` gaining a rank in `degree`, and bo_4's
+    table gains a generator in degree bo4.  (degree, {"index": i}), or
+    None where every space agrees."""
+    def planted(ranks, of):
+        if of == spectrum:
+            ranks[degree] += 1
+        return ranks
+
+    v = oracles.bp_generator_degrees(n)
+    bp = planted(oracles.partition_counts(v, n), BP)
+    bpbar = oracles.naive_mul(dict(enumerate(bp)),
+                              oracles.geometric_dict(8, n), n)
+    bpbar = planted([bpbar.get(d, 0) for d in range(n + 1)], BPBAR)
+    bop = planted(oracles.partition_counts([4, 6, 8] + v[2:], n), BOP)
+    bo = planted([int(d % 4 == 0) for d in range(n + 1)], BO)
+    fiber = planted([a - b for a, b in zip(bop, bo)], F)
+
+    def rank_rule(profile, i):
+        counts = {d: profile[d - i] for d in range(i, n + 1) if profile[d - i]}
+        kind = "exterior" if i % 2 else "polynomial"
+        return _series(GeneratorTable(kind, counts, 0, n), n)
+
+    def product(i):
+        base = bo_space_homology(i, n)
+        if i == 4 and bo4 is not None:
+            base = _with_generator(base, bo4)
+        return oracles.naive_mul(rank_rule(fiber, i), _series(base, n), n)
+
+    space = {2: product(2), 3: product(3)}
+    for i in (4, 5, 6):
+        space[i] = oracles.naive_mul(
+            rank_rule(bpbar, i - 2), oracles.naive_invert(space[i - 2], n), n)
+        if space[i] != product(i):
+            return _first_difference(space[i], product(i), n), {"index": i}
+    return None
 
 
 def _bump_rank(table):
@@ -282,13 +337,24 @@ TOWERS = [
           inject_fault=True, want=(1, {"index": -8})) for n in (32, 1)),
     row("negative-tower-fault-0", "negative-tower", 0, inject_fault=True),
     # one returned table gains a generator of its space's parity while
-    # the solver's own exponents stay right: the reconstruction sees it,
-    # at that degree, at the first pair holding that space
-    *(row(f"bop-tower-reconstruction-{index}", "bop-tower", 32,
+    # the solver's own exponents stay right: the bar walk, which starts
+    # from space 2 and reads no later table, leaves it at that degree;
+    # a planted space 2 starts the walk, and its polynomial generator in
+    # degree 10 suspends to an exterior one in degree 11 at space 3
+    *(row(f"bop-tower-bar-agreement-{index}", "bop-tower", 32,
           _tower({index: 10 - index % 2}),
-          (10 - index % 2, {"stage": "reconstruction",
-                            "index": index - 2 if index >= 4 else index}))
+          (10 - index % 2 + (index == 2),
+           {"stage": "bar_agreement", "index": max(index, 3),
+            "field": "counts"}))
       for index in range(2, 13)),
+    # one more exponent in BPbar_4, the middle of space 6: the solver
+    # divides it in, and the bar walk and the product both see it there
+    *(row(f"{check}-bpbar4-30-{n}", check, n, _bpbar_exponent(4, 30),
+          (30, want))
+      for n in (60, 256)
+      for check, want in (("bop-tower", {"stage": "bar_agreement",
+                                         "index": 6, "field": "counts"}),
+                          ("bop6-splitting", {"index": 6}))),
     # a space's table has a generator of the wrong parity: the parity
     # stage names the lowest such degree, whether the table is all wrong
     # or mixed
@@ -304,14 +370,14 @@ TOWERS = [
     # the check reads the tower once, so a later stage can fail before
     # an earlier one has seen every space; the report is still the
     # earliest stage's first failure.  Space 3 has the wrong parity (and
-    # breaks the reconstruction of BPbar_3), then the tower raises
-    # further up: the tower stage wins
+    # leaves the bar walk), then the tower raises further up: the tower
+    # stage wins
     row("bop-tower-earliest-tower", "bop-tower", 30,
         _tower({3: GeneratorTable("exterior", {4: 1}, truncation=30),
                 9: NegativeDimension(7)}),
         (7, {"stage": "tower"})),
-    # the reconstruction of BPbar_2 breaks at space 4, and space 11
-    # arrives later with the wrong parity: the parity stage wins
+    # space 4 leaves the bar walk, and space 11 arrives later with the
+    # wrong parity: the parity stage wins
     row("bop-tower-earliest-parity", "bop-tower", 30,
         _tower({4: 10,
                 11: GeneratorTable("exterior", {6: 1}, truncation=30)}),
@@ -319,15 +385,21 @@ TOWERS = [
     *(row(f"bop-tower-hurewicz-{n}", "bop-tower", n, _HUREWICZ,
           None if n < 2 else (2, {"stage": "hurewicz", "index": 2}))
       for n in (0, 1, 2, 3, 32)),
-    # the product description of space 4 gains one generator; the solved
-    # tower does not see it, so only the cross-check can fail, at the
-    # first degree where the naive product leaves the tower
-    *(row(f"bop-tower-crosscheck-bo4-{degree}", "bop-tower", 32,
+    # bo_4's table gains one generator; the solved tower does not read
+    # it, so bop6-splitting fails at space 4, where its naive product
+    # leaves the solved space
+    *(row(f"bop6-splitting-bo4-{degree}", "bop6-splitting", 32,
           _bo_generator(4, degree),
-          lambda n, degree=degree:
-          (_crosscheck_failure(degree, n),
-           {"stage": "product_crosscheck", "index": 4}))
+          lambda n, degree=degree: _bop6_failure(n, bo4=degree))
       for degree in (2, 4, 6, 8, 14, 20, 32)),
+    # one profile gains a free rank at d: every one reaches the tower,
+    # through BPbar's middles or F's fiber factors, and bop6-splitting
+    # fails where the naive series of the spaces leave the products
+    *(row(f"bop6-splitting-{spectrum}-{degree}", "bop6-splitting", 64,
+          _profile_rank(spectrum, degree),
+          lambda n, spectrum=spectrum, degree=degree:
+          _bop6_failure(n, spectrum, degree))
+      for spectrum in (BP, BPBAR, F, BOP, BO) for degree in (8, 20, 30)),
     row("bo-deloopings-component-rank", "bo-deloopings", 32,
         ((towers, "tor_suspend",
           lambda real: lambda t, r=0: _bump_rank(real(t, r))),),
@@ -433,7 +505,7 @@ CONJECTURE = [
 
 ROWS = SPLITTING + TOWERS + CONJECTURE
 BY_ID = {mutant.id: mutant for mutant in ROWS}
-NAMED = ("bop-tower-reconstruction-", "bop-tower-crosscheck-",
+NAMED = ("bop-tower-bar-agreement-", "bop6-splitting-bo4-",
          "bo-deloopings-series-")
 UNNAMED = [mutant for mutant in ROWS if not mutant.id.startswith(NAMED)]
 

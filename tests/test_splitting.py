@@ -1,3 +1,8 @@
+import os
+import resource
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +10,10 @@ from hypothesis import strategies as st
 import mutants
 import oracles
 from bopcalc import splitting as splitting_mod
-from bopcalc.catalog import BOP, BO, bpn, homotopy_profile
+from bopcalc.algebra import exponents
+from bopcalc.catalog import BOP, BO, BPBAR, F, bpn, homotopy_profile
 from bopcalc.errors import InvalidParameter
+from bopcalc.reports import first_mismatch
 from bopcalc.series import one
 from bopcalc.splitting import (
     SplittingIndex,
@@ -22,6 +29,7 @@ from bopcalc.splitting import (
     verify_rational_splitting,
     verify_rhs_one,
 )
+from bopcalc.towers import _product_exponents, bop_tower
 
 
 def test_head_and_layer_low_degrees_by_hand():
@@ -61,8 +69,7 @@ def test_splitting_index_geometry():
     assert SplittingIndex(2, 0).connectivity == 12
     assert SplittingIndex(3, 0).connectivity == 20
     assert SplittingIndex(3, 1).connectivity == 28
-    # every index of levels 2..12, irreducibility's pinned level bound,
-    # and so every summand that bop6-splitting reads at its pinned scale:
+    # every index of levels 2..12, irreducibility's pinned level bound:
     # the connectivity sits in its level's window (2^(k+1) - 2,
     # 2^(k+2) - 2] and six above the suspension
     for k in range(2, 13):
@@ -88,6 +95,30 @@ def test_splitting_index_validation():
             SplittingIndex(20000, offset)
         assert str(info.value) == \
             f"offset {shown} outside 0..2^19998 - 1 at level 20000"
+
+
+def test_splitting_index_at_a_huge_level_builds_no_power():
+    # the offset is bounded by its bit length, not by 2^(level - 2),
+    # which at level 10^6000 never finishes; in a child process under a
+    # time and an address-space limit, a regression fails, not hangs
+    src = os.path.dirname(os.path.dirname(splitting_mod.__file__))
+    probe = ("from bopcalc.errors import InvalidParameter\n"
+             "from bopcalc.splitting import SplittingIndex\n"
+             "SplittingIndex(10 ** 6000, 0)\n"
+             "try:\n"
+             "    SplittingIndex(10 ** 6000, -1)\n"
+             "except InvalidParameter:\n"
+             "    print('refused')\n")
+    limit = 256 * 2 ** 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, preexec_fn=cap,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n"
 
 
 def test_enumeration_matches_frozen_connectivities():
@@ -128,6 +159,17 @@ def test_verifiers_pass_at_reference_scales():
     assert verify_index_bijection(1024).passed
     assert verify_bpn_rank_recursion(64).passed
     assert verify_bop6_homotopy_splitting(96).passed
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_bop6_splitting_stops_at_six(n):
+    # the abstract's homotopy type is for i <= 6: space 7 first leaves
+    # F_7 x bo_7 at degree 1, where the catalogued bo_7 is the periodic
+    # table
+    fiber = homotopy_profile(F, n)
+    *_, space7 = bop_tower(7, homotopy_profile(BPBAR, n), fiber)
+    assert first_mismatch(exponents(space7),
+                          _product_exponents(7, n, fiber)) == 1
 
 
 def _naive_product(factors, n):
