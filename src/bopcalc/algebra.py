@@ -63,6 +63,7 @@ from .errors import (
 )
 from .series import (
     TruncatedSeries,
+    _as_int,
     _from_ints,
     from_log_derivative,
     log_derivative,
@@ -102,22 +103,26 @@ class GeneratorTable:
                  component_rank: int = 0, truncation: int = 0):
         if kind not in KINDS:
             raise InvalidKind(f"unknown kind {kind!r}")
+        truncation = _as_int(truncation, "truncation")
         if truncation < 0:
             raise TruncationError("truncation degree must be >= 0")
+        component_rank = _as_int(component_rank, "component rank")
         if component_rank < 0:
             raise InvalidParameter("component rank must be >= 0")
         clean: Dict[int, int] = {}
         for d, c in counts.items() if hasattr(counts, "items") else counts:
+            d = _as_int(d, "generator degree")
+            c = _as_int(c, "generator count")
             if not 1 <= d <= truncation:
                 raise TruncationError(
                     f"generator degree {d} outside 1..{truncation}")
             if c < 0:
                 raise NegativeDimension(d, f"negative count {c} at degree {d}")
             if c:
-                clean[d] = int(c)
+                clean[d] = c
         self.kind = kind
         self.counts = clean
-        self.component_rank = int(component_rank)
+        self.component_rank = component_rank
         self.truncation = truncation
 
     def count(self, degree: int) -> int:
@@ -136,21 +141,6 @@ class GeneratorTable:
         return (f"GeneratorTable({self.kind!r}, {self.counts!r}, "
                 f"component_rank={self.component_rank}, "
                 f"truncation={self.truncation})")
-
-    def lazy_json(self) -> dict:
-        """Schema: kind, component_rank, generators (sorted), truncation;
-        the generator rows an iterator, each made as it is read."""
-        return {
-            "kind": self.kind,
-            "component_rank": self.component_rank,
-            "generators": ({"degree": d, "count": self.counts[d]}
-                           for d in sorted(self.counts)),
-            "truncation": self.truncation,
-        }
-
-    def csv_rows(self) -> Iterator[Tuple[int, int]]:
-        """Rows (degree, count) in degree order."""
-        return iter(sorted(self.counts.items()))
 
 
 def poincare_series(*tables: GeneratorTable) -> TruncatedSeries:

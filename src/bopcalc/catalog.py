@@ -149,23 +149,6 @@ class HomotopyProfile(namedtuple("HomotopyProfile",
             return 0
         return self.free_ranks.coefficient(degree)
 
-    def lazy_json(self) -> dict:
-        """Schema: spectrum, free_ranks (a series), torsion_z2 (sorted
-        rows); its arrays iterators, each item made as it is read."""
-        return {
-            "spectrum": str(self.spectrum),
-            "free_ranks": self.free_ranks.lazy_json(),
-            "torsion_z2": ({"degree": d, "count": self.torsion_z2[d]}
-                           for d in sorted(self.torsion_z2)),
-        }
-
-    def csv_rows(self) -> Iterator[Tuple[str, int, int, int]]:
-        """Rows (spectrum, degree, free_rank, torsion_count), all degrees."""
-        name = str(self.spectrum)
-        for d in range(self.truncation + 1):
-            yield (name, d, self.free_ranks.coefficient(d),
-                   self.torsion_z2.get(d, 0))
-
 
 # -- homotopy profiles -------------------------------------------------------
 

@@ -23,9 +23,10 @@ milliseconds of start-up.  Help and usage errors go through argparse:
 `build_parser` builds its parser from the same table, so the help text
 and every error message are argparse's own.
 
-Output is streamed: `_emit` writes each piece, a JSON array item or a
-line of CSV or text, as it is made, so a command holds one row of its
-output at a time, never the whole document.
+This is the one module that knows the output formats: the value classes
+carry no serializers.  Output is streamed: `_emit` writes each piece, a
+JSON array item or a line of CSV or text, as it is made, so a command
+holds one row of its output at a time, never the whole document.
 """
 
 from __future__ import annotations
@@ -213,9 +214,47 @@ def _json_scalar(doc) -> Optional[str]:
     return json.dumps(doc)
 
 
+def _series_json(series: TruncatedSeries) -> dict:
+    """Its coefficients as decimal strings, an iterator of them."""
+    return {"truncation": series.truncation,
+            "coefficients": map(str, series.coefficients)}
+
+
+def _table_json(table: GeneratorTable) -> dict:
+    """Its generator rows in degree order, an iterator of them."""
+    return {
+        "kind": table.kind,
+        "component_rank": table.component_rank,
+        "generators": ({"degree": d, "count": c}
+                       for d, c in sorted(table.counts.items())),
+        "truncation": table.truncation,
+    }
+
+
+def _report_json(report: VerificationReport) -> dict:
+    out = {
+        "check": report.check,
+        "parameters": dict(report.parameters),
+        "pass": report.passed,
+        "elapsed_ms": round(report.elapsed_ms, 3),
+    }
+    if report.first_failure_degree is not None:
+        out["first_failure_degree"] = report.first_failure_degree
+    if report.detail:
+        out["detail"] = dict(report.detail)
+    return out
+
+
+def _report_line(report: VerificationReport) -> str:
+    status = "PASS" if report.passed else "FAIL"
+    where = ("" if report.first_failure_degree is None
+             else f" first_failure_degree={report.first_failure_degree}")
+    return f"{status} {report.check}{where} ({report.elapsed_ms:.1f} ms)"
+
+
 def _series_lines(series: TruncatedSeries, label: str) -> Iterator[str]:
     yield f"{'degree':>8}  {label}\n"
-    for d, c in series.csv_rows():
+    for d, c in enumerate(series.coefficients):
         if c:
             yield f"{d:>8}  {c}\n"
     if not any(series.coefficients):
@@ -227,7 +266,7 @@ def _table_lines(table: GeneratorTable) -> Iterator[str]:
     yield f"component_rank: {table.component_rank}\n"
     yield f"max_degree: {table.truncation}\n"
     yield f"{'degree':>8}  count\n"
-    for d, c in table.csv_rows():
+    for d, c in sorted(table.counts.items()):
         yield f"{d:>8}  {c}\n"
     if not table.counts:
         yield "  (no generators)\n"
@@ -265,13 +304,14 @@ def _cmd_homology(args) -> int:
             "index": args.index,
             "max_degree": n,
             "provenance": res.provenance,
-            "table": table.lazy_json() if table is not None else None,
-            "series": res.series.lazy_json(),
+            "table": _table_json(table) if table is not None else None,
+            "series": _series_json(res.series),
             "notes": notes,
         }, args)
     elif args.format == "csv":
         label = "count" if table is not None else "coefficient"
-        rows = (table if table is not None else res.series).csv_rows()
+        rows = (sorted(table.counts.items()) if table is not None
+                else enumerate(res.series.coefficients))
         _emit(_csv_lines(("degree", label), rows), args)
     else:
         head = (f"space: {spectrum}_{args.index}\n",
@@ -298,21 +338,27 @@ def _cmd_catalog(args) -> int:
 
     spectrum = parse_spectrum(args.spectrum)
     profile = homotopy_profile(spectrum, args.max_degree)
+    rows = ((d, free, profile.torsion_z2.get(d, 0))
+            for d, free in enumerate(profile.free_ranks.coefficients))
     if args.format == "json":
         _emit_json({
             "command": "catalog",
             "max_degree": args.max_degree,
-            "profile": profile.lazy_json(),
+            "profile": {
+                "spectrum": str(spectrum),
+                "free_ranks": _series_json(profile.free_ranks),
+                "torsion_z2": ({"degree": d, "count": c}
+                               for d, c in sorted(profile.torsion_z2.items())),
+            },
         }, args)
     elif args.format == "csv":
         _emit(_csv_lines(("spectrum", "degree", "free_rank", "torsion_z2"),
-                         profile.csv_rows()), args)
+                         ((str(spectrum), *row) for row in rows)), args)
     else:
         head = (f"spectrum: {spectrum}\n",
                 f"{'degree':>8}  free_rank  torsion_z2\n")
         rows = (f"{d:>8}  {free:>9}  {torsion:>10}\n"
-                for _, d, free, torsion in profile.csv_rows()
-                if free or torsion)
+                for d, free, torsion in rows if free or torsion)
         _emit(chain(head, rows), args)
     return 0
 
@@ -321,10 +367,10 @@ def _run_reports(reports: List[VerificationReport], args) -> int:
     passed = all(r.passed for r in reports)
     if args.format == "json":
         if len(reports) == 1:
-            doc = {"command": "verify", "report": reports[0].to_json()}
+            doc = {"command": "verify", "report": _report_json(reports[0])}
         else:
             doc = {"command": "verify", "pass": passed,
-                   "reports": [r.to_json() for r in reports]}
+                   "reports": [_report_json(r) for r in reports]}
         _emit_json(doc, args)
     elif args.format == "csv":
         rows = ((r.check, "pass" if r.passed else "fail",
@@ -335,7 +381,7 @@ def _run_reports(reports: List[VerificationReport], args) -> int:
         _emit(_csv_lines(("check", "result", "first_failure_degree",
                           "elapsed_ms"), rows), args)
     else:
-        lines = [r.one_line() + "\n" for r in reports
+        lines = [_report_line(r) + "\n" for r in reports
                  if not (args.quiet and r.passed)]
         if lines or args.output is not None:  # leave no stale file behind
             _emit(lines, args)
@@ -387,10 +433,11 @@ def _cmd_conjecture(args) -> int:
             "command": "conjecture",
             "height": args.height,
             "max_degree": args.max_degree,
-            "series": series.lazy_json(),
+            "series": _series_json(series),
         }, args)
     elif args.format == "csv":
-        _emit(_csv_lines(("degree", "coefficient"), series.csv_rows()), args)
+        _emit(_csv_lines(("degree", "coefficient"),
+                         enumerate(series.coefficients)), args)
     else:
         _emit(chain((f"height: {args.height}\n",),
                     _series_lines(series, "dimension")), args)

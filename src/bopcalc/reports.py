@@ -46,25 +46,6 @@ class VerificationReport(namedtuple(
         return super().__new__(cls, check, parameters, passed,
                                first_failure_degree, elapsed_ms, detail)
 
-    def to_json(self) -> dict:
-        out = {
-            "check": self.check,
-            "parameters": dict(self.parameters),
-            "pass": self.passed,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
-        if self.first_failure_degree is not None:
-            out["first_failure_degree"] = self.first_failure_degree
-        if self.detail:
-            out["detail"] = dict(self.detail)
-        return out
-
-    def one_line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        where = ("" if self.first_failure_degree is None
-                 else f" first_failure_degree={self.first_failure_degree}")
-        return f"{status} {self.check}{where} ({self.elapsed_ms:.1f} ms)"
-
 
 def run_check(check: str, parameters: Mapping,
               body: Callable[[], Optional[Tuple[int, Optional[Mapping]]]],

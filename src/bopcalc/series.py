@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 from .errors import (
     InvalidParameter,
@@ -103,7 +103,8 @@ class TruncatedSeries:
     __slots__ = ("truncation", "coefficients")
 
     def __init__(self, coefficients: Iterable[int], truncation: int):
-        _init(self, tuple(int(c) for c in coefficients), truncation)
+        _init(self, tuple(_as_int(c, "coefficient") for c in coefficients),
+              _as_int(truncation, "truncation"))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -253,20 +254,6 @@ class TruncatedSeries:
         head = terms[0].replace("+ ", "", 1).replace("- ", "-", 1)
         return " ".join([head] + terms[1:])
 
-    # -- serialization -----------------------------------------------------
-
-    def lazy_json(self) -> dict:
-        """Schema: {"truncation": N, "coefficients": [decimal strings]},
-        the coefficients an iterator, for a writer that streams them."""
-        return {
-            "truncation": self.truncation,
-            "coefficients": map(str, self.coefficients),
-        }
-
-    def csv_rows(self) -> Iterator[Tuple[int, int]]:
-        """Rows (degree, coefficient), one per stored degree."""
-        return iter(enumerate(self.coefficients))
-
 
 # -- constructors ----------------------------------------------------------
 
@@ -274,17 +261,20 @@ def make_polynomial(terms: Mapping[int, int], truncation: int) -> TruncatedSerie
     """Series with the given degree -> coefficient support.
 
     Degrees above the truncation are rejected rather than dropped, so a
-    typo in a test cannot silently vanish.
+    typo in a test cannot silently vanish; a degree, coefficient or
+    truncation that is not an int is rejected rather than truncated.
 
     >>> print(make_polynomial({0: 1, 8: 5}, 10))
     1 + 5*x^8
     """
+    truncation = _as_int(truncation, "truncation")
     coeffs = [0] * (truncation + 1)
     for d, c in terms.items():
+        d = _as_int(d, "term degree")
         if not 0 <= d <= truncation:
             raise TruncationError(
                 f"term degree {d} outside 0..{truncation}")
-        coeffs[d] += int(c)
+        coeffs[d] += _as_int(c, "coefficient")
     return _from_ints(coeffs, truncation)
 
 
@@ -406,9 +396,18 @@ def _init(series, coeffs: tuple, truncation: int) -> TruncatedSeries:
     return series
 
 
+def _as_int(value, what: str) -> int:
+    """`value` as an exact int, through operator.index: a float or a
+    str is refused, never truncated or parsed."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidParameter(f"{what} {value!r} is not an int") from None
+
+
 def _from_ints(coeffs, truncation: int) -> TruncatedSeries:
     """Build a result whose coefficients are already ints, skipping the
-    per-coefficient int() of the public constructor."""
+    per-coefficient check of the public constructor."""
     return _init(object.__new__(TruncatedSeries), tuple(coeffs), truncation)
 
 

@@ -19,7 +19,7 @@ from bopcalc.algebra import (
     table_from_exponents,
     tor_suspend,
 )
-from bopcalc.cli import _json_chunks
+from bopcalc.cli import _json_chunks, _table_json
 from bopcalc.errors import (
     BopcalcError,
     InvalidKind,
@@ -55,6 +55,14 @@ def test_table_validation():
     t = GeneratorTable("polynomial", {2: 1, 4: 0}, truncation=4)
     assert t.counts == {2: 1}
     assert t.count(4) == 0 and t.count(2) == 1
+    # degrees, counts, the component rank and the truncation are exact
+    # ints: a float or a str is refused, never truncated or parsed
+    for counts, rank, n in (({2: 1.5}, 0, 4), ({2.0: 1}, 0, 4),
+                            ({"2": 1}, 0, 4), ({2: "1"}, 0, 4),
+                            ({2: 1}, 1.9, 4), ({2: 1}, 0, 4.0)):
+        with pytest.raises(InvalidParameter, match="not an int"):
+            GeneratorTable("polynomial", counts, component_rank=rank,
+                           truncation=n)
 
 
 @settings(max_examples=200)
@@ -92,11 +100,11 @@ def test_table_equality_and_json():
     same = GeneratorTable("exterior", {3: 2}, component_rank=1, truncation=6)
     assert t == same
     assert t != GeneratorTable("polynomial", {3: 2}, 1, 6)
-    doc = json.loads("".join(_json_chunks(t.lazy_json())))
+    doc = json.loads("".join(_json_chunks(_table_json(t))))
     assert doc == {"kind": "exterior", "component_rank": 1,
                    "generators": [{"degree": 3, "count": 2}],
                    "truncation": 6}
-    assert list(t.csv_rows()) == [(3, 2)]
+    assert sorted(t.counts.items()) == [(3, 2)]
 
 
 @pytest.mark.parametrize("read", [poincare_series, poincare_log_derivative,

@@ -24,7 +24,7 @@ from bopcalc.catalog import (
     homotopy_profile,
     parse_spectrum,
 )
-from bopcalc.cli import _json_chunks, main
+from bopcalc.cli import main
 from bopcalc.errors import InvalidParameter
 from bopcalc.splitting import verify_rational_splitting
 
@@ -156,14 +156,21 @@ def test_fiber_profiles_are_differences():
     assert all(x.free_rank(d) == 0 for d in range(1, 17, 2))
 
 
-def test_profile_accessors_and_json():
+def test_profile_accessors_and_json(capsys):
     prof = homotopy_profile(BOP, 12)
     assert prof.truncation == 12
     assert prof.free_rank(-3) == 0
-    doc = json.loads("".join(_json_chunks(prof.lazy_json())))
+    # the profile document and rows are the catalog command's own
+    assert main(["catalog", "BoP", "-N", "12", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)["profile"]
     assert doc["spectrum"] == "BoP"
     assert {row["degree"] for row in doc["torsion_z2"]} == {1, 2, 9, 10}
-    rows = list(prof.csv_rows())
+    assert main(["catalog", "BoP", "-N", "12", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "spectrum,degree,free_rank,torsion_z2"
+    rows = [(name, int(d), int(free), int(torsion))
+            for name, d, free, torsion in (line.split(",")
+                                           for line in lines[1:])]
     assert rows[0] == ("BoP", 0, 1, 0)
     assert len(rows) == 13
 

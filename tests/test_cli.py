@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import inspect
 import io
 import json
@@ -18,6 +19,7 @@ from bopcalc.cli import (
     _REGISTRY,
     CHECK_NAMES,
     _json_chunks,
+    _series_json,
     main,
     run,
 )
@@ -91,7 +93,8 @@ def test_homology_json_schema_and_roundtrip():
     doc = json.loads(proc.stdout)
     jsonschema.validate(doc, HOMOLOGY_SCHEMA)
     want = towers_mod.space_homology(SpaceRef(X, -2), 20).series
-    assert doc["series"] == json.loads("".join(_json_chunks(want.lazy_json())))
+    assert doc["series"] == json.loads(
+        "".join(_json_chunks(_series_json(want))))
     assert doc["provenance"] == "rank_rule"
 
 
@@ -475,6 +478,83 @@ def test_console_script_entry_point():
 
 def _masked(text):
     return re.sub(r'"elapsed_ms": [^,}\n]+', '"elapsed_ms": 0', text)
+
+
+# One form per output path of each command, in every format: the exit
+# status and the sha256 of stdout, with each elapsed time masked, as a
+# known-good build printed them.  A change to any line, row or document
+# a command writes changes its digest.
+PINNED_OUTPUTS = {
+    ("homology BoP 1 -N 12", "table"): (0,
+        "4f3affb2522a079cdf21ab0250e45a2f66f416ed5a3294abe4a4040019cfdc2b"),
+    ("homology BoP 1 -N 12", "csv"): (0,
+        "719e455f26b32b2970ba7b2f16ffac401c988e1f7c44cb158edd3f6fca7974fa"),
+    ("homology BoP 1 -N 12", "json"): (0,
+        "bff70cff50e36bfd079a09bf3cf9091daf64da2501bb17f8107956b17c769285"),
+    ("homology BoP 5 -N 30", "table"): (0,
+        "a683bf0aafe6c7502cbcb34d73871d0b09af07faa24e12a487ec4b535cd14cf0"),
+    ("homology BoP 5 -N 30", "csv"): (0,
+        "b7a39e062199c3a46398cc753e054f31b8d1e88a23dd00eaaebd7275b894d44e"),
+    ("homology BoP 5 -N 30", "json"): (0,
+        "a9b671c9874f236022ed0c86dc986492eaab14e0d20690b05bde589abed00538"),
+    ("homology bo 5 -N 30 --periodic", "table"): (0,
+        "d59163d05f757a5b6830252e65987577bc4ecbbf1b7261b5daeeaee15017353e"),
+    ("homology bo 5 -N 30 --periodic", "csv"): (0,
+        "778d954d90afc2aef7b6f13b333366c60c1d25b932dc397674c3de978dae3b2c"),
+    ("homology bo 5 -N 30 --periodic", "json"): (0,
+        "6c60e24080ce95d9447e2aac74637180e06ba161c2b8277d7a35875ad2575957"),
+    ("catalog", "table"): (0,
+        "a322116d308af98e7f50207c6458ff3c78f92dba9fadfcc3314589460297e901"),
+    ("catalog", "csv"): (0,
+        "6d8c4626de5a7abcab398711058a42247814a4cd284cc6aea2978c2f274d5651"),
+    ("catalog", "json"): (0,
+        "87c3b4d9a0d359d38a92071465d5321e93ec42293f8db71482d8316909b9ffaf"),
+    ("catalog bo -N 20", "table"): (0,
+        "7a595f55f78b7292f7a02619e1f376871718b2ff256b94d1e7cf000ee5e6cd9f"),
+    ("catalog bo -N 20", "csv"): (0,
+        "147bc8f5c521fb928e243ff85137c764f75000b23105e9f2ceb63074bfa3d885"),
+    ("catalog bo -N 20", "json"): (0,
+        "fa2473102cde40d4b7eae5176f66daf66028109981fdf1d1b400d253c2a0a10b"),
+    ("catalog BPn:2 -N 12", "table"): (0,
+        "7fe78da2594c98fa824fb9c9b052f76f30c0cde32839535a2ad1bd4994ac39a9"),
+    ("catalog BPn:2 -N 12", "csv"): (0,
+        "218dc3efbcf55f55d450720dcccfa9f884fc0f4664c52f47bc5f3140dc09889f"),
+    ("catalog BPn:2 -N 12", "json"): (0,
+        "b3956b785a96912156d5e0f21c36bdfff23909cd9b78318192782a55124e6aeb"),
+    ("conjecture 5 -N 40", "table"): (0,
+        "0337159734f311ab1aa25068c1339c5f5990006d802639a5020f45c127fc3f13"),
+    ("conjecture 5 -N 40", "csv"): (0,
+        "49cc51916b96a13d8c88d0074a258d1c2ce1989e93df42c5cc235811c01e4c4a"),
+    ("conjecture 5 -N 40", "json"): (0,
+        "2bee2763af10f779d23937f06c2c312ec2820346157c43742155a0eeb926716c"),
+    ("verify all -N 64", "table"): (0,
+        "6df328012f80648dabd982072fff2ca0ae6d35eb1ecb6c49ae7249e00ed1cf0c"),
+    ("verify all -N 64", "csv"): (0,
+        "321e4011af6416dfce22df6a8defec33ba93c2af3145363ac60f7f278837c047"),
+    ("verify all -N 64", "json"): (0,
+        "e41e1b7bf0ce7decd0525f70a708cd1d76d6c3389ddb0fa8a293ddd767f57f2c"),
+    ("verify rhs-one --inject-fault -N 16", "table"): (1,
+        "7d582cd9935ec8ec170fd283a5d8d7faf1c5e7f050ce2590b56f076041272300"),
+    ("verify rhs-one --inject-fault -N 16", "csv"): (1,
+        "4fb1cdc78907fcd21ce6a6fd3ce2e838227001ac56a79e63d3bc4d2136b346b4"),
+    ("verify rhs-one --inject-fault -N 16", "json"): (1,
+        "fb0648bffae33aadbc2b966e055695920d51320624ec8a9855f869b3378ec1b8"),
+}
+
+
+def _elapsed_masked(text):
+    """`_masked`, and the elapsed time of a text line or a CSV row."""
+    text = re.sub(r"\(\d+\.\d ms\)", "(0 ms)", _masked(text))
+    return re.sub(r"^([^,\n]*,(?:pass|fail),[^,\n]*),[^,\n]*$", r"\1,0",
+                  text, flags=re.M)
+
+
+@pytest.mark.parametrize("form, fmt", list(PINNED_OUTPUTS))
+def test_output_is_pinned_byte_for_byte(capsys, form, fmt):
+    status = main([*form.split(), "--format", fmt])
+    out = _elapsed_masked(capsys.readouterr().out)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (status, digest) == PINNED_OUTPUTS[form, fmt], out
 
 
 def _in_process(argv, capsys):

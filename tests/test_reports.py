@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bopcalc.cli import _report_json, _report_line
 from bopcalc.errors import NegativeDimension
 from bopcalc.reports import VerificationReport, first_mismatch, run_check
 from bopcalc.series import geometric, make_polynomial, one
@@ -18,13 +19,13 @@ def test_pass_fail_invariant():
 
 def test_json_shape():
     ok = VerificationReport("demo", {"n": 8}, True, elapsed_ms=1.23456)
-    doc = ok.to_json()
+    doc = _report_json(ok)
     assert doc == {"check": "demo", "parameters": {"n": 8}, "pass": True,
                    "elapsed_ms": 1.235}
     json.dumps(doc)
     bad = VerificationReport("demo", {}, False, first_failure_degree=3,
                              detail={"lhs": 1, "rhs": 2})
-    doc = bad.to_json()
+    doc = _report_json(bad)
     assert doc["first_failure_degree"] == 3
     assert doc["detail"] == {"lhs": 1, "rhs": 2}
     assert doc["pass"] is False
@@ -32,10 +33,10 @@ def test_json_shape():
 
 def test_one_line_formats():
     ok = VerificationReport("demo", {}, True, elapsed_ms=2.0)
-    assert ok.one_line() == "PASS demo (2.0 ms)"
+    assert _report_line(ok) == "PASS demo (2.0 ms)"
     bad = VerificationReport("demo", {}, False, first_failure_degree=7,
                              elapsed_ms=0.25)
-    assert bad.one_line() == "FAIL demo first_failure_degree=7 (0.2 ms)"
+    assert _report_line(bad) == "FAIL demo first_failure_degree=7 (0.2 ms)"
 
 
 def test_run_check_times_and_passes_through():
@@ -68,7 +69,7 @@ def test_run_check_turns_an_exception_into_a_failing_report():
     # a degree that is no valid locator falls back to 0
     report = run_check("demo", {}, _raiser(NegativeDimension(None)))
     assert report.first_failure_degree == 0
-    json.dumps(report.to_json())
+    json.dumps(_report_json(report))
 
 
 def test_first_mismatch():

@@ -19,7 +19,7 @@ from bopcalc.errors import (
     ZeroDegreeFactor,
 )
 from bopcalc import series as series_mod
-from bopcalc.cli import _json_chunks
+from bopcalc.cli import _csv_lines, _json_chunks, _series_json
 from bopcalc.reports import first_mismatch
 from bopcalc.series import (
     TruncatedSeries,
@@ -60,6 +60,17 @@ def test_construction_and_queries():
         TruncatedSeries([1, 2], 3)
     with pytest.raises(TruncationError):
         TruncatedSeries([], -1)
+    # every coefficient, degree and truncation is an exact int: a float
+    # or a str is refused, never truncated or parsed
+    for bad in ([1, 2.9], ["3", 1], [1, None]):
+        with pytest.raises(InvalidParameter, match="coefficient .* an int"):
+            TruncatedSeries(bad, 1)
+    with pytest.raises(InvalidParameter, match="truncation 1.0 is not an int"):
+        TruncatedSeries([1, 2], 1.0)
+    for terms, n in (({0: 1.5}, 4), ({2.0: 1}, 4), ({"2": 1}, 4),
+                     ({0: 1}, 4.0)):
+        with pytest.raises(InvalidParameter, match="not an int"):
+            make_polynomial(terms, n)
 
 
 def test_immutable_hashable():
@@ -176,14 +187,17 @@ def test_product_over_lazy_and_validating():
 def test_json_roundtrip(a):
     # decimal strings carry every coefficient through any JSON parser
     s = from_dict(a)
-    doc = json.loads("".join(_json_chunks(s.lazy_json())))
+    doc = json.loads("".join(_json_chunks(_series_json(s))))
     assert doc["truncation"] == s.truncation
     assert [int(c) for c in doc["coefficients"]] == list(s.coefficients)
 
 
 def test_csv_rows():
     s = make_polynomial({0: 1, 2: 5}, 3)
-    assert list(s.csv_rows()) == [(0, 1), (1, 0), (2, 5), (3, 0)]
+    assert list(enumerate(s.coefficients)) == [(0, 1), (1, 0), (2, 5), (3, 0)]
+    assert "".join(_csv_lines(("degree", "coefficient"),
+                              enumerate(s.coefficients))) == \
+        "degree,coefficient\n0,1\n1,0\n2,5\n3,0\n"
 
 
 @settings(max_examples=30)
