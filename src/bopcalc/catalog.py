@@ -47,6 +47,7 @@ from types import MappingProxyType
 from .algebra import GeneratorTable
 from .errors import InvalidParameter, NegativeDimension
 from .series import (
+    _as_int,
     geometric,
     make_polynomial,
     product_over,
@@ -83,6 +84,7 @@ class SpectrumId(namedtuple("SpectrumId", "tag level")):
         if tag not in _TAGS:
             raise InvalidParameter(f"unknown spectrum tag {tag!r}")
         if tag == "BPn":
+            level = None if level is None else _as_int(level, "BPn level")
             if level is None or level < 1:
                 raise InvalidParameter("BPn needs a level k >= 1")
         elif level is not None:
@@ -126,18 +128,30 @@ class SpaceRef(namedtuple("SpaceRef", "spectrum index")):
 
     __slots__ = ()
 
+    def __new__(cls, spectrum: SpectrumId, index: int):
+        return super().__new__(cls, spectrum, _as_int(index, "space index"))
+
 
 class HomotopyProfile(namedtuple("HomotopyProfile",
                                  "spectrum free_ranks torsion_z2")):
     """Free ranks (as a series) and Z/2 counts per degree, through N.
-    torsion_z2 is kept as a read-only copy of the mapping passed in."""
+    torsion_z2 is kept as a read-only copy of the mapping passed in,
+    whose degrees and counts are ints and whose counts are >= 0."""
 
     __slots__ = ()
 
     def __new__(cls, spectrum: SpectrumId, free_ranks: TruncatedSeries,
                 torsion_z2: Mapping[int, int]):
+        torsion = {}
+        for d, c in torsion_z2.items():
+            d = _as_int(d, "torsion degree")
+            c = _as_int(c, "torsion count")
+            if c < 0:
+                raise NegativeDimension(
+                    d, f"negative torsion count {c} at degree {d}")
+            torsion[d] = c
         return super().__new__(cls, spectrum, free_ranks,
-                               MappingProxyType(dict(torsion_z2)))
+                               MappingProxyType(torsion))
 
     @property
     def truncation(self) -> int:
@@ -177,6 +191,8 @@ def bpn_ladder(truncation: int,
     >>> [r.coefficient(6) for r in bpn_ladder(8)]
     [1, 2]
     """
+    if top is not None:  # v_k sits in degree 2^(k+1) - 2: none past this
+        top = min(top, truncation.bit_length() + 2)
     rungs = itertools.islice(_vn_degrees(), 1, top)
     free = geometric(2, truncation)
     yield free

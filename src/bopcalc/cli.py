@@ -9,8 +9,8 @@ Four subcommands:
   spectrum's homotopy profile;
 * ``verify CHECK`` runs a named consistency check, or ``verify all``
   for the whole battery at its standard parameters;
-* ``conjecture`` prints the conjectured cohomology series for a
-  truncation height, or runs one of the conjecture-side checks.
+* ``conjecture HEIGHT`` prints the conjectured cohomology series for
+  a truncation height.
 
 Exit status: 0 on success, 1 when a verification fails, 2 for usage or
 domain errors (bad spectrum names, indices outside a rule's range) and
@@ -100,14 +100,6 @@ _REGISTRY = {spec.name: spec for spec in (
 CHECK_NAMES = tuple(_REGISTRY)
 _FAULT_CHECKS = tuple(name for name, spec in _REGISTRY.items()
                       if spec.faults)
-
-_CONJECTURE_CHECKS = {
-    "limit": "conjecture-limit",
-    "epsilon": "epsilon-partition",
-    "first-appearance": "first-appearance",
-    "squares": "squares",
-    "shape": "conjecture-shape",
-}
 
 
 # -- output helpers ----------------------------------------------------------
@@ -388,22 +380,15 @@ def _run_reports(reports: List[VerificationReport], args) -> int:
     return 0 if passed else 1
 
 
-def _single_scale(spec: _CheckSpec, args) -> int:
-    """Scale for a check run on its own: -N if given, else pinned."""
-    return args.max_degree if args.max_degree_given else spec.pinned_scale
-
-
 def _cmd_verify(args) -> int:
+    n = args.max_degree  # None: each check at its pinned scale
     if args.check == "all":
         if args.inject_fault:
             raise InvalidParameter(
                 "--inject-fault needs a single check, not 'all'")
-        reports = []
-        for spec in _REGISTRY.values():
-            scale = spec.pinned_scale
-            if args.max_degree_given:
-                scale = min(scale, args.max_degree)
-            reports.append(spec.run(scale, False))
+        reports = [spec.run(spec.pinned_scale if n is None
+                            else min(spec.pinned_scale, n), False)
+                   for spec in _REGISTRY.values()]
         return _run_reports(reports, args)
 
     spec = _REGISTRY[args.check]
@@ -411,21 +396,12 @@ def _cmd_verify(args) -> int:
         raise InvalidParameter(
             f"check {spec.name!r} has no fault to inject; pick one of "
             + ", ".join(_FAULT_CHECKS))
-    report = spec.run(_single_scale(spec, args), args.inject_fault)
+    report = spec.run(spec.pinned_scale if n is None else n,
+                      args.inject_fault)
     return _run_reports([report], args)
 
 
 def _cmd_conjecture(args) -> int:
-    if args.check is not None:
-        if args.height is not None:
-            raise InvalidParameter(
-                "give either a truncation height or --check, not both")
-        spec = _REGISTRY[_CONJECTURE_CHECKS[args.check]]
-        return _run_reports([spec.run(_single_scale(spec, args), False)],
-                            args)
-
-    if args.height is None:
-        raise InvalidParameter("need a truncation height or --check")
     series = _conjecture.conjectured_bopn_cohomology(args.height,
                                                      args.max_degree)
     if args.format == "json":
@@ -452,8 +428,6 @@ def _cmd_conjecture(args) -> int:
 # argparse; `build_parser` builds the argparse parser from it, which
 # main() needs only for what `_parse` declines: help and usage errors.
 
-_ABSENT = object()  # -N's default: argparse.SUPPRESS, no attribute at all
-
 
 def _nonnegative(text: str) -> int:
     try:
@@ -468,11 +442,12 @@ def _nonnegative(text: str) -> int:
     raise argparse.ArgumentTypeError(message)
 
 
-def _options(max_degree: str) -> list:
+def _options(max_degree: str, default: Optional[int] = 256) -> list:
     """The options every subcommand takes; `max_degree` is the -N help,
-    which says what -N bounds under that subcommand."""
+    which says what -N bounds under that subcommand, and `default` is
+    -N's default: None under verify, where no -N means pinned scales."""
     return [
-        (("--max-degree", "-N"), dict(type=_nonnegative, default=_ABSENT,
+        (("--max-degree", "-N"), dict(type=_nonnegative, default=default,
                                       metavar="N", help=max_degree)),
         (("--format",), dict(choices=("table", "json", "csv"),
                              default="table", help="output format")),
@@ -506,7 +481,7 @@ _GRAMMAR = {
                   "bound, except a level bound for irreducibility, a height "
                   "bound for epsilon-partition and an index bound for "
                   "index-bijection, first-appearance and squares; under "
-                  "'all', a cap on each pinned scale"),
+                  "'all', a cap on each pinned scale", default=None),
         (("check",), dict(choices=CHECK_NAMES + ("all",), metavar="CHECK",
                           help="one of: "
                                + ", ".join(CHECK_NAMES + ("all",)))),
@@ -519,15 +494,10 @@ _GRAMMAR = {
                                         "passes")),
     ]),
     "conjecture": (_cmd_conjecture,
-                   "conjectured cohomology series for a truncation height, "
-                   "or one of the conjecture-side checks", [
-        *_options("degree bound for the series (default 256); with --check, "
-                  "the check's scale as under verify, by default its pinned "
-                  "one"),
-        (("height",), dict(nargs="?", type=int,
-                           help="truncation height n > 2")),
-        (("--check",), dict(choices=tuple(_CONJECTURE_CHECKS),
-                            help="run a check instead of printing a series")),
+                   "print the conjectured cohomology series for a "
+                   "truncation height", [
+        *_options("degree bound for the series (default 256)"),
+        (("height",), dict(type=int, help="truncation height n > 2")),
     ]),
 }
 
@@ -551,9 +521,8 @@ def _parse(argv: List[str]) -> Optional[dict]:
             options.update(dict.fromkeys(flags, (dest, spec)))
         else:
             positionals.append((dest, spec))
-        default = spec.get("default", False if "action" in spec else None)
-        if default is not _ABSENT:
-            values[dest] = default
+        values[dest] = spec.get("default",
+                                False if "action" in spec else None)
 
     tokens = iter(argv[1:])
     for token in tokens:
@@ -601,8 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, help_text, arguments) in _GRAMMAR.items():
         command = sub.add_parser(name, help=help_text)
         for flags, spec in arguments:
-            if spec.get("default") is _ABSENT:
-                spec = {**spec, "default": argparse.SUPPRESS}
             command.add_argument(*flags, **spec)
         command.set_defaults(func=func)
     return parser
@@ -613,19 +580,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     values = _parse(argv)
     args = (build_parser().parse_args(argv) if values is None
             else SimpleNamespace(**values))
-    args.max_degree_given = hasattr(args, "max_degree")
-    if not args.max_degree_given:
-        args.max_degree = 256
     try:
         return args.func(args)
     except BopcalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
-        # homology's index sizes the work as much as -N does
-        index = f"index {args.index} and " if hasattr(args, "index") else ""
-        print(f"error: out of memory at {index}-N {args.max_degree}",
-              file=sys.stderr)
+    except (MemoryError, OverflowError):
+        # a size past sys.maxsize (OverflowError from `[0] * n`) is one
+        # no memory holds; homology's index sizes the work as much as -N
+        sizes = [f"index {args.index}"] if hasattr(args, "index") else []
+        if args.max_degree is not None:  # None: verify without -N
+            sizes.append(f"-N {args.max_degree}")
+        where = " at " + " and ".join(sizes) if sizes else ""
+        print(f"error: out of memory{where}", file=sys.stderr)
         return 2
 
 

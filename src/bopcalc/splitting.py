@@ -29,6 +29,7 @@ from .errors import InvalidParameter
 from .reports import VerificationReport, first_mismatch, run_check
 from .series import (
     TruncatedSeries,
+    _as_int,
     _binomial_pass,
     _from_ints,
     make_polynomial,
@@ -75,6 +76,7 @@ class SplittingIndex(namedtuple("SplittingIndex", "level offset")):
     __slots__ = ()
 
     def __new__(cls, level: int, offset: int):
+        level, offset = _as_int(level, "level"), _as_int(offset, "offset")
         if level < 2:
             raise InvalidParameter(f"level {_shown(level)} must be >= 2")
         if offset < 0 or offset.bit_length() > level - 2:

@@ -115,6 +115,9 @@ def test_bpn_ladder_matches_partition_counts(n):
     # every level past the last v_k in range has its free ranks
     assert homotopy_profile(bpn(5000), n).free_ranks == rungs[-1]
     assert list(bpn_ladder(n, 5000)) == rungs
+    # a level past sys.maxsize as well, which islice alone cannot take
+    assert homotopy_profile(bpn(10 ** 20), n).free_ranks == rungs[-1]
+    assert list(bpn_ladder(n, 10 ** 20)) == rungs
 
 
 def test_bu_bo_profiles():

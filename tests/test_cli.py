@@ -386,13 +386,12 @@ def test_every_check_reports_at_every_small_scale(capsys):
 
 def test_conjecture_limit_runs_at_the_scale_asked_for():
     # no clamp: -N reaches the edges of agreement at 127, 255 and 511
-    for command in (("verify", "conjecture-limit"),
-                    ("conjecture", "--check", "limit")):
-        proc = run_cli(*command, "-N", "100", "--format", "json")
-        assert (proc.returncode, proc.stderr) == (0, ""), command
-        report = json.loads(proc.stdout)["report"]
-        assert report["pass"] is True
-        assert report["parameters"]["max_degree"] == 100
+    proc = run_cli("verify", "conjecture-limit", "-N", "100",
+                   "--format", "json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)["report"]
+    assert report["pass"] is True
+    assert report["parameters"]["max_degree"] == 100
     for n in ("126", "127", "4096"):
         proc = run_cli("verify", "conjecture-limit", "-N", n)
         assert (proc.returncode, proc.stderr) == (0, ""), n
@@ -426,11 +425,11 @@ def test_conjecture_height_validation():
 
 
 def test_conjecture_check_runs():
+    # the conjecture-side checks run as `verify <name>` only
     proc = run_cli("conjecture", "--check", "first-appearance",
                    "--format", "json")
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
-    assert doc["report"]["check"] == "first-appearance"
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.search(r"^bopcalc conjecture: error: ", proc.stderr, re.M)
 
 
 def test_output_file(tmp_path):
@@ -647,6 +646,9 @@ def test_out_of_memory_exits_2_and_names_the_scale(monkeypatch, capsys):
         "", "error: out of memory at index 12 and -N 300000000\n")
 
 
+_HUGE = "99999999999999999999"  # past sys.maxsize
+
+
 @pytest.mark.parametrize("argv, seam, where", [
     # a huge index sizes homology's work at a small -N
     (("homology", "BP", "-300000000", "-N", "10"),
@@ -655,12 +657,56 @@ def test_out_of_memory_exits_2_and_names_the_scale(monkeypatch, capsys):
      "bopcalc.cli.homotopy_profile", "-N 300000000"),
     (("conjecture", "16", "-N", "300000000"),
      "bopcalc.conjecture.conjectured_bopn_cohomology", "-N 300000000"),
+    (("homology", "BP", "-" + _HUGE, "-N", "4"),
+     "bopcalc.towers.space_homology", f"index -{_HUGE} and -N 4"),
+    (("homology", "BoP", "2", "-N", _HUGE),
+     "bopcalc.towers.space_homology", f"index 2 and -N {_HUGE}"),
+    (("conjecture", "5", "-N", _HUGE),
+     "bopcalc.conjecture.conjectured_bopn_cohomology", f"-N {_HUGE}"),
+    # verify without -N runs each check at its pinned scale, not at 256
+    (("verify", "rhs-one"), "bopcalc.cli._run_reports", None),
+    (("verify", "rhs-one", "-N", "16"), "bopcalc.cli._run_reports",
+     "-N 16"),
 ])
 def test_out_of_memory_names_what_sized_the_work(monkeypatch, capsys, argv,
                                                   seam, where):
+    # `[0] * n` raises OverflowError for a size past sys.maxsize
+    huge = any(abs(int(t)) > sys.maxsize for t in argv
+               if t.lstrip("-").isdigit())
+
     def exhausted(*args):
-        raise MemoryError
+        raise OverflowError if huge else MemoryError
 
     monkeypatch.setattr(seam, exhausted)
     assert main(list(argv)) == 2
-    assert capsys.readouterr() == ("", f"error: out of memory at {where}\n")
+    message = "error: out of memory" + (f" at {where}" if where else "")
+    assert capsys.readouterr() == ("", message + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("homology", tag, "-" + _HUGE, "-N", "4")
+    for tag in ("BP", "BPbar", "F", "X", "bu", "BPn:2", "BoP")
+] + [
+    ("homology", "BoP", "2", "-N", _HUGE),
+    ("conjecture", "5", "-N", _HUGE),
+    ("catalog", "BPn:" + _HUGE, "-N", _HUGE),
+])
+def test_a_size_past_sys_maxsize_exits_2_at_once(argv):
+    # each would need a list longer than sys.maxsize, which fails at once
+    proc = run_cli(*argv, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: out of memory at ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["homology", "catalog"])
+def test_a_bpn_level_past_sys_maxsize_has_the_top_rungs_ranks(capsys,
+                                                              command):
+    # past the last v_k at or below -N every level has the same ranks
+    outputs = []
+    for level in ("1", _HUGE):
+        argv = [command, "BPn:" + level, "-N", "4"]
+        status = main(argv + ["1"] if command == "homology" else argv)
+        outputs.append((status, capsys.readouterr()))
+    assert outputs[1] == (0, (outputs[0][1].out.replace(
+        "BPn(1)", f"BPn({_HUGE})"), ""))

@@ -182,8 +182,7 @@ _CHUNKS = {
     "homology": [("BoP",), ("bo",), ("12",), ("-3",), ("--periodic",)],
     "catalog": [("BoP",), ("BPn:2",)],
     "verify": [("all",), ("rhs-one",), ("--inject-fault",)],
-    "conjecture": [("16",), ("-1",), ("--check", "limit"),
-                   ("--check=shape",)],
+    "conjecture": [("16",), ("-1",)],
 }
 
 
@@ -216,8 +215,9 @@ def test_direct_parse_declines_or_matches_argparse(argv):
     ["verify", "all", "--max-degree=0", "--output", "out", "--quiet"],
     ["catalog"],
     ["catalog", "--format", "csv", "BPn:2"],
-    ["conjecture", "--check", "limit"],
-    ["conjecture", "16", "--check=shape"],
+    # the forms that replace `conjecture --check limit` and `--check=shape`
+    ["verify", "conjecture-limit", "-N", "100"],
+    ["verify", "--format=json", "conjecture-shape"],
     ["conjecture", "+5", "--format", "table"],
 ])
 def test_direct_parse_reads_the_plain_forms(argv):
@@ -235,6 +235,9 @@ def test_direct_parse_reads_the_plain_forms(argv):
     ["homology", "BoP", "x"], ["verify", "all", "extra"],
     ["verify", "all", "--quiet=1"], ["verify", "all", "--output", "-"],
     ["verify", "all", "--output="],
+    # the conjecture-side checks run under verify only
+    ["conjecture", "--check", "limit"],
+    ["conjecture", "16", "--check=shape"],
 ])
 def test_direct_parse_declines(argv):
     assert _parse(argv) is None
@@ -249,7 +252,8 @@ READ_BY_ARGPARSE = {("verify", "all", "--max", "64", "--format=json"),
                     ("catalog", "--output", "")}
 EXITING = {("--help",), ("homology", "--help"), ("catalog", "--help"),
            ("verify", "--help"), ("conjecture", "--help"),
-           ("verify", "nope"), ("verify", "rhs-one", "-N", "-1")}
+           ("verify", "nope"), ("verify", "rhs-one", "-N", "-1"),
+           ("conjecture", "--check", "limit")}
 
 
 def _readme_forms():

@@ -13,7 +13,7 @@ from bopcalc.algebra import GeneratorTable
 from bopcalc.catalog import BO, BP, HomotopyProfile, SpaceRef, SpectrumId
 from bopcalc.cli import _CheckSpec
 from bopcalc.conjecture import SquareMonomial
-from bopcalc.errors import InvalidParameter
+from bopcalc.errors import InvalidParameter, NegativeDimension
 from bopcalc.reports import VerificationReport
 from bopcalc.series import make_polynomial
 from bopcalc.splitting import SplittingIndex, verify_rhs_one
@@ -104,14 +104,25 @@ VALUE_CLASSES = {
         (("nope",), InvalidParameter, "unknown spectrum tag 'nope'"),
         (("BPn",), InvalidParameter, "BPn needs a level k >= 1"),
         (("BP", 2), InvalidParameter, "BP takes no level"),
+        (("BPn", 2.5), InvalidParameter, "BPn level 2.5 is not an int"),
+        (("BPn", "2"), InvalidParameter, "BPn level '2' is not an int"),
     ]),
     SpaceRef: (("spectrum", "index"), [
         (((BP, 3), {}), (BP, 3)),
         (((BO,), {"index": -2}), (BO, -2)),
-    ], []),
+    ], [
+        ((BP, 2.5), InvalidParameter, "space index 2.5 is not an int"),
+    ]),
     HomotopyProfile: (("spectrum", "free_ranks", "torsion_z2"), [
         (((BP, SERIES, {2: 1}), {}), (BP, SERIES, {2: 1})),
-    ], []),
+    ], [
+        ((BO, SERIES, {1: 1.5, 2.0: "x"}), InvalidParameter,
+         "torsion count 1.5 is not an int"),
+        ((BO, SERIES, {2.0: 1}), InvalidParameter,
+         "torsion degree 2.0 is not an int"),
+        ((BO, SERIES, {1: 1, 3: -1}), NegativeDimension,
+         "negative torsion count -1 at degree 3"),
+    ]),
     VerificationReport: (("check", "parameters", "passed",
                           "first_failure_degree", "elapsed_ms", "detail"), [
         ((("x", {}, True), {}), ("x", {}, True, None, 0.0, None)),
@@ -139,6 +150,8 @@ VALUE_CLASSES = {
         ((1, 0), InvalidParameter, "level 1 must be >= 2"),
         ((3, 2), InvalidParameter, "offset 2 outside 0..1 at level 3"),
         ((3, -1), InvalidParameter, "offset -1 outside 0..1 at level 3"),
+        ((3, 0.5), InvalidParameter, "offset 0.5 is not an int"),
+        ((2.5, 0), InvalidParameter, "level 2.5 is not an int"),
     ]),
     TowerResult: (("space", "tables", "provenance"), [
         (((SpaceRef(BP, 2), (TABLE,), "catalog"), {}),
