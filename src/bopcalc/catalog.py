@@ -34,8 +34,10 @@ pi_d = E_(d-i).  The bo spaces have classical tables, recorded here;
 everything torsion-free, bu's Z x BU, U and BU included, comes from the
 rank rule in the towers module.  For index i < 4 the bo tower agrees with
 its 8-periodic counterpart, and the periodic tables are what the catalog
-stores; from 4 to 7 the connective and periodic answers differ, and both
-are available (connective by default, periodic on request).
+stores; from 4 to 6 the connective and periodic answers differ, and both
+are available (connective by default, periodic on request).  No
+connective table is catalogued from 7 up: at 7 the periodic one stands
+in for it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .errors import InvalidParameter, NegativeDimension
 from .series import (
     _as_int,
     geometric,
-    make_polynomial,
     product_over,
 )
 
@@ -225,8 +226,7 @@ def homotopy_profile(spectrum: SpectrumId, truncation: int) -> HomotopyProfile:
     if tag == "bu":
         return HomotopyProfile(spectrum, geometric(2, truncation), {})
     if tag == "bo":
-        free = make_polynomial(
-            {d: 1 for d in range(0, truncation + 1, 4)}, truncation)
+        free = geometric(4, truncation)
         return HomotopyProfile(spectrum, free, _bo_torsion(truncation))
     if tag == "BoP":
         # 4 and 8 merged into the degrees 6, 14, 30, ... of v_2, v_3, ...

@@ -275,7 +275,7 @@ def _cmd_homology(args) -> int:
         raise InvalidParameter("--periodic only applies to bo")
 
     periodic = args.periodic
-    if spectrum.tag == "bo" and args.index >= 8 and not periodic:
+    if spectrum.tag == "bo" and args.index >= 7 and not periodic:
         periodic = True
         notes.append(
             f"space {args.index} of bo lies outside the connective "

@@ -14,22 +14,23 @@ Three mechanisms produce the homology of a space in a connective tower:
   sight is a bicommutative Hopf algebra, so the middle series factors
   exactly.
 
-The BoP tower is solved by the rank rule and the division, and only
-checked by a bar walk: its bottom spaces are products of a catalogued bo
-space with a rank-rule fiber space, and each later space is the matching
-BPbar space divided, in exponent space rather than by ses_quotient, by
-the one two steps below.  space_homology picks, for any catalogued
-space, which of these rules (or the bo catalogue) answers it.  A
-rank-rule table is one slice of its spectrum's homotopy profile.  The
-tower is handed the F and BPbar profiles, each built once by its caller,
-reads each fiber factor and BPbar middle straight off them as the
-exponents of such a slice, adds bo's from its table, and builds tables
-only for the spaces it yields, each by one step.  It yields each space
-as soon as it is solved and holds only the exponents of the two spaces
-below, so a reader that keeps one table at a time needs O(N) memory.
-BoP_i is (i-1)-connected, so every space above N + 2 is empty through N:
-the tower solves nothing there, and space_homology answers such a space
-without walking the tower at all.
+The BoP tower is solved by the rank rule and the division, and checked
+against the rank rule read off BoP's own profile (verify_bop_tower): its
+bottom spaces are products of a catalogued bo space with a rank-rule
+fiber space, and each later space is the matching BPbar space divided,
+in exponent space rather than by ses_quotient, by the one two steps
+below.  space_homology picks, for any catalogued space, which of these
+rules (or the bo catalogue) answers it.  A rank-rule table is one slice
+of its spectrum's homotopy profile.  The tower is handed the F and BPbar
+profiles, each built once by its caller, reads each fiber factor and
+BPbar middle straight off them as the exponents of such a slice, adds
+bo's from its table, and builds tables only for the spaces it yields,
+each by one step.  It yields each space as soon as it is solved and
+holds only the exponents of the two spaces below, so a reader that keeps
+one table at a time needs O(N) memory.  BoP_i is (i-1)-connected, so
+every space above N + 2 is empty through N: the tower solves nothing
+there, and space_homology answers such a space without walking the tower
+at all.
 
 A space is stored as the generator tables presenting its homology, and
 is solved and checked in exponent space: the Euler exponents v of its
@@ -69,6 +70,7 @@ from .catalog import (
     BP,
     BPBAR,
     BO,
+    BOP,
     BU,
     F,
     X,
@@ -398,60 +400,41 @@ def verify_negative_tower(truncation: int = 64,
 
 
 def verify_bop_tower(truncation: int = 60) -> VerificationReport:
-    """Structural checks on the solved BoP tower, spaces 2 through 12.
+    """Each solved BoP space 2 through 12 is the rank rule read off BoP's
+    own homotopy profile: the paper's "no torsion in H_*(BoP_i) for
+    i >= 2", since the rational homology of an infinite loop space is
+    free on its rational homotopy (Milnor-Moore).  BoP's free homotopy
+    is even and its pi_0 is Z, so an equal table also has the parity of
+    its index and one class in H_2 of space 2.
 
-    Counts stay nonnegative, generator parity follows the space index,
-    the bar walk from space 2 reproduces every later space, and H_2 of
-    space 2 is one-dimensional (probed only when N >= 2, from the
-    generators of degree <= 2, the only ones H_2 depends on).
-
-    The walk is the paper's "no torsion in H_*(BoP_i) for i >= 2": pi_0
-    of every space from 1 up is 0, so one bar step (bss_iterate, each
-    all-even step resolved to polynomial) takes space i - 1 to space i.
-    It starts from the solved space 2 and reads no later solved space,
-    so it sees a wrong BPbar middle that the solver divides in.  That
-    spaces 4..6 are F_i x bo_i, the paper's homotopy type for i <= 6,
-    is bop6-splitting's check, which would fail at space 7: the
-    catalogued bo_7 is the periodic table.
-
-    The tower is read once; as each space arrives its parity is checked
-    and, until the walk first leaves the tower (a wrong table may not
-    suspend), its bar step taken.  Each stage keeps its first failure,
-    and the earliest stage in the order above is reported.  Only the
-    Hurewicz probe builds a series.
+    The tower is read once, and the first failing space in index order
+    is reported: stage "tower" when the solver raises NegativeDimension
+    there, else stage "rational", with the space and the first differing
+    field.  The tower is solved from BPbar's and F's profiles, which the
+    catalogue derives from BoP's, so the comparison is not independent
+    of the catalogue: it catches a wrong BPbar or F profile, a solver
+    sign error, a wrong seed table or a wrong kind.  The independent
+    comparison would be the stable range against the Steenrod side
+    (conjecture.bop_cohomology_series).  That spaces 4..6 are F_i x
+    bo_i is bop6-splitting's check.
     """
     i_max = 12
     params = {"i_max": i_max, "max_degree": truncation}
 
     def body():
-        first: Dict[str, Tuple[int, dict]] = {}
-
-        def note(stage, degree, index, **more):
-            if degree is not None and stage not in first:
-                first[stage] = degree, {"stage": stage, "index": index, **more}
-
         tower = bop_tower(i_max, homotopy_profile(BPBAR, truncation),
                           homotopy_profile(F, truncation))
+        bop = homotopy_profile(BOP, truncation)
         try:
             # only the tower raises NegativeDimension here
             for i, table in enumerate(tower, 2):
-                note("parity", off_parity(table, i % 2), i)
-                if i == 2:
-                    walked = table
-                    low = {d: c for d, c in table.counts.items() if d <= 2}
-                    probe = GeneratorTable(table.kind, low, truncation=2)
-                elif "bar_agreement" not in first:
-                    walked = bss_iterate(walked, [0])[0]
-                    if walked != table:
-                        bad, field = _first_table_mismatch(walked, table)
-                        note("bar_agreement", bad, i, field=field)
+                want = _rank_rule_table(BOP, i, truncation, bop)
+                if table != want:
+                    bad, field = _first_table_mismatch(table, want)
+                    return bad, {"stage": "rational", "index": i,
+                                 "field": field}
         except NegativeDimension as exc:
             return exc.degree, {"stage": "tower"}
-        for stage in ("parity", "bar_agreement"):
-            if stage in first:
-                return first[stage]
-        if truncation >= 2 and poincare_series(probe).coefficient(2) != 1:
-            return 2, {"stage": "hurewicz", "index": 2}
 
     return run_check("bop-tower", params, body)
 

@@ -205,7 +205,7 @@ def _bo_generator(target, degree):
 def _tower(plants):
     """bop_tower with the table of space i replaced by plants[i]: a
     table, the degree of one more generator, or an exception raised when
-    the walk reaches space i."""
+    the reader reaches space i."""
     def make(real):
         def planted(*args):
             for i, table in enumerate(real(*args), 2):
@@ -231,9 +231,9 @@ def _factorization_failure(degree, n):
 
 def _profile_rank(spectrum, degree):
     """The spectrum's profile with one more free rank in `degree`,
-    wherever it is read: by the splitting module, and inside the
-    catalogue, whose derived profiles (BPbar from BP, F from BoP and bo)
-    read it too."""
+    wherever it is read: by the splitting and towers modules, and inside
+    the catalogue, whose derived profiles (BPbar from BP, F from BoP and
+    bo) read it too."""
     def make(real):
         def planted(target, truncation):
             profile = real(target, truncation)
@@ -245,7 +245,8 @@ def _profile_rank(spectrum, degree):
         return planted
 
     return ((catalog, "homotopy_profile", make),
-            (splitting, "homotopy_profile", make))
+            (splitting, "homotopy_profile", make),
+            (towers, "homotopy_profile", make))
 
 
 def _bpbar_exponent(index, degree):
@@ -317,11 +318,11 @@ def _kind_changed(real):
     return planted
 
 
-# a Poincare series with two classes in degree 2: the Hurewicz probe,
-# the one series bop-tower builds, fails there once N reaches 2
-_HUREWICZ = ((towers, "poincare_series",
-              lambda real: lambda *tables: real(*tables) + make_polynomial(
-                  {2: 1}, tables[0].truncation)),)
+def _rational(index):
+    """bop-tower's detail where space index leaves the rank rule in its
+    generator counts."""
+    return {"stage": "rational", "index": index, "field": "counts"}
+
 
 TOWERS = [
     # one extra generator in bo_4: the report fails where the naive
@@ -337,54 +338,56 @@ TOWERS = [
           inject_fault=True, want=(1, {"index": -8})) for n in (32, 1)),
     row("negative-tower-fault-0", "negative-tower", 0, inject_fault=True),
     # one returned table gains a generator of its space's parity while
-    # the solver's own exponents stay right: the bar walk, which starts
-    # from space 2 and reads no later table, leaves it at that degree;
-    # a planted space 2 starts the walk, and its polynomial generator in
-    # degree 10 suspends to an exterior one in degree 11 at space 3
-    *(row(f"bop-tower-bar-agreement-{index}", "bop-tower", 32,
+    # the solver's own exponents stay right: the rational stage finds it
+    # at its own space and degree
+    *(row(f"bop-tower-rational-{index}", "bop-tower", 32,
           _tower({index: 10 - index % 2}),
-          (10 - index % 2 + (index == 2),
-           {"stage": "bar_agreement", "index": max(index, 3),
-            "field": "counts"}))
+          (10 - index % 2, _rational(index)))
       for index in range(2, 13)),
     # one more exponent in BPbar_4, the middle of space 6: the solver
-    # divides it in, and the bar walk and the product both see it there
+    # divides it in, and the rank rule and the product both see it there
     *(row(f"{check}-bpbar4-30-{n}", check, n, _bpbar_exponent(4, 30),
           (30, want))
       for n in (60, 256)
-      for check, want in (("bop-tower", {"stage": "bar_agreement",
-                                         "index": 6, "field": "counts"}),
+      for check, want in (("bop-tower", _rational(6)),
                           ("bop6-splitting", {"index": 6}))),
-    # a space's table has a generator of the wrong parity: the parity
-    # stage names the lowest such degree, whether the table is all wrong
-    # or mixed
+    # a space's table has a generator of the wrong parity: the rank rule
+    # has none, so the report names the lowest degree where the counts
+    # differ, a missing generator of the right parity included
     *(row(f"bop-tower-parity-{index}-{'-'.join(map(str, counts))}",
           "bop-tower", 30,
           _tower({index: GeneratorTable(kind, counts, truncation=30)}),
-          (want, {"stage": "parity", "index": index}))
+          (want, _rational(index)))
       for index, kind, counts, want in (
-          (2, "polynomial", {3: 1, 5: 2}, 3),
+          (2, "polynomial", {3: 1, 5: 2}, 2),
           (2, "polynomial", {2: 1, 3: 1}, 3),
-          (3, "exterior", {6: 1}, 6),
+          (3, "exterior", {6: 1}, 3),
           (3, "exterior", {3: 1, 4: 1}, 4))),
-    # the check reads the tower once, so a later stage can fail before
-    # an earlier one has seen every space; the report is still the
-    # earliest stage's first failure.  Space 3 has the wrong parity (and
-    # leaves the bar walk), then the tower raises further up: the tower
-    # stage wins
+    # the check reads the tower once and reports the first space, in
+    # index order, that fails: space 3 differs before the tower raises
+    # at space 9
     row("bop-tower-earliest-tower", "bop-tower", 30,
         _tower({3: GeneratorTable("exterior", {4: 1}, truncation=30),
                 9: NegativeDimension(7)}),
-        (7, {"stage": "tower"})),
-    # space 4 leaves the bar walk, and space 11 arrives later with the
-    # wrong parity: the parity stage wins
+        (3, _rational(3))),
+    # space 4 differs before space 11's wrong parity arrives
     row("bop-tower-earliest-parity", "bop-tower", 30,
         _tower({4: 10,
                 11: GeneratorTable("exterior", {6: 1}, truncation=30)}),
-        (6, {"stage": "parity", "index": 11})),
-    *(row(f"bop-tower-hurewicz-{n}", "bop-tower", n, _HUREWICZ,
-          None if n < 2 else (2, {"stage": "hurewicz", "index": 2}))
-      for n in (0, 1, 2, 3, 32)),
+        (10, _rational(4))),
+    # space 2 gains a second class in H_2, where pi_0 = Z gives one: the
+    # rank rule has the one, from N = 2 up
+    *(row(f"bop-tower-hurewicz-{n}", "bop-tower", n, _tower({2: 2}),
+          (2, _rational(2)))
+      for n in (2, 3, 32)),
+    # one profile gains a free rank at d, wherever it is read: in the
+    # tower's F or BPbar profile, or in BoP's, which F is derived from
+    # and the rank rule reads.  Space 2, F_2 x bo_2, shows a changed F
+    # at d + 2; otherwise space 4, BPbar_2 over space 2, shows it there
+    *(row(f"bop-tower-{spectrum}-{degree}", "bop-tower", 64,
+          _profile_rank(spectrum, degree),
+          (degree + 2, _rational(2 if spectrum in (F, BO) else 4)))
+      for spectrum in (BOP, BPBAR, F, BP, BO) for degree in (8, 20, 30)),
     # bo_4's table gains one generator; the solved tower does not read
     # it, so bop6-splitting fails at space 4, where its naive product
     # leaves the solved space
@@ -505,7 +508,7 @@ CONJECTURE = [
 
 ROWS = SPLITTING + TOWERS + CONJECTURE
 BY_ID = {mutant.id: mutant for mutant in ROWS}
-NAMED = ("bop-tower-bar-agreement-", "bop6-splitting-bo4-",
+NAMED = ("bop-tower-rational-", "bop6-splitting-bo4-",
          "bo-deloopings-series-")
 UNNAMED = [mutant for mutant in ROWS if not mutant.id.startswith(NAMED)]
 

@@ -94,11 +94,11 @@ def test_bpn_profile_makes_one_pass_per_level(counted):
     homotopy_profile(bpn(10), 2048)
     assert counted.passes == ladder
     # the regiment walks the ladder once: one pass per level, then the
-    # regiment sum's one division by 1 - x^8, then BoP's product (4, 6
-    # and 8, then v_3 up); bo's makes none
+    # regiment sum's one division by 1 - x^8, then bo's one pass (4),
+    # then BoP's product (4, 6 and 8, then v_3 up)
     counted.passes.clear()
     assert verify_rational_splitting(2048).passed
-    assert counted.passes == ladder + [8] + [4, 6, 8] + ladder[2:]
+    assert counted.passes == ladder + [8] + [4] + [4, 6, 8] + ladder[2:]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 6, 13, 14, 30, 100, 2048])

@@ -108,6 +108,22 @@ def test_homology_bo_auto_periodic_note():
     assert quiet.stdout == proc.stdout
 
 
+@pytest.mark.parametrize("index", [6, 7])
+def test_homology_bo_notes_the_periodic_table_from_7_up(capsys, index):
+    # no connective bo table is catalogued from 7 up: bo_7's "connective"
+    # table is the periodic one, with a generator in degree 1
+    assert main(["homology", "bo", str(index), "-N", "16",
+                 "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    note = (f"space {index} of bo lies outside the connective range; "
+            "returning the periodic table")
+    assert doc["notes"] == ([note] if index >= 7 else [])
+    assert err == (f"note: {note}\n" if index >= 7 else "")
+    if index == 7:
+        assert doc["table"]["generators"][0] == {"degree": 1, "count": 1}
+
+
 def test_homology_series_only_space():
     proc = run_cli("homology", "BoP", "1", "-N", "8", "--format", "json")
     assert proc.returncode == 0
@@ -690,6 +706,7 @@ def test_out_of_memory_names_what_sized_the_work(monkeypatch, capsys, argv,
     ("homology", "BoP", "2", "-N", _HUGE),
     ("conjecture", "5", "-N", _HUGE),
     ("catalog", "BPn:" + _HUGE, "-N", _HUGE),
+    ("catalog", "bo", "-N", _HUGE),
 ])
 def test_a_size_past_sys_maxsize_exits_2_at_once(argv):
     # each would need a list longer than sys.maxsize, which fails at once
