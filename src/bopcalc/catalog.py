@@ -316,6 +316,9 @@ def bo_space_homology(index: int, truncation: int,
     >>> bo_space_homology(-4, 12).component_rank
     1
     """
+    # each table fills a dict over degrees up to N one key at a time;
+    # sized first, past sys.maxsize len() raises OverflowError at once
+    len(range(truncation + 1))
     if index < 4:
         return _ko_table(index % 8, truncation)
     if index <= 7:

@@ -8,9 +8,9 @@ pair (s, K') with a parity correction epsilon that splits 1..n-1 into
 a lower, middle, and upper band.  As n grows the suspensions of all but
 the lead terms escape any fixed degree range, and the sums stabilize to
 the known cohomology of BoP itself; the verifiers pin down that shape,
-the stabilization, the first-appearance bookkeeping for each summand,
-and the Sq^2-annihilated monomial decompositions feeding the whole
-computation.  The quotients form a chain, one exterior factor apart;
+the stabilization, and the first-appearance bookkeeping for each
+summand; the Sq^2-annihilated monomial decompositions feed only the
+squares check.  The quotients form a chain, one exterior factor apart;
 each run walks it with one cursor entry, keeps no other entry, and
 checks each entry for nonnegativity the first time it reads it.
 """
@@ -56,32 +56,6 @@ def steenrod_series(truncation: int) -> TruncatedSeries:
     return product_over((2 ** i - 1 for i in itertools.count(1)), truncation)
 
 
-def _quotient_chain(truncation: int) -> Callable[[int], TruncatedSeries]:
-    """Sq^2 quotients n = 0, 1, ... through the stable one (indices come
-    through _entry), read by one cursor entry: entry n is the Steenrod
-    series over (1 + x^2) with the exterior factors 1 + x^(2^(i+1) - 1),
-    0 <= i <= n, divided out.  The cursor moves one factor at a time,
-    dividing going up and multiplying going down, both exact modulo
-    x^(N+1); it starts at its first move, so it holds no entry until one
-    is read.  Milnor quotient n is entry n times (1 + x^2), so a
-    nonnegative entry has a nonnegative one."""
-    index, entry = -1, None
-
-    def move(n: int) -> TruncatedSeries:
-        nonlocal index, entry
-        if entry is None:
-            entry = steenrod_series(truncation).times_binomial(2, 1, -1)
-        while index < n:
-            index += 1
-            entry = entry.times_binomial(2 ** (index + 1) - 1, 1, -1)
-        while index > n:
-            entry = entry.times_binomial(2 ** (index + 1) - 1, 1, 1)
-            index -= 1
-        return entry
-
-    return move
-
-
 def _entry(n: Optional[int], truncation: int) -> int:
     """The chain index that n reads: the last one, whose factor's degree
     2^(n+1) - 1 is at most N (0 if none is), is the stable entry, and
@@ -93,38 +67,51 @@ def _entry(n: Optional[int], truncation: int) -> int:
 
 
 class _CheckedReader:
-    """Reads the chain's entries by index, as _entry resolves them,
-    through one cursor: it keeps the cursor's entry and no other, so an
-    entry read again is walked to again.  Each index is checked for
-    nonnegativity on its first read only: every walk to an index is
-    exact, so it lands on the same series, and one check serves every
-    height that reads it.  at is the index the cursor was last moved
-    to, -1 before the first read."""
+    """Reads the Sq^2 quotient chain by index, as _entry resolves it:
+    entry n is the Steenrod series over (1 + x^2) with the factors
+    1 + x^(2^(i+1) - 1), 0 <= i <= n, divided out.  One cursor entry is
+    kept, none before the first read, so an entry read again is walked
+    to again.  Each index is checked for nonnegativity on its first read
+    only: every walk is exact, so it lands on the same series.  at is
+    the cursor's index, -1 before the first read."""
 
-    __slots__ = ("truncation", "at", "_move", "_checked")
+    __slots__ = ("truncation", "at", "entry", "_checked")
 
     def __init__(self, truncation: int):
         self.truncation = truncation
         self.at = -1
-        self._move = _quotient_chain(truncation)
+        self.entry = None
         self._checked = set()
 
     def __call__(self, n: Optional[int]) -> TruncatedSeries:
         index = _entry(n, self.truncation)
         entry = self._move(index)
-        self.at = index
         if index not in self._checked:
             _nonnegative(entry)
             self._checked.add(index)
         return entry
 
+    def _move(self, n: int) -> TruncatedSeries:
+        """Walk the cursor to entry n one factor at a time: divide going
+        up, multiply going down, both exact modulo x^(N+1)."""
+        entry, at = self.entry, self.at
+        if entry is None:
+            entry = steenrod_series(self.truncation).times_binomial(2, 1, -1)
+        while at < n:
+            at += 1
+            entry = entry.times_binomial(2 ** (at + 1) - 1, 1, -1)
+        while at > n:
+            entry = entry.times_binomial(2 ** (at + 1) - 1, 1, 1)
+            at -= 1
+        self.entry, self.at = entry, at
+        return entry
 
-def _nonnegative(quotient: TruncatedSeries) -> TruncatedSeries:
+
+def _nonnegative(quotient: TruncatedSeries) -> None:
     bad = quotient.check_nonnegative()
     if bad is not None:
         raise ConjectureShapeError(
             f"quotient series negative at degree {bad}")
-    return quotient
 
 
 def milnor_quotient_series(n: Optional[int],
@@ -132,13 +119,15 @@ def milnor_quotient_series(n: Optional[int],
     """Dimensions of the Steenrod algebra modulo its n-th Milnor
     subalgebra, as a left module: divide out one exterior factor of
     degree 2^(i+1) - 1 for each 0 <= i <= n.  n=None divides out every
-    factor in range, the stable quotient.
+    factor in range, the stable quotient.  It is the Sq^2 quotient times
+    (1 + x^2), and the Sq^2 quotient is read through the chain's reader,
+    which checks it: it is nonnegative on the real chain, and a
+    nonnegative entry has a nonnegative product.
 
     >>> [milnor_quotient_series(1, 8).coefficient(d) for d in range(9)]
     [1, 0, 1, 0, 1, 0, 2, 1, 2]
     """
-    sq2 = _quotient_chain(truncation)(_entry(n, truncation))
-    return _nonnegative(sq2.times_binomial(2, 1, 1))
+    return _CheckedReader(truncation)(n).times_binomial(2, 1, 1)
 
 
 def milnor_sq2_quotient_series(k: Optional[int],
@@ -163,17 +152,23 @@ def _band_data(n: int) -> Tuple[int, int]:
     return power, n - 1 - 2 ** power
 
 
+def _bands(n: int) -> Tuple[Tuple[int, int, int], ...]:
+    """The three bands (lo, hi, eps) of height n, in order of s: the
+    lower band 1..offset and the upper band n - offset..n - 1 have
+    eps 1, the middle band between them eps 0.  A band may be empty."""
+    _, offset = _band_data(n)
+    return ((1, offset, 1), (offset + 1, n - offset - 1, 0),
+            (n - offset, n - 1, 1))
+
+
 def epsilon(n: int, s: int) -> int:
-    """1 on the lower band (s <= offset) and the upper band
-    (s >= n - offset), 0 on the middle band between them."""
+    """The eps of the band that holds s: 1 on the lower and upper bands,
+    0 on the middle band."""
     if n <= 2:
         raise InvalidParameter(f"truncation height {n} must exceed 2")
     if not 1 <= s <= n - 1:
         raise InvalidParameter(f"summand index {s} outside 1..{n - 1}")
-    _, offset = _band_data(n)
-    if s <= offset or s >= n - offset:
-        return 1
-    return 0
+    return next(eps for lo, hi, eps in _bands(n) if lo <= s <= hi)
 
 
 def summand_suspensions(n: int,
@@ -193,9 +188,8 @@ def summand_suspensions(n: int,
     """
     if n < 2:
         raise InvalidParameter(f"truncation height {n} must be >= 2")
-    power, offset = _band_data(n)
-    for lo, hi, eps in ((1, offset, 1), (offset + 1, n - offset - 1, 0),
-                        (n - offset, n - 1, 1)):
+    power, _ = _band_data(n)
+    for lo, hi, eps in _bands(n):
         start = -((cap - 2 ** (power + 3 + eps)) // 8)
         for s in range(max(lo, start), hi + 1):
             level = power
@@ -300,22 +294,19 @@ def square_monomial(j: int) -> SquareMonomial:
 # -- verifiers ---------------------------------------------------------------
 
 def verify_epsilon_partition(n_max: int = 64) -> VerificationReport:
-    """The three epsilon bands partition 1..n-1 for every height
-    3..n_max, and out-of-range summand indices are rejected.  With
-    n_max <= 2 there is no height to check and the check passes.
-    epsilon's value on each band is its own formula, so
-    tests/test_conjecture.py::test_epsilon_band_structure pins it
+    """The bands that epsilon and every series read, _bands, partition
+    1..n-1 for every height 3..n_max, and out-of-range summand indices
+    are rejected.  With n_max <= 2 there is no height to check and the
+    check passes.  The eps of each band is the table's own, so
+    tests/test_conjecture.py::test_epsilon_band_structure pins epsilon
     against an independent band rule instead, at heights 3..64."""
     params = {"n_max": n_max}
 
     def body():
         for n in range(3, n_max + 1):
-            _, offset = _band_data(n)
+            bands = _bands(n)
             for s in range(1, n):
-                in_lower = s <= offset
-                in_upper = s >= n - offset
-                in_middle = offset < s < n - offset
-                if in_lower + in_middle + in_upper != 1:
+                if sum(lo <= s <= hi for lo, hi, _ in bands) != 1:
                     return s, {"height": n, "stage": "overlap"}
             for s in (0, n):
                 try:

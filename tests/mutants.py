@@ -2,8 +2,8 @@
 
 Each row runs one check of the CLI registry, `cli._REGISTRY[check].run(
 scale, inject_fault)`, with its plant in place.  A plant is a tuple of
-(module, attribute, make) triples: for the length of the run the
-attribute is make(real), real being its value before the plant.  `want`
+(module or class, attribute, make) triples: for the length of the run
+the attribute is make(real), real being its value before the plant.  `want`
 is what the report must say, exactly: the pair (first_failure_degree,
 detail); or a function of the scale that works that pair out by an
 independent route (the oracles of tests/oracles.py, or real profiles
@@ -429,23 +429,33 @@ ENTRY_ONE_UP = ((conjecture, "_entry",
 
 
 def _negative_entries(planted_degree):
-    """The Sq^2 quotient chain with entry k negative at degree
-    planted_degree[k]."""
+    """The Sq^2 quotient reader's walk, landing on entry k negative at
+    degree planted_degree[k]; the cursor keeps the real entry."""
     def make(real):
-        def planted(truncation):
-            move = real(truncation)
-
-            def read(n):
-                if n not in planted_degree:
-                    return move(n)
-                coefficients = list(move(n).coefficients)
-                coefficients[planted_degree[n]] = -1
-                return TruncatedSeries(coefficients, truncation)
-
-            return read
+        def planted(reader, n):
+            entry = real(reader, n)
+            if n not in planted_degree:
+                return entry
+            coefficients = list(entry.coefficients)
+            coefficients[planted_degree[n]] = -1
+            return TruncatedSeries(coefficients, reader.truncation)
         return planted
 
-    return ((conjecture, "_quotient_chain", make),)
+    return ((conjecture._CheckedReader, "_move", make),)
+
+
+def _bands_moved(middle_end):
+    """The upper band one up at every height, and the middle band's end
+    with it when middle_end is 1: that keeps 1..n-1 tiled but puts s = n
+    in a band, and without it s = n - offset is in no band."""
+    def make(real):
+        def planted(n):
+            lower, (lo, hi, eps), (upper_lo, upper_hi, upper_eps) = real(n)
+            return (lower, (lo, hi + middle_end, eps),
+                    (upper_lo + 1, upper_hi + 1, upper_eps))
+        return planted
+
+    return ((conjecture, "_bands", make),)
 
 
 def _bumped_at_100(real):
@@ -504,6 +514,29 @@ CONJECTURE = [
           lambda real: lambda n:
           (real(n)[0], 4) if n == 6 else real(n)),),
         (2, {"height": 6, "stage": "overlap"})),
+    # the bands moved up with 1..n-1 still tiled: epsilon-partition
+    # passes, and every series that reads the bands fails on the first
+    # summand the shift suspends below 0, a middle-band s one past the
+    # real one (s = n where the upper band is empty)
+    row("epsilon-partition-bands-shift", "epsilon-partition", 64,
+        _bands_moved(1), None),
+    row("conjecture-limit-bands-shift", "conjecture-limit", 64,
+        _bands_moved(1),
+        (0, {"error": "ConjectureShapeError: summand (s=9, level=3) "
+                      "suspends to -8 < 0 at height 16"})),
+    row("first-appearance-bands-shift", "first-appearance", 64,
+        _bands_moved(1),
+        (0, {"error": "ConjectureShapeError: summand (s=2, level=0) "
+                      "suspends to -8 < 0 at height 2"})),
+    row("conjecture-shape-bands-shift", "conjecture-shape", 128,
+        _bands_moved(1),
+        (3, {"height": 3,
+             "error": "summand (s=3, level=1) suspends to -8 < 0 at "
+                      "height 3"})),
+    # the upper band alone moved up: at height 4 (offset 1) s = 3 is in
+    # no band
+    row("epsilon-partition-bands-gap", "epsilon-partition", 64,
+        _bands_moved(0), (3, {"height": 4, "stage": "overlap"})),
 ]
 
 ROWS = SPLITTING + TOWERS + CONJECTURE

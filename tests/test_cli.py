@@ -716,6 +716,19 @@ def test_a_size_past_sys_maxsize_exits_2_at_once(argv):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("size", [str(sys.maxsize + 1), _HUGE])
+@pytest.mark.parametrize("periodic", [[], ["--periodic"]])
+@pytest.mark.parametrize("index", range(-1, 9))
+def test_a_bo_table_past_sys_maxsize_exits_2_at_once(capsys, index,
+                                                      periodic, size):
+    # each bo table sizes degrees 0..N before it stores one, so no
+    # table grows one key at a time until memory runs out
+    argv = ["homology", "bo", str(index), "-N", size] + periodic
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: out of memory at index {index} and -N {size}\n")
+
+
 @pytest.mark.parametrize("command", ["homology", "catalog"])
 def test_a_bpn_level_past_sys_maxsize_has_the_top_rungs_ranks(capsys,
                                                               command):

@@ -1,5 +1,5 @@
+import contextlib
 import functools
-import gc
 import sys
 
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import mutants
 import oracles
 from bopcalc import conjecture as conjecture_mod
+from bopcalc import series as series_mod
 from bopcalc.catalog import BP, homotopy_profile
 from bopcalc.cli import main
 from bopcalc.conjecture import (
@@ -316,10 +317,25 @@ def test_quotient_chain_matches_per_index_oracle(n):
 _oracle_sq2 = functools.cache(lambda k, n: _oracle_quotient(k, n)[1])
 
 
+@contextlib.contextmanager
 def _live_series(truncation):
-    gc.collect()
-    return sum(isinstance(obj, TruncatedSeries) and obj.truncation == truncation
-               for obj in gc.get_objects())
+    """Yields a count of the series of this truncation built inside the
+    block and still alive: a wrapped series._init records each one's id
+    as it is built, and a __del__ set on the class drops it."""
+    born = set()
+    real_init = series_mod._init
+
+    def init(series, coeffs, n):
+        real_init(series, coeffs, n)
+        if n == truncation:
+            born.add(id(series))
+        return series
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_mod, "_init", init)
+        mp.setattr(TruncatedSeries, "__del__",
+                   lambda series: born.discard(id(series)), raising=False)
+        yield lambda: len(born)
 
 
 @settings(max_examples=60, deadline=None)
@@ -333,38 +349,33 @@ def test_quotient_reader_reads_the_oracle_in_any_order(n, reads):
     # moves down as well as up, and each read is the oracle's entry
     last = max((n + 1).bit_length() - 2, 0)
     moved, checked = [], []
-    real = conjecture_mod._quotient_chain
+    real_move = conjecture_mod._CheckedReader._move
     real_check = TruncatedSeries.check_nonnegative
 
-    def spied(truncation):
-        move = real(truncation)
-
-        def spy(index):
-            moved.append(index)
-            return move(index)
-
-        return spy
+    def spied(reader, index):
+        moved.append(index)
+        return real_move(reader, index)
 
     def counted(series):
         checked.append(list(series.coefficients))
         return real_check(series)
 
-    live = _live_series(n)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(conjecture_mod, "_quotient_chain", spied)
+    with pytest.MonkeyPatch.context() as mp, _live_series(n) as live:
+        mp.setattr(conjecture_mod._CheckedReader, "_move", spied)
         mp.setattr(TruncatedSeries, "check_nonnegative", counted)
         read = conjecture_mod._CheckedReader(n)
         for k in reads:
             assert list(read(k).coefficients) == _oracle_sq2(k, n), k
         with pytest.raises(InvalidParameter):
             read(-1)
+        kept = live()
     # every read walks the cursor to the entry it resolves to, each
     # entry is checked on its first read only, and the reader keeps the
     # cursor's entry and no other
     resolved = [last if k is None else min(k, last) for k in reads]
     assert moved == resolved
     assert checked == [_oracle_sq2(k, n) for k in dict.fromkeys(resolved)]
-    assert _live_series(n) - live == min(len(reads), 1)
+    assert kept == min(len(reads), 1)
 
 
 @pytest.mark.parametrize("n, entries", [(128, 4), (1024, 7)])
@@ -387,16 +398,11 @@ def test_conjecture_shape_checks_each_chain_entry_once(monkeypatch, n,
 
 def test_conjecture_shape_reads_each_height_from_the_nearer_end(monkeypatch):
     heights = []
-    real = conjecture_mod._quotient_chain
+    real_move = conjecture_mod._CheckedReader._move
 
-    def spied(truncation):
-        move = real(truncation)
-
-        def spy(index):
-            heights[-1].append(index)
-            return move(index)
-
-        return spy
+    def spied(reader, index):
+        heights[-1].append(index)
+        return real_move(reader, index)
 
     real_conjectured = conjecture_mod._conjectured
 
@@ -404,7 +410,7 @@ def test_conjecture_shape_reads_each_height_from_the_nearer_end(monkeypatch):
         heights.append([])
         return real_conjectured(n, truncation, read)
 
-    monkeypatch.setattr(conjecture_mod, "_quotient_chain", spied)
+    monkeypatch.setattr(conjecture_mod._CheckedReader, "_move", spied)
     monkeypatch.setattr(conjecture_mod, "_conjectured", per_height)
     assert verify_conjecture_shape(1024).passed
     # a fresh reader climbs through the first height's entries 3..9, and
